@@ -20,6 +20,27 @@ boundaries.  Densities then advance by dt/dx times the flux imbalance.
 The smallest cell traversal time over all links bounds dt (CFL); with the
 default triangular diagram the scheme transports piecewise-constant
 profiles exactly, so stationary states are discrete fixed points.
+
+Layout.  Every link has the same number of cells, so the state of the
+whole network is one array of shape (2, n_links, cells_per_link): total
+density k and commodity-1 density k1, one row per link in the order of
+`Network.links`.  A step evaluates demand, supply and fractions of all
+cells at once, fills a face-flux array of shape (2, n_links, cells + 1)
+(column 0 the flux entering a link, column -1 the flux leaving it) and
+updates every cell through it.  Junctions are compiled once, at
+construction, into index arrays over junction endpoints, one group per
+type:
+
+  * transfers: origins and destinations, one sender and one receiver;
+  * diverges: fixed or commodity-driven xi, link or sink branches;
+  * merges: link or constant-demand approaches.
+
+Senders are the downstream link ends, then the origins and constant-demand
+approaches; receivers are the upstream link ends, then the destinations
+and sink branches.  Each group reads demands and supplies from and writes
+its fluxes to these endpoints, so a step costs a fixed number of numpy
+calls whatever the size of the network.  The scalar `diverge_flux` and
+`merge_flux` are the reference the compiled groups reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -30,10 +51,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .fundamental import (FundamentalDiagram, GreenshieldsDiagram,
-                          TrafficState, TriangularDiagram)
-from .network import (DMN_DEST_SUPPLY, Approach, Branch, DmSpec, LinkProfile,
-                      Network, StationaryState, stationary_profile)
+from .fundamental import FundamentalDiagram, TrafficState
+from .network import (DMN_DEST_SUPPLY, DmSpec, LinkProfile, Network,
+                      StationaryState, _make_diagram, stationary_profile)
 
 logger = logging.getLogger(__name__)
 
@@ -115,42 +135,35 @@ def merge_flux(d1: float, d2: float, s3: float, beta: float,
 
 
 class LinkState:
-    """Mutable per-link cell arrays."""
+    """One link's row of the simulation's cell arrays; k and k1 are views."""
 
-    def __init__(self, name: str, fd: FundamentalDiagram, length: float,
-                 n_cells: int, inflow_fraction: float = 0.0):
+    def __init__(self, sim: "Simulation", row: int, name: str,
+                 fd: FundamentalDiagram, dx: float):
         self.name = name
         self.fd = fd
-        self.length = length
-        self.n = n_cells
-        self.dx = length / n_cells
-        self.k = np.zeros(n_cells)
-        self.k1 = np.zeros(n_cells)
-        # Fraction assigned to empty cells; refreshed from actual inflow.
-        self.inflow_fraction = inflow_fraction
+        self.dx = dx
+        self.k = sim.k[row]
+        self.k1 = sim.k1[row]
+        self._inflow = sim._inflow
+        self._row = row
 
-    def fractions(self) -> np.ndarray:
-        return np.where(self.k > 0.0,
-                        np.divide(self.k1, self.k,
-                                  out=np.zeros_like(self.k1),
-                                  where=self.k > 0.0),
-                        self.inflow_fraction)
+    @property
+    def inflow_fraction(self) -> float:
+        """Fraction assigned to empty cells; refreshed from actual inflow."""
+        return float(self._inflow[self._row])
 
     def set_uniform(self, density: float, fraction: float) -> None:
         self.k.fill(density)
         self.k1[:] = fraction * self.k
-        self.inflow_fraction = fraction
+        self._inflow[self._row] = fraction
 
     def set_cells(self, densities: np.ndarray, fraction: float) -> None:
-        if len(densities) != self.n:
+        if len(densities) != len(self.k):
             raise ConfigurationError(
-                f"{self.name}: expected {self.n} densities")
+                f"{self.name}: expected {len(self.k)} densities")
         self.k[:] = densities
         self.k1[:] = fraction * self.k
-        self.inflow_fraction = fraction
-
-    def vehicles(self) -> tuple[float, float]:
-        return float(self.k.sum() * self.dx), float(self.k1.sum() * self.dx)
+        self._inflow[self._row] = fraction
 
 
 @dataclass
@@ -185,6 +198,10 @@ class RunRecord:
         return self.times, self.outflux[link]
 
 
+def _ints(values) -> np.ndarray:
+    return np.array(list(values), dtype=np.intp)
+
+
 class Simulation:
     """Steppable CTM instance for one network description."""
 
@@ -192,31 +209,48 @@ class Simulation:
         network.validate()
         self.network = network
         self.config = config
-        self.links: dict[str, LinkState] = {}
-        for ln in network.links:
-            fd = self._diagram(ln.capacity)
-            self.links[ln.name] = LinkState(ln.name, fd, ln.length,
-                                            config.cells_per_link)
-        for origin in network.origins:
-            self.links[origin.link].inflow_fraction = origin.fraction
+        cells = config.cells_per_link
+        fds = [_make_diagram(ln.capacity, config.free_flow_speed,
+                             config.congested_wave_speed, config.shape)
+               for ln in network.links]
+        dxs = [ln.length / cells for ln in network.links]
+        n = self._n = len(fds)
+
+        self._state = np.zeros((2, n, cells))
+        self.k, self.k1 = self._state
+        self._inflow = np.zeros(n)
+        self._frac = np.empty((n, cells))
+        # Face fluxes [q, phi] of the last step; `q` is public for recording.
+        self._flux = np.zeros((2, n, cells + 1))
+        self.q = self._flux[0]
+        self.links: dict[str, LinkState] = {
+            ln.name: LinkState(self, i, ln.name, fd, dx)
+            for i, (ln, fd, dx) in enumerate(zip(network.links, fds, dxs))}
+
+        def column(attr: str) -> np.ndarray:
+            return np.array([[getattr(fd, attr)] for fd in fds])
+
+        self._triangular = config.shape == "triangular"
+        self._vf = column("free_flow_speed")
+        self._cap = column("capacity")
+        self._kj = column("jam_density")
+        self._kc = column("critical_density")
+        if self._triangular:
+            self._w = column("congested_wave_speed")
+
         self.t = 0.0
-        self.dt = self._resolve_dt()
+        limit = min(dx / fd.max_wave_speed for dx, fd in zip(dxs, fds))
+        self.dt = self._resolve_dt(limit)
+        self._dx = np.array(dxs)
+        self._r = (self.dt / self._dx)[:, None]
+        row = {ln.name: i for i, ln in enumerate(network.links)}
+        for origin in network.origins:
+            self._inflow[row[origin.link]] = origin.fraction
+        self._compile_junctions(network, row)
         logger.debug("simulation ready: %d links, dt=%g",
                      len(self.links), self.dt)
 
-    def _diagram(self, capacity: float) -> FundamentalDiagram:
-        cfg = self.config
-        if cfg.shape == "triangular":
-            return TriangularDiagram.from_capacity(
-                capacity, cfg.free_flow_speed, cfg.congested_wave_speed)
-        if cfg.shape == "greenshields":
-            return GreenshieldsDiagram.from_capacity(
-                capacity, cfg.free_flow_speed)
-        raise ConfigurationError(f"unknown diagram shape {cfg.shape!r}")
-
-    def _resolve_dt(self) -> float:
-        limit = min(ls.dx / ls.fd.max_wave_speed
-                    for ls in self.links.values())
+    def _resolve_dt(self, limit: float) -> float:
         if self.config.dt is None:
             return CFL_SAFETY * limit
         if self.config.dt > limit:
@@ -224,13 +258,75 @@ class Simulation:
                 f"dt={self.config.dt} violates the CFL bound {limit}")
         return self.config.dt
 
+    def _compile_junctions(self, network: Network,
+                           row: dict[str, int]) -> None:
+        """Index and constant arrays of every junction, grouped by type.
+
+        Endpoint slots 0..n-1 are the links; slot n is a constant zero that
+        starts the boundary totals; the slots after it are the boundary
+        endpoints in the order the totals accumulate them (sources: origins,
+        then constant-demand approaches; sinks: destinations, then sink
+        branches).
+        """
+        demand = [0.0] * (self._n + 1)
+        fraction = [0.0] * (self._n + 1)
+        supply = [0.0] * (self._n + 1)
+
+        def sender(d: float, frac: float) -> int:
+            demand.append(d)
+            fraction.append(frac)
+            return len(demand) - 1
+
+        def receiver(s: float) -> int:
+            supply.append(s)
+            return len(supply) - 1
+
+        def approach(a) -> int:
+            return row[a.link] if a.link is not None else sender(a.demand, 0.0)
+
+        def branch(b) -> int:
+            return row[b.link] if b.link is not None else receiver(b.supply)
+
+        transfers = ([(sender(o.demand, o.fraction), row[o.link])
+                      for o in network.origins]
+                     + [(row[d.link], receiver(d.supply))
+                        for d in network.destinations])
+        self._tr_snd = _ints(t[0] for t in transfers)
+        self._tr_rcv = _ints(t[1] for t in transfers)
+
+        for dv in network.diverges:
+            if dv.xi is not None and not 0.0 <= dv.xi <= 1.0:
+                raise DomainError(f"xi must lie in [0, 1], got {dv.xi}")
+        self._dv_up = _ints(row[dv.upstream] for dv in network.diverges)
+        branches = _ints([branch(dv.branch1), branch(dv.branch2)]
+                         for dv in network.diverges).reshape(-1, 2)
+        self._dv_b1, self._dv_b2 = np.ascontiguousarray(branches.T)
+        self._dv_driven = np.array([dv.xi is None
+                                    for dv in network.diverges], dtype=bool)
+        self._dv_xi = np.array([0.0 if dv.xi is None else dv.xi
+                                for dv in network.diverges])
+
+        for mg in network.merges:
+            if not 0.0 <= mg.beta <= 1.0:
+                raise DomainError(f"beta must lie in [0, 1], got {mg.beta}")
+        approaches = _ints([approach(mg.approach1), approach(mg.approach2)]
+                           for mg in network.merges).reshape(-1, 2)
+        self._mg_a1, self._mg_a2 = np.ascontiguousarray(approaches.T)
+        self._mg_down = _ints(row[mg.downstream] for mg in network.merges)
+        self._mg_beta = np.array([mg.beta for mg in network.merges])
+        self._mg_beta_c = np.array([1.0 - mg.beta for mg in network.merges])
+
+        self._dem = np.array(demand)
+        self._fr = np.array(fraction)
+        self._sup = np.array(supply)
+        self._out = np.zeros((2, len(demand)))
+        self._in = np.zeros((2, len(supply)))
+
     # -- initial conditions ------------------------------------------------
 
     def reset_empty(self) -> None:
         self.t = 0.0
-        for ls in self.links.values():
-            ls.k.fill(0.0)
-            ls.k1.fill(0.0)
+        self._state.fill(0.0)
 
     def set_link_profile(self, name: str, profile: LinkProfile,
                          fraction: float) -> None:
@@ -243,107 +339,99 @@ class Simulation:
 
     # -- stepping ----------------------------------------------------------
 
-    def _approach_demand(self, a: Approach,
-                         demands: dict[str, np.ndarray]) -> float:
-        if a.link is not None:
-            return float(demands[a.link][-1])
-        return a.demand
+    def step(self) -> tuple[float, float, float, float]:
+        """Advance one dt.
 
-    def _branch_supply(self, b: Branch,
-                       supplies: dict[str, np.ndarray]) -> float:
-        if b.link is not None:
-            return float(supplies[b.link][0])
-        return b.supply
+        Leaves the face fluxes in `q` (column 0 the flux entering each
+        link, column -1 the flux leaving it) and returns the boundary
+        totals (source q, source phi, sink q, sink phi) of the step.
+        """
+        k, k1, n = self.k, self.k1, self._n
+        if self._triangular:
+            d = np.minimum(self._vf * k, self._cap)
+            s = np.minimum(self._cap, self._w * (self._kj - k))
+        else:
+            lo = np.minimum(k, self._kc)
+            hi = np.maximum(k, self._kc)
+            d = self._vf * lo * (1.0 - lo / self._kj)
+            s = self._vf * hi * (1.0 - hi / self._kj)
+        frac = self._frac
+        frac[:] = self._inflow[:, None]
+        np.divide(k1, k, out=frac, where=k > 0.0)
 
-    def _junction_fluxes(self, demands, supplies, fracs):
-        """(in_q, in_phi, out_q, out_phi) per link, plus boundary totals."""
-        n = self.network
-        in_q = {}; in_phi = {}; out_q = {}; out_phi = {}
-        src_q = src_phi = snk_q = snk_phi = 0.0
+        dem, fr, sup = self._dem, self._fr, self._sup
+        (out_q, out_phi), (in_q, in_phi) = self._out, self._in
+        dem[:n] = d[:, -1]
+        fr[:n] = frac[:, -1]
+        sup[:n] = s[:, 0]
 
-        for o in n.origins:
-            q = min(o.demand, float(supplies[o.link][0]))
-            in_q[o.link], in_phi[o.link] = q, o.fraction * q
-            src_q += q; src_phi += o.fraction * q
-        for d in n.destinations:
-            q = float(demands[d.link][-1])
-            q = min(q, d.supply)
-            frac = float(fracs[d.link][-1])
-            out_q[d.link], out_phi[d.link] = q, frac * q
-            snk_q += q; snk_phi += frac * q
+        snd, rcv = self._tr_snd, self._tr_rcv
+        q = np.minimum(dem[snd], sup[rcv])
+        out_q[snd] = in_q[rcv] = q
+        out_phi[snd] = in_phi[rcv] = fr[snd] * q
 
-        for dv in n.diverges:
-            frac_up = float(fracs[dv.upstream][-1])
-            xi = dv.xi if dv.xi is not None else frac_up
-            d0 = float(demands[dv.upstream][-1])
-            s1 = self._branch_supply(dv.branch1, supplies)
-            s2 = self._branch_supply(dv.branch2, supplies)
-            q0, q1, q2 = diverge_flux(d0, s1, s2, xi)
-            out_q[dv.upstream], out_phi[dv.upstream] = q0, frac_up * q0
-            if dv.xi is None:
-                # Commodity-driven: branch 1 carries all of commodity 1.
-                phi1, phi2 = q1, 0.0
-            else:
-                phi1, phi2 = frac_up * q1, frac_up * q2
-            for br, q, phi in ((dv.branch1, q1, phi1), (dv.branch2, q2, phi2)):
-                if br.link is not None:
-                    in_q[br.link], in_phi[br.link] = q, phi
-                else:
-                    snk_q += q; snk_phi += phi
+        up, b1, b2, driven = (self._dv_up, self._dv_b1, self._dv_b2,
+                              self._dv_driven)
+        f0 = fr[up]
+        xi = np.where(driven, f0, self._dv_xi)
+        bad = ~((xi >= 0.0) & (xi <= 1.0))
+        if bad.any():
+            raise DomainError(f"xi must lie in [0, 1], got {xi[bad]}")
+        xi_c = 1.0 - xi
+        q0 = dem[up]
+        open1 = xi > 0.0
+        q0 = np.where(open1,
+                      np.minimum(q0, sup[b1] / np.where(open1, xi, 1.0)), q0)
+        open2 = xi < 1.0
+        q0 = np.where(open2,
+                      np.minimum(q0, sup[b2] / np.where(open2, xi_c, 1.0)),
+                      q0)
+        q1, q2 = xi * q0, xi_c * q0
+        out_q[up] = q0
+        out_phi[up] = f0 * q0
+        # Commodity-driven: branch 1 carries all of commodity 1.
+        in_q[b1] = q1
+        in_phi[b1] = np.where(driven, q1, f0 * q1)
+        in_q[b2] = q2
+        in_phi[b2] = np.where(driven, 0.0, f0 * q2)
 
-        for mg in n.merges:
-            d1 = self._approach_demand(mg.approach1, demands)
-            d2 = self._approach_demand(mg.approach2, demands)
-            s3 = float(supplies[mg.downstream][0])
-            _, q1, q2 = merge_flux(d1, d2, s3, mg.beta)
-            phi3 = 0.0
-            for a, q in ((mg.approach1, q1), (mg.approach2, q2)):
-                if a.link is not None:
-                    frac = float(fracs[a.link][-1])
-                    out_q[a.link], out_phi[a.link] = q, frac * q
-                    phi3 += frac * q
-                else:
-                    src_q += q
-            # q1 + q2 equals min(d1+d2, s3); summing keeps the node exactly
-            # conservative in floating point.
-            in_q[mg.downstream], in_phi[mg.downstream] = q1 + q2, phi3
-        return in_q, in_phi, out_q, out_phi, src_q, src_phi, snk_q, snk_phi
+        a1, a2, down = self._mg_a1, self._mg_a2, self._mg_down
+        d1, d2, s3 = dem[a1], dem[a2], sup[down]
+        q1 = np.minimum(d1, np.maximum(s3 - d2, self._mg_beta * s3))
+        q2 = np.minimum(d2, np.maximum(s3 - d1, self._mg_beta_c * s3))
+        phi1, phi2 = fr[a1] * q1, fr[a2] * q2
+        out_q[a1] = q1
+        out_phi[a1] = phi1
+        out_q[a2] = q2
+        out_phi[a2] = phi2
+        # q1 + q2 equals min(d1+d2, s3); summing keeps the node exactly
+        # conservative in floating point.  Constant-demand approaches carry
+        # no commodity 1; the leading 0.0 keeps the sum's sign of zero.
+        in_q[down] = q1 + q2
+        in_phi[down] = 0.0 + phi1 + phi2
 
-    def step(self):
-        """Advance one dt; returns the junction flux maps for recording."""
-        demands = {}; supplies = {}; fracs = {}
-        for name, ls in self.links.items():
-            demands[name] = _demand_array(ls.fd, ls.k)
-            supplies[name] = _supply_array(ls.fd, ls.k)
-            fracs[name] = ls.fractions()
-
-        fluxes = self._junction_fluxes(demands, supplies, fracs)
-        in_q, in_phi, out_q, out_phi = fluxes[:4]
-
-        for name, ls in self.links.items():
-            d, s, frac = demands[name], supplies[name], fracs[name]
-            q_interior = np.minimum(d[:-1], s[1:])
-            phi_interior = frac[:-1] * q_interior
-            q_in = np.concatenate(([in_q[name]], q_interior))
-            q_out = np.concatenate((q_interior, [out_q[name]]))
-            phi_in = np.concatenate(([in_phi[name]], phi_interior))
-            phi_out = np.concatenate((phi_interior, [out_phi[name]]))
-            r = self.dt / ls.dx
-            ls.k += r * (q_in - q_out)
-            ls.k1 += r * (phi_in - phi_out)
-            if in_q[name] > 0.0:
-                ls.inflow_fraction = in_phi[name] / in_q[name]
+        flux = self._flux
+        np.minimum(d[:, :-1], s[:, 1:], out=flux[0, :, 1:-1])
+        np.multiply(frac[:, :-1], flux[0, :, 1:-1], out=flux[1, :, 1:-1])
+        flux[:, :, 0] = self._in[:, :n]
+        flux[:, :, -1] = self._out[:, :n]
+        self._state += self._r * (flux[:, :, :-1] - flux[:, :, 1:])
+        np.divide(in_phi[:n], in_q[:n], out=self._inflow,
+                  where=in_q[:n] > 0.0)
         self.t += self.dt
-        return fluxes
+        src_q, src_phi = np.add.accumulate(self._out[:, n:],
+                                           axis=1)[:, -1].tolist()
+        snk_q, snk_phi = np.add.accumulate(self._in[:, n:],
+                                           axis=1)[:, -1].tolist()
+        return src_q, src_phi, snk_q, snk_phi
 
     def run(self, horizon: float | None = None) -> RunRecord:
         """Step until the horizon, recording boundary fluxes and totals."""
         horizon = self.config.horizon if horizon is None else horizon
         n_steps = int(round(horizon / self.dt))
-        names = list(self.links)
         times = np.empty(n_steps)
-        outflux = {n: np.empty(n_steps) for n in names}
-        influx = {n: np.empty(n_steps) for n in names}
+        outflux = np.empty((n_steps, self._n))
+        influx = np.empty((n_steps, self._n))
         vehicles = np.empty(n_steps)
         vehicles_c1 = np.empty(n_steps)
         b_in = np.empty(n_steps)
@@ -352,11 +440,10 @@ class Simulation:
         cons_c1 = 0.0
         prev_tot, prev_tot1 = self._totals()
         for i in range(n_steps):
-            in_q, in_phi, out_q, out_phi, src, src1, snk, snk1 = self.step()
+            src, src1, snk, snk1 = self.step()
             times[i] = self.t
-            for n in names:
-                outflux[n][i] = out_q[n]
-                influx[n][i] = in_q[n]
+            outflux[i] = self.q[:, -1]
+            influx[i] = self.q[:, 0]
             tot, tot1 = self._totals()
             vehicles[i], vehicles_c1[i] = tot, tot1
             b_in[i], b_out[i] = src, snk
@@ -364,35 +451,18 @@ class Simulation:
             cons_c1 = max(cons_c1,
                           abs(tot1 - prev_tot1 - self.dt * (src1 - snk1)))
             prev_tot, prev_tot1 = tot, tot1
-        return RunRecord(self.dt, times, outflux, influx, vehicles,
-                         vehicles_c1, b_in, b_out, cons, cons_c1,
+        names = list(self.links)
+        return RunRecord(self.dt, times,
+                         {n: outflux[:, i] for i, n in enumerate(names)},
+                         {n: influx[:, i] for i, n in enumerate(names)},
+                         vehicles, vehicles_c1, b_in, b_out, cons, cons_c1,
                          self.state())
 
     def _totals(self) -> tuple[float, float]:
-        tot = tot1 = 0.0
-        for ls in self.links.values():
-            v, v1 = ls.vehicles()
-            tot += v; tot1 += v1
+        """Vehicles (all, commodity 1): per link, then summed in link order."""
+        per_link = self._state.sum(axis=2) * self._dx
+        tot, tot1 = np.add.accumulate(per_link, axis=1)[:, -1].tolist()
         return tot, tot1
-
-
-def _demand_array(fd: FundamentalDiagram, k: np.ndarray) -> np.ndarray:
-    if isinstance(fd, TriangularDiagram):
-        return np.minimum(fd.free_flow_speed * k, fd.capacity)
-    if isinstance(fd, GreenshieldsDiagram):
-        kk = np.minimum(k, fd.critical_density)
-        return fd.free_flow_speed * kk * (1.0 - kk / fd.jam_density)
-    return np.array([fd.demand(x) for x in k])
-
-
-def _supply_array(fd: FundamentalDiagram, k: np.ndarray) -> np.ndarray:
-    if isinstance(fd, TriangularDiagram):
-        return np.minimum(fd.capacity,
-                          fd.congested_wave_speed * (fd.jam_density - k))
-    if isinstance(fd, GreenshieldsDiagram):
-        kk = np.maximum(k, fd.critical_density)
-        return fd.free_flow_speed * kk * (1.0 - kk / fd.jam_density)
-    return np.array([fd.supply(x) for x in k])
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,9 @@ def dmn_step(n: int, xi: float, state: tuple[float, ...],
 
     Each component is driven by its cyclic predecessor; the saturation cap
     is the narrow-link capacity (1, times scale).  Inside the analysis
-    band the image stays in (0, 1]; an assertion guards the positivity the
-    derivation relies on.
+    band the image stays in (0, 1]; outside it a component can turn
+    negative, which the derivation does not cover, so that raises
+    DomainError.
     """
     if n < 1:
         raise DomainError(f"n must be a positive integer, got {n}")
@@ -75,8 +76,9 @@ def dmn_step(n: int, xi: float, state: tuple[float, ...],
     cap = 1.0 * scale
     out = tuple(min(cap, 2.0 * scale - lam * state[(i - 1) % n])
                 for i in range(n))
-    assert all(v >= 0.0 for v in out), \
-        "ring map left [0, cap]; xi is outside the derivation band"
+    if any(v < 0.0 for v in out):
+        raise DomainError(
+            "ring map left [0, cap]; xi is outside the derivation band")
     return out
 
 

@@ -1,11 +1,15 @@
 """Cell-transmission simulator: junction fluxes, conservation, stationarity."""
 
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dmflow import (CellState, ConfigurationError, Destination, DmSpec, Link,
-                    LinkRegime, Network, Origin, SimConfig, Simulation,
-                    StationaryState, TriangularDiagram, build_dm, diverge_flux,
+from dmflow import (CellState, ConfigurationError, Destination, DmSpec,
+                    DomainError, Link, LinkRegime, Network, Origin, SimConfig,
+                    Simulation, StationaryState, TriangularDiagram,
+                    build_beltway, build_dm, build_dmn, diverge_flux,
                     initialize_dm_stationary, link_flux, merge_flux,
                     stationary_states)
 
@@ -221,3 +225,50 @@ class TestRingNetworkBookkeeping:
         record = sim.run()
         assert record.conservation_error < 1e-10
         assert record.conservation_error_c1 < 1e-10
+
+
+class TestKernelCost:
+    def test_python_calls_per_step_do_not_grow_with_links(self):
+        def calls_per_50_steps(n_stages):
+            sim = Simulation(build_dmn(n_stages, xi=0.4))
+            for _ in range(5):
+                sim.step()
+            calls = 0
+
+            def profile(frame, event, arg):
+                nonlocal calls
+                if event == "call":
+                    calls += 1
+
+            sys.setprofile(profile)
+            try:
+                for _ in range(50):
+                    sim.step()
+            finally:
+                sys.setprofile(None)
+            return calls
+
+        assert calls_per_50_steps(1) == calls_per_50_steps(20)
+
+
+class TestCompiledJunctions:
+    def test_merge_priority_outside_unit_interval_rejected(self):
+        net = build_beltway(2, beta=0.3, xi=0.2)
+        bad = replace(net, merges=(replace(net.merges[0], beta=1.5),)
+                      + net.merges[1:])
+        with pytest.raises(DomainError, match="beta"):
+            Simulation(bad)
+
+    def test_fixed_split_outside_unit_interval_rejected(self):
+        net = build_beltway(2, beta=0.3, xi=0.2)
+        bad = replace(net, diverges=(replace(net.diverges[0], xi=-0.1),)
+                      + net.diverges[1:])
+        with pytest.raises(DomainError, match="xi"):
+            Simulation(bad)
+
+    def test_commodity_split_outside_unit_interval_rejected(self):
+        sim = Simulation(build_dm(CLASSIC))
+        sim.links["link0"].set_uniform(1.0, 0.0)
+        sim.links["link0"].k1[-1] = 1.5
+        with pytest.raises(DomainError, match="xi"):
+            sim.step()

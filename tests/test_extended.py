@@ -51,6 +51,12 @@ class TestRingStep:
         with pytest.raises(DomainError):
             dmn_step(2, 0.4, (0.5,))
 
+    def test_image_leaving_unit_band_raises_domain_error(self):
+        # xi = 0.2 gives lam = 4, so 2 - 4 * 0.9 < 0: the map leaves
+        # [0, cap].  The guard must hold under python -O as well.
+        with pytest.raises(DomainError, match="left \\[0, cap\\]"):
+            dmn_step(2, 0.2, (0.9, 0.3))
+
 
 class TestPerturbationFactor:
     def test_single_stage_golden(self):
