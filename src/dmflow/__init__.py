@@ -14,10 +14,9 @@ Library layers:
 
 from .bifurcation import (BifurcationPoint, Transition, boundary_values,
                           regime_boundaries, sweep_xi)
-from .ctm import (CellState, NetworkState, RunRecord, SimConfig, Simulation,
-                  diverge_flux, initialize_beltway_congested,
-                  initialize_dm_stationary, initialize_dmn_stationary,
-                  link_flux, merge_flux)
+from .ctm import (RunRecord, SimConfig, Simulation, diverge_flux,
+                  initialize_beltway_congested, initialize_dm_stationary,
+                  initialize_dmn_stationary, merge_flux)
 from .errors import (ConfigurationError, DmflowError, DomainError,
                      UnsupportedRegimeError)
 from .extended import (BeltwayFactor, BeltwaySpec, DmnClassification,

@@ -42,29 +42,8 @@ def _format(args, scenario: Scenario) -> str:
     return args.format if args.format else scenario.out_format
 
 
-def _scenario(args) -> Scenario:
-    scenario = load_scenario(args.scenario)
-    if getattr(args, "xi", None) is not None:
-        if scenario.kind != "dm":
-            raise ConfigurationError("--xi override only applies to 'dm' "
-                                     "scenarios")
-        from .network import build_dm
-        spec = scenario.dm_spec.with_xi(args.xi)
-        network = build_dm(spec, scenario.origin_demand,
-                           scenario.destination_supply)
-        scenario = Scenario(**{**asdict_shallow(scenario),
-                               "dm_spec": spec, "network": network,
-                               "xi": args.xi})
-    return scenario
-
-
-def asdict_shallow(scenario: Scenario) -> dict:
-    return {f: getattr(scenario, f)
-            for f in scenario.__dataclass_fields__}
-
-
 def cmd_analyze(args) -> int:
-    scenario = _scenario(args)
+    scenario = load_scenario(args.scenario, args.xi)
     if scenario.kind == "dm":
         report = classify_stability(scenario.require_dm())
         payload = {
@@ -93,7 +72,8 @@ def cmd_analyze(args) -> int:
                 kind = "continuum endpoints" if p.continuum else "two-cycle"
                 print(f"{kind}: ({p.v_minus!r}, {p.v_plus!r})")
     elif scenario.kind == "dmn":
-        cls = dmn_classify(scenario.n, scenario.xi)
+        p = scenario.params
+        cls = dmn_classify(p["n"], p["xi"], p["scale"])
         payload = {
             "pattern": cls.pattern.value,
             "analyzed_band": cls.analyzed,
@@ -102,11 +82,12 @@ def cmd_analyze(args) -> int:
             "asymmetric_points": [list(p) for p in cls.asymmetric_points],
             "cycle": list(cls.cycle) if cls.cycle else None,
         }
-        print(f"ring of {scenario.n} stage(s): {cls.pattern.value}"
+        print(f"ring of {p['n']} stage(s): {cls.pattern.value}"
               + ("" if cls.analyzed else " (outside analyzed band)"))
         print(f"perturbation growth per lap: {cls.growth_factor!r}")
     else:
-        spec = BeltwaySpec(scenario.beta, scenario.xi, scenario.n)
+        p = scenario.params
+        spec = BeltwaySpec(p["beta"], p["xi"], p["pairs"])
         factor = beltway_factor(spec)
         cls = beltway_classify(spec)
         payload = {
@@ -114,7 +95,7 @@ def cmd_analyze(args) -> int:
             "per_pair_ratio": factor.per_pair,
             "per_lap_ratio": factor.per_lap,
         }
-        print(f"beltway with {scenario.n} ramp pair(s): {cls.value}")
+        print(f"beltway with {p['pairs']} ramp pair(s): {cls.value}")
         print(f"per-pair flux ratio: {factor.per_pair!r}")
         if factor.per_pair < 1.0:
             hl = beltway_half_life(spec)
@@ -125,7 +106,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    scenario = _scenario(args)
+    scenario = load_scenario(args.scenario, args.xi)
     fmap = build_map(scenario.require_dm())
     orbit = fmap.iterate(args.v0, args.steps)
     segments = cobweb(fmap, args.v0, args.steps)
@@ -144,7 +125,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    scenario = _scenario(args)
+    scenario = load_scenario(args.scenario, args.xi)
     spec = scenario.require_dm()
     if args.step <= 0:
         raise ConfigurationError("--step must be positive")
@@ -166,7 +147,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = _scenario(args)
+    scenario = load_scenario(args.scenario, args.xi)
     sim = scenario.simulation()
     record = sim.run(args.horizon)
     out = _outdir(args, scenario)
@@ -192,7 +173,7 @@ def _validate_one(spec, args) -> tuple[bool, dict]:
 
 
 def cmd_validate(args) -> int:
-    scenario = _scenario(args)
+    scenario = load_scenario(args.scenario, args.xi)
     spec = scenario.require_dm()
     out = _outdir(args, scenario)
     if args.family:

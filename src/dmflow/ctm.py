@@ -41,6 +41,11 @@ and sink branches.  Each group reads demands and supplies from and writes
 its fluxes to these endpoints, so a step costs a fixed number of numpy
 calls whatever the size of the network.  The scalar `diverge_flux` and
 `merge_flux` are the reference the compiled groups reproduce bit for bit.
+
+Empty cells carry commodity fraction 0.  No flux depends on that value: an
+empty cell's demand is exactly 0 in both diagram shapes, so every flux it
+sends, and every fraction times that flux, is +0.0, and a commodity-driven
+diverge behind an empty cell sends q0 = 0 whatever split it reads.
 """
 
 from __future__ import annotations
@@ -52,19 +57,16 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .fundamental import FundamentalDiagram, TrafficState
-from .network import (DMN_DEST_SUPPLY, DmSpec, LinkProfile, Network,
-                      StationaryState, _make_diagram, stationary_profile)
+from .network import (DMN_DEST_SUPPLY, DmSpec, Network, StationaryState,
+                      _make_diagram, stationary_profile)
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
     "SimConfig",
-    "CellState",
     "LinkState",
-    "NetworkState",
     "RunRecord",
     "Simulation",
-    "link_flux",
     "diverge_flux",
     "merge_flux",
     "initialize_dm_stationary",
@@ -95,22 +97,6 @@ class SimConfig:
             raise ConfigurationError("dt must be positive")
 
 
-@dataclass(frozen=True)
-class CellState:
-    """Density and commodity-1 share of one cell."""
-
-    density: float
-    fraction: float
-
-
-def link_flux(fd_up: FundamentalDiagram, up: CellState,
-              fd_down: FundamentalDiagram, down: CellState,
-              ) -> tuple[float, float]:
-    """Total and commodity-1 flux between two adjacent cells."""
-    q = min(fd_up.demand(up.density), fd_down.supply(down.density))
-    return q, up.fraction * q
-
-
 def diverge_flux(d0: float, s1: float, s2: float, xi: float,
                  ) -> tuple[float, float, float]:
     """FIFO diverge fluxes (q0, q1, q2) with branch-1 proportion xi."""
@@ -137,25 +123,17 @@ def merge_flux(d1: float, d2: float, s3: float, beta: float,
 class LinkState:
     """One link's row of the simulation's cell arrays; k and k1 are views."""
 
-    def __init__(self, sim: "Simulation", row: int, name: str,
-                 fd: FundamentalDiagram, dx: float):
+    def __init__(self, name: str, fd: FundamentalDiagram, dx: float,
+                 k: np.ndarray, k1: np.ndarray):
         self.name = name
         self.fd = fd
         self.dx = dx
-        self.k = sim.k[row]
-        self.k1 = sim.k1[row]
-        self._inflow = sim._inflow
-        self._row = row
-
-    @property
-    def inflow_fraction(self) -> float:
-        """Fraction assigned to empty cells; refreshed from actual inflow."""
-        return float(self._inflow[self._row])
+        self.k = k
+        self.k1 = k1
 
     def set_uniform(self, density: float, fraction: float) -> None:
         self.k.fill(density)
         self.k1[:] = fraction * self.k
-        self._inflow[self._row] = fraction
 
     def set_cells(self, densities: np.ndarray, fraction: float) -> None:
         if len(densities) != len(self.k):
@@ -163,19 +141,6 @@ class LinkState:
                 f"{self.name}: expected {len(self.k)} densities")
         self.k[:] = densities
         self.k1[:] = fraction * self.k
-        self._inflow[self._row] = fraction
-
-
-@dataclass
-class NetworkState:
-    """Snapshot of all link cells plus the clock."""
-
-    t: float
-    links: dict[str, tuple[np.ndarray, np.ndarray]]  # name -> (k, k1)
-
-    def copy(self) -> "NetworkState":
-        return NetworkState(self.t, {n: (k.copy(), k1.copy())
-                                     for n, (k, k1) in self.links.items()})
 
 
 @dataclass
@@ -185,14 +150,10 @@ class RunRecord:
     dt: float
     times: np.ndarray                      # time after each step
     outflux: dict[str, np.ndarray]         # per link, downstream boundary
-    influx: dict[str, np.ndarray]          # per link, upstream boundary
     vehicles: np.ndarray                   # network total after each step
     vehicles_c1: np.ndarray
-    boundary_in: np.ndarray                # total source flux each step
-    boundary_out: np.ndarray
     conservation_error: float              # max |dN - (in-out)*dt| over steps
     conservation_error_c1: float
-    final_state: NetworkState
 
     def series(self, link: str) -> tuple[np.ndarray, np.ndarray]:
         return self.times, self.outflux[link]
@@ -218,13 +179,12 @@ class Simulation:
 
         self._state = np.zeros((2, n, cells))
         self.k, self.k1 = self._state
-        self._inflow = np.zeros(n)
         self._frac = np.empty((n, cells))
         # Face fluxes [q, phi] of the last step; `q` is public for recording.
         self._flux = np.zeros((2, n, cells + 1))
         self.q = self._flux[0]
         self.links: dict[str, LinkState] = {
-            ln.name: LinkState(self, i, ln.name, fd, dx)
+            ln.name: LinkState(ln.name, fd, dx, self.k[i], self.k1[i])
             for i, (ln, fd, dx) in enumerate(zip(network.links, fds, dxs))}
 
         def column(attr: str) -> np.ndarray:
@@ -244,8 +204,6 @@ class Simulation:
         self._dx = np.array(dxs)
         self._r = (self.dt / self._dx)[:, None]
         row = {ln.name: i for i, ln in enumerate(network.links)}
-        for origin in network.origins:
-            self._inflow[row[origin.link]] = origin.fraction
         self._compile_junctions(network, row)
         logger.debug("simulation ready: %d links, dt=%g",
                      len(self.links), self.dt)
@@ -322,23 +280,6 @@ class Simulation:
         self._out = np.zeros((2, len(demand)))
         self._in = np.zeros((2, len(supply)))
 
-    # -- initial conditions ------------------------------------------------
-
-    def reset_empty(self) -> None:
-        self.t = 0.0
-        self._state.fill(0.0)
-
-    def set_link_profile(self, name: str, profile: LinkProfile,
-                         fraction: float) -> None:
-        self.links[name].set_cells(
-            profile.cell_densities(self.config.cells_per_link), fraction)
-
-    def state(self) -> NetworkState:
-        return NetworkState(self.t, {n: (ls.k.copy(), ls.k1.copy())
-                                     for n, ls in self.links.items()})
-
-    # -- stepping ----------------------------------------------------------
-
     def step(self) -> tuple[float, float, float, float]:
         """Advance one dt.
 
@@ -356,7 +297,7 @@ class Simulation:
             d = self._vf * lo * (1.0 - lo / self._kj)
             s = self._vf * hi * (1.0 - hi / self._kj)
         frac = self._frac
-        frac[:] = self._inflow[:, None]
+        frac.fill(0.0)
         np.divide(k1, k, out=frac, where=k > 0.0)
 
         dem, fr, sup = self._dem, self._fr, self._sup
@@ -416,8 +357,6 @@ class Simulation:
         flux[:, :, 0] = self._in[:, :n]
         flux[:, :, -1] = self._out[:, :n]
         self._state += self._r * (flux[:, :, :-1] - flux[:, :, 1:])
-        np.divide(in_phi[:n], in_q[:n], out=self._inflow,
-                  where=in_q[:n] > 0.0)
         self.t += self.dt
         src_q, src_phi = np.add.accumulate(self._out[:, n:],
                                            axis=1)[:, -1].tolist()
@@ -431,11 +370,8 @@ class Simulation:
         n_steps = int(round(horizon / self.dt))
         times = np.empty(n_steps)
         outflux = np.empty((n_steps, self._n))
-        influx = np.empty((n_steps, self._n))
         vehicles = np.empty(n_steps)
         vehicles_c1 = np.empty(n_steps)
-        b_in = np.empty(n_steps)
-        b_out = np.empty(n_steps)
         cons = 0.0
         cons_c1 = 0.0
         prev_tot, prev_tot1 = self._totals()
@@ -443,20 +379,15 @@ class Simulation:
             src, src1, snk, snk1 = self.step()
             times[i] = self.t
             outflux[i] = self.q[:, -1]
-            influx[i] = self.q[:, 0]
             tot, tot1 = self._totals()
             vehicles[i], vehicles_c1[i] = tot, tot1
-            b_in[i], b_out[i] = src, snk
             cons = max(cons, abs(tot - prev_tot - self.dt * (src - snk)))
             cons_c1 = max(cons_c1,
                           abs(tot1 - prev_tot1 - self.dt * (src1 - snk1)))
             prev_tot, prev_tot1 = tot, tot1
-        names = list(self.links)
         return RunRecord(self.dt, times,
-                         {n: outflux[:, i] for i, n in enumerate(names)},
-                         {n: influx[:, i] for i, n in enumerate(names)},
-                         vehicles, vehicles_c1, b_in, b_out, cons, cons_c1,
-                         self.state())
+                         {n: outflux[:, i] for i, n in enumerate(self.links)},
+                         vehicles, vehicles_c1, cons, cons_c1)
 
     def _totals(self) -> tuple[float, float]:
         """Vehicles (all, commodity 1): per link, then summed in link order."""
@@ -480,7 +411,9 @@ def initialize_dm_stationary(sim: Simulation, spec: DmSpec,
                  "link3": spec.xi}
     sim.t = 0.0
     for name, profile in profiles.items():
-        sim.set_link_profile(name, profile, fractions[name])
+        sim.links[name].set_cells(
+            profile.cell_densities(sim.config.cells_per_link),
+            fractions[name])
 
 
 def initialize_dmn_stationary(sim: Simulation, xi: float, scale: float = 1.0,

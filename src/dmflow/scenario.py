@@ -105,19 +105,18 @@ SCENARIO_SCHEMA: dict = {
 class Scenario:
     """Parsed scenario: network description plus simulation settings."""
 
-    kind: str
+    params: dict            # `network:` section, typed, defaults filled
     network: Network
     sim: SimConfig
     dm_spec: DmSpec | None          # set for kind == "dm"
-    xi: float
-    beta: float
-    n: int
     initial_kind: str
     initial_flow: float | None
     out_dir: str
     out_format: str
-    origin_demand: float | None = None       # dm boundary overrides
-    destination_supply: float | None = None
+
+    @property
+    def kind(self) -> str:
+        return self.network.kind
 
     def require_dm(self) -> DmSpec:
         if self.dm_spec is None:
@@ -129,9 +128,6 @@ class Scenario:
     def simulation(self) -> Simulation:
         sim = Simulation(self.network, self.sim)
         if self.initial_kind == "ring_flow":
-            if self.kind != "beltway":
-                raise ConfigurationError(
-                    "initial kind 'ring_flow' needs a beltway network")
             initialize_beltway_congested(sim, self.initial_flow)
         return sim
 
@@ -147,8 +143,8 @@ def _validate(doc: dict, source: str) -> None:
         raise ConfigurationError("\n".join(lines))
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    """Parse and validate a scenario file."""
+def load_scenario(path: str | Path, xi: float | None = None) -> Scenario:
+    """Parse and validate a scenario file; xi overrides a 'dm' route split."""
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -164,8 +160,13 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ConfigurationError(f"{path}: scenario must be a mapping")
     _validate(doc, str(path))
 
-    net_cfg = doc["network"]
+    net_cfg = dict(doc["network"])
     kind = net_cfg["kind"]
+    if xi is not None:
+        if kind != "dm":
+            raise ConfigurationError("--xi override only applies to 'dm' "
+                                     "scenarios")
+        net_cfg["xi"] = xi
     dia = doc.get("diagram", {})
     sim_cfg = doc.get("simulation", {})
     dt = sim_cfg.get("dt")
@@ -178,43 +179,57 @@ def load_scenario(path: str | Path) -> Scenario:
         shape=dia.get("shape", "triangular"),
     )
 
-    def _need(key):
+    def _need(key, cast):
         if key not in net_cfg:
             raise ConfigurationError(
                 f"{path}: network.{key} is required for kind {kind!r}")
-        return net_cfg[key]
+        net_cfg[key] = cast(net_cfg[key])
+
+    def _default(key, value):
+        net_cfg[key] = float(net_cfg.get(key, value))
 
     dm_spec = None
     if kind == "dm":
-        caps = _need("capacities")
-        beta, xi = float(_need("beta")), float(_need("xi"))
-        dm_spec = DmSpec(*caps, beta=beta, xi=xi,
+        _need("capacities", list)
+        _need("beta", float)
+        _need("xi", float)
+        dm_spec = DmSpec(*net_cfg["capacities"], beta=net_cfg["beta"],
+                         xi=net_cfg["xi"],
                          lengths=tuple(net_cfg.get("lengths",
                                                    (1.0, 1.0, 1.0, 1.0))))
         network = build_dm(dm_spec, net_cfg.get("origin_demand"),
                            net_cfg.get("destination_supply"))
-        n = 1
     elif kind == "dmn":
-        n, xi = int(_need("n")), float(_need("xi"))
-        beta = float(net_cfg.get("beta", 0.0))
-        network = build_dmn(n, xi, scale=float(net_cfg.get("scale", 1.0)),
-                            beta=beta)
+        _need("n", int)
+        _need("xi", float)
+        _default("beta", 0.0)
+        _default("scale", 1.0)
+        network = build_dmn(net_cfg["n"], net_cfg["xi"],
+                            scale=net_cfg["scale"], beta=net_cfg["beta"])
     else:
-        n, xi = int(_need("pairs")), float(_need("xi"))
-        beta = float(_need("beta"))
+        _need("pairs", int)
+        _need("xi", float)
+        _need("beta", float)
+        _default("ring_capacity", 1.0)
+        _default("segment_length", 1.0)
         network = build_beltway(
-            n, beta, xi,
-            ring_capacity=float(net_cfg.get("ring_capacity", 1.0)),
-            segment_length=float(net_cfg.get("segment_length", 1.0)),
+            net_cfg["pairs"], net_cfg["beta"], net_cfg["xi"],
+            ring_capacity=net_cfg["ring_capacity"],
+            segment_length=net_cfg["segment_length"],
             ramp_demand=net_cfg.get("ramp_demand"),
             offramp_supply=net_cfg.get("offramp_supply"))
 
     init = doc.get("initial", {"kind": "empty"})
+    if init["kind"] == "ring_flow":
+        if kind != "beltway":
+            raise ConfigurationError(
+                f"{path}: initial kind 'ring_flow' needs a beltway network")
+        if "flow" not in init:
+            raise ConfigurationError(
+                f"{path}: initial.flow is required for kind 'ring_flow'")
     out = doc.get("output", {})
     return Scenario(
-        kind=kind, network=network, sim=sim, dm_spec=dm_spec, xi=xi,
-        beta=beta, n=n, initial_kind=init["kind"],
-        initial_flow=init.get("flow"), out_dir=out.get("directory", "out"),
-        out_format=out.get("format", "csv"),
-        origin_demand=net_cfg.get("origin_demand"),
-        destination_supply=net_cfg.get("destination_supply"))
+        params=net_cfg, network=network, sim=sim, dm_spec=dm_spec,
+        initial_kind=init["kind"], initial_flow=init.get("flow"),
+        out_dir=out.get("directory", "out"),
+        out_format=out.get("format", "csv"))

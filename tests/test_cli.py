@@ -5,12 +5,16 @@ from pathlib import Path
 
 import pytest
 
+from dmflow import ConfigurationError, dmn_classify
 from dmflow.cli import main
+from dmflow.scenario import load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 CLASSIC = str(SCENARIOS / "dm_classic.yaml")
 BIFURCATION = str(SCENARIOS / "dm_bifurcation.yaml")
 BELTWAY = str(SCENARIOS / "beltway_gridlock.yaml")
+BELTWAY_NETWORK = ("network:\n  kind: beltway\n  pairs: 2\n  beta: 0.3\n"
+                   "  xi: 0.2\n")
 
 
 class TestAnalyze:
@@ -122,6 +126,22 @@ class TestScenarioErrors:
         scn.write_text("network:\n  kind: star\n")
         assert main(["analyze", str(scn)]) == 2
 
+    def test_ring_flow_without_flow_is_config_error(self, tmp_path):
+        scn = tmp_path / "noflow.yaml"
+        scn.write_text(BELTWAY_NETWORK + "initial:\n  kind: ring_flow\n")
+        with pytest.raises(ConfigurationError, match="flow"):
+            load_scenario(scn)
+        assert main(["simulate", str(scn), "--out", str(tmp_path)]) == 2
+
+    def test_ring_flow_on_dm_network_rejected_at_load(self, tmp_path):
+        scn = tmp_path / "dmring.yaml"
+        scn.write_text(
+            "network:\n  kind: dm\n  capacities: [3.0, 1.0, 2.0, 2.0]\n"
+            "  beta: 0.33\n  xi: 0.45\n"
+            "initial:\n  kind: ring_flow\n  flow: 0.5\n")
+        with pytest.raises(ConfigurationError, match="beltway"):
+            load_scenario(scn)
+
     def test_cfl_violation_is_config_error(self, tmp_path):
         scn = tmp_path / "cfl.yaml"
         scn.write_text(
@@ -227,6 +247,22 @@ class TestRingScenarios:
         assert payload["pattern"] == "bistable"
         assert payload["asymmetric_points"][0] == [
             1.0, pytest.approx(0.5, abs=1e-12)]
+
+    def test_dmn_scenario_analysis_uses_scale(self, tmp_path):
+        scn = tmp_path / "ring.yaml"
+        scn.write_text("network:\n  kind: dmn\n  n: 3\n  xi: 0.4\n"
+                       "  scale: 2.0\n")
+        assert main(["analyze", str(scn), "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "analysis.json").read_text())
+        cls = dmn_classify(3, 0.4, 2.0)
+        assert payload == {
+            "pattern": cls.pattern.value,
+            "analyzed_band": cls.analyzed,
+            "growth_factor": cls.growth_factor,
+            "symmetric_point": list(cls.symmetric_point),
+            "asymmetric_points": [list(p) for p in cls.asymmetric_points],
+            "cycle": list(cls.cycle) if cls.cycle else None,
+        }
 
     def test_dmn_scenario_simulates(self, tmp_path):
         scn = tmp_path / "ring.yaml"
