@@ -10,7 +10,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -160,8 +160,11 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _validate_one(spec, args) -> tuple[bool, dict]:
-    result = validate_spec(spec, horizon=args.horizon or 400.0)
+def _validate_one(scenario: Scenario, args) -> tuple[bool, dict]:
+    config = scenario.sim
+    if args.horizon is not None:
+        config = replace(config, horizon=args.horizon)
+    result = validate_spec(scenario.require_dm(), config, scenario.network)
     payload = io.validation_payload(result)
     ok = result.agrees
     if result.v_star_rel_error is not None:
@@ -174,14 +177,16 @@ def _validate_one(spec, args) -> tuple[bool, dict]:
 
 def cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario, args.xi)
-    spec = scenario.require_dm()
+    scenario.require_dm()
+    if args.family and not 0.0 < args.xi_step < 1.0:
+        raise ConfigurationError("--xi-step must lie in (0, 1)")
     out = _outdir(args, scenario)
     if args.family:
-        xis = np.arange(args.xi_step, 1.0, args.xi_step)
         results = []
         all_ok = True
-        for xi in xis:
-            ok, payload = _validate_one(spec.with_xi(float(xi)), args)
+        for xi in np.arange(args.xi_step, 1.0, args.xi_step):
+            member = load_scenario(args.scenario, float(xi))
+            ok, payload = _validate_one(member, args)
             results.append(payload)
             all_ok = all_ok and ok
             status = "pass" if ok else "FAIL"
@@ -189,7 +194,7 @@ def cmd_validate(args) -> int:
                   f"{payload['measured']['verdict']} [{status}]")
         io.write_json(out / "validation.json", results)
         return EXIT_OK if all_ok else EXIT_VALIDATION
-    ok, payload = _validate_one(spec, args)
+    ok, payload = _validate_one(scenario, args)
     io.write_json(out / "validation.json", payload)
     print(f"predicted: {payload['predicted']['stability']}, "
           f"measured: {payload['measured']['verdict']}")

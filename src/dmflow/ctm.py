@@ -151,7 +151,6 @@ class RunRecord:
     times: np.ndarray                      # time after each step
     outflux: dict[str, np.ndarray]         # per link, downstream boundary
     vehicles: np.ndarray                   # network total after each step
-    vehicles_c1: np.ndarray
     conservation_error: float              # max |dN - (in-out)*dt| over steps
     conservation_error_c1: float
 
@@ -367,11 +366,12 @@ class Simulation:
     def run(self, horizon: float | None = None) -> RunRecord:
         """Step until the horizon, recording boundary fluxes and totals."""
         horizon = self.config.horizon if horizon is None else horizon
+        if horizon < 0:
+            raise ConfigurationError("horizon must be nonnegative")
         n_steps = int(round(horizon / self.dt))
         times = np.empty(n_steps)
         outflux = np.empty((n_steps, self._n))
         vehicles = np.empty(n_steps)
-        vehicles_c1 = np.empty(n_steps)
         cons = 0.0
         cons_c1 = 0.0
         prev_tot, prev_tot1 = self._totals()
@@ -380,14 +380,14 @@ class Simulation:
             times[i] = self.t
             outflux[i] = self.q[:, -1]
             tot, tot1 = self._totals()
-            vehicles[i], vehicles_c1[i] = tot, tot1
+            vehicles[i] = tot
             cons = max(cons, abs(tot - prev_tot - self.dt * (src - snk)))
             cons_c1 = max(cons_c1,
                           abs(tot1 - prev_tot1 - self.dt * (src1 - snk1)))
             prev_tot, prev_tot1 = tot, tot1
         return RunRecord(self.dt, times,
                          {n: outflux[:, i] for i, n in enumerate(self.links)},
-                         vehicles, vehicles_c1, cons, cons_c1)
+                         vehicles, cons, cons_c1)
 
     def _totals(self) -> tuple[float, float]:
         """Vehicles (all, commodity 1): per link, then summed in link order."""

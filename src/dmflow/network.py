@@ -43,7 +43,6 @@ __all__ = [
     "stationary_states",
     "LinkProfile",
     "stationary_profile",
-    "dm_diagrams",
     "Link",
     "Approach",
     "Branch",
@@ -205,17 +204,8 @@ def stationary_states(spec: DmSpec) -> list[StationaryState]:
     return _expand(_SOC, _ANY, c3) + _expand(_SUC + _ZS, _SOC, c3)
 
 
-def dm_diagrams(spec: DmSpec, free_flow_speed: float = 1.0,
-                congested_wave_speed: float = 0.5,
-                shape: str = "triangular") -> tuple[FundamentalDiagram, ...]:
-    """Per-link diagrams for links 0..3, sharing speeds, scaled by capacity."""
-    caps = (spec.c0, spec.c1, spec.c2, spec.c3)
-    return tuple(_make_diagram(c, free_flow_speed, congested_wave_speed, shape)
-                 for c in caps)
-
-
-def _make_diagram(capacity: float, vf: float, w: float,
-                  shape: str) -> FundamentalDiagram:
+def _make_diagram(capacity: float, vf: float = 1.0, w: float = 0.5,
+                  shape: str = "triangular") -> FundamentalDiagram:
     if shape == "triangular":
         return TriangularDiagram.from_capacity(capacity, vf, w)
     if shape == "greenshields":
@@ -291,8 +281,11 @@ def stationary_profile(spec: DmSpec, state: StationaryState,
     Link 0 is uniformly over-critical at (C0, q) and link 3 uniformly
     under-critical at (q, C3); the intermediate links follow their pattern,
     with explicit congested fractions where the pattern leaves them free.
+    `diagrams` defaults to the triangular diagrams with unit free-flow
+    speed and congested wave speed 1/2, scaled by each link's capacity.
     """
-    fds = diagrams if diagrams is not None else dm_diagrams(spec)
+    fds = diagrams if diagrams is not None else tuple(
+        _make_diagram(c) for c in (spec.c0, spec.c1, spec.c2, spec.c3))
     q = state.q
     q1, q2 = spec.xi * q, (1.0 - spec.xi) * q
     return {
@@ -397,12 +390,6 @@ class Network:
     diverges: tuple[Diverge, ...] = ()
     merges: tuple[Merge, ...] = ()
     kind: str = "custom"
-
-    def link(self, name: str) -> Link:
-        for ln in self.links:
-            if ln.name == name:
-                return ln
-        raise ConfigurationError(f"unknown link {name!r}")
 
     def validate(self) -> None:
         """Every link must be fed and drained by exactly one junction."""

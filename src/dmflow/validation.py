@@ -21,7 +21,7 @@ import numpy as np
 
 from .ctm import SimConfig, Simulation
 from .errors import DomainError
-from .network import DmSpec, build_dm
+from .network import DmSpec, Network, build_dm
 from .poincare import (PoincareMap, StabilityClass, StabilityReport,
                        classify_stability)
 
@@ -39,6 +39,11 @@ __all__ = [
 # Window extrema may drift by this fraction of the oscillation range
 # before the series is declared non-stationary.
 _HALF_DRIFT_FRAC = 0.05
+# validate_spec skips the first half of the horizon and classifies its
+# last quarter; a window range below _FLAT_TOL counts as converged.
+_WARMUP_FRAC = 0.5
+_WINDOW_FRAC = 0.25
+_FLAT_TOL = 1e-3
 
 
 class Verdict(Enum):
@@ -74,7 +79,7 @@ def _period_from_maxima(times: np.ndarray, values: np.ndarray,
 
 def detect_oscillation(times: np.ndarray, values: np.ndarray,
                        warmup: float, window: float,
-                       tol: float = 1e-3) -> OscillationReport:
+                       tol: float = _FLAT_TOL) -> OscillationReport:
     """Classify the tail of a flux series.
 
     The last `window` of time is examined (the series must extend past
@@ -128,26 +133,24 @@ def _rel_err(measured: float, expected: float) -> float:
     return abs(measured - expected) / abs(expected)
 
 
-def validate_spec(spec: DmSpec, cells_per_link: int = 20,
-                  horizon: float = 400.0, warmup_frac: float = 0.5,
-                  window_frac: float = 0.25,
-                  tol: float = 1e-3) -> ValidationResult:
+def validate_spec(spec: DmSpec, config: SimConfig = SimConfig(),
+                  network: Network | None = None) -> ValidationResult:
     """Run the network from empty and compare against the return map.
 
-    The monitored series is link 1's downstream boundary flux, which is
+    `network` defaults to `build_dm(spec)`; a scenario passes its own, with
+    its boundary data, and its simulation settings as `config`.  The
+    monitored series is link 1's downstream boundary flux, which is
     the unified map variable whenever the merge is saturated.  Expected
     behaviour: converged near the fixed point for finite-time and
     asymptotic classes, a persistent oscillation with extrema near the
     two-cycle when unstable.
     """
     report = classify_stability(spec)
-    sim = Simulation(build_dm(spec),
-                     SimConfig(cells_per_link=cells_per_link,
-                               horizon=horizon))
+    sim = Simulation(build_dm(spec) if network is None else network, config)
     record = sim.run()
     times, series = record.series("link1")
-    osc = detect_oscillation(times, series, warmup_frac * horizon,
-                             window_frac * horizon, tol)
+    osc = detect_oscillation(times, series, _WARMUP_FRAC * config.horizon,
+                             _WINDOW_FRAC * config.horizon)
 
     v_err = None
     ex_err = None

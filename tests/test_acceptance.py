@@ -9,16 +9,19 @@ import time
 
 import numpy as np
 
-from dmflow import (BeltwaySpec, DmnPattern, DmSpec, LinkRegime, SimConfig,
-                    Simulation, StabilityClass, Verdict,
-                    beltway_factor, beltway_half_life, build_beltway,
-                    build_dm, build_dmn, build_map, brute_force_period_roots,
-                    classify_stability, detect_oscillation, dmn_classify,
-                    dmn_fixed_points, dmn_orbit, dmn_step, fixed_point,
-                    initialize_beltway_congested, initialize_dm_stationary,
-                    initialize_dmn_stationary, measure_decay_ratio,
-                    period2_points, stationary_states, validate_spec)
+from dmflow import (DmSpec, SimConfig, Simulation, build_dm, build_map,
+                    classify_stability, period2_points, validate_spec)
 from dmflow.cli import main as cli_main
+from dmflow.ctm import (initialize_beltway_congested, initialize_dm_stationary,
+                        initialize_dmn_stationary)
+from dmflow.extended import (BeltwaySpec, DmnPattern, beltway_factor,
+                             beltway_half_life, dmn_classify, dmn_fixed_points,
+                             dmn_orbit, dmn_step)
+from dmflow.network import (LinkRegime, build_beltway, build_dmn,
+                            stationary_states)
+from dmflow.poincare import StabilityClass, fixed_point
+from dmflow.validation import (Verdict, brute_force_period_roots,
+                               detect_oscillation, measure_decay_ratio)
 from test_poincare import random_marginal_spec
 
 # The two worked networks used throughout.

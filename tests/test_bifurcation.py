@@ -2,8 +2,9 @@
 
 import pytest
 
-from dmflow import (DmSpec, StabilityClass, boundary_values,
-                    regime_boundaries, sweep_xi)
+from dmflow import DmSpec, sweep_xi
+from dmflow.bifurcation import boundary_values, regime_boundaries
+from dmflow.poincare import StabilityClass
 
 WIDE = DmSpec(3, 1.5, 2, 2.5, beta=0.3, xi=0.4)
 CLASSIC = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.45)

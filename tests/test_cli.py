@@ -1,13 +1,18 @@
 """Command-line surface: exit codes, emitted files, determinism."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dmflow import ConfigurationError, dmn_classify
+from dmflow import ConfigurationError, DmSpec, SimConfig, build_dm
 from dmflow.cli import main
+from dmflow.extended import dmn_classify
+from dmflow.io import validation_payload
 from dmflow.scenario import load_scenario
+from dmflow.validation import validate_spec
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 CLASSIC = str(SCENARIOS / "dm_classic.yaml")
@@ -15,6 +20,22 @@ BIFURCATION = str(SCENARIOS / "dm_bifurcation.yaml")
 BELTWAY = str(SCENARIOS / "beltway_gridlock.yaml")
 BELTWAY_NETWORK = ("network:\n  kind: beltway\n  pairs: 2\n  beta: 0.3\n"
                    "  xi: 0.2\n")
+# The classic network with a starved origin, a coarse grid, a short
+# horizon and a slower congested wave: none of it validate's old defaults.
+COARSE_STARVED = (
+    "network:\n  kind: dm\n  capacities: [3.0, 1.0, 2.0, 2.0]\n"
+    "  beta: 0.3333333333333333\n  xi: 0.45\n  origin_demand: 2.5\n"
+    "diagram:\n  congested_wave_speed: 0.4\n"
+    "simulation:\n  cells_per_link: 8\n  horizon: 120.0\n")
+COARSE_SPEC = DmSpec(3.0, 1.0, 2.0, 2.0, beta=1 / 3, xi=0.45)
+COARSE_CONFIG = SimConfig(cells_per_link=8, horizon=120.0,
+                          congested_wave_speed=0.4)
+
+
+def expected_validation(spec: DmSpec, config: SimConfig) -> dict:
+    """validation.json of one member, without its pass flag."""
+    result = validate_spec(spec, config, build_dm(spec, origin_demand=2.5))
+    return json.loads(json.dumps(validation_payload(result)))
 
 
 class TestAnalyze:
@@ -173,6 +194,43 @@ class TestSimulateValidate:
         assert code == 0
         payload = json.loads((tmp_path / "validation.json").read_text())
         assert len(payload) == 2
+
+    @pytest.mark.parametrize("step", ["-0.1", "0", "1", "1.5"])
+    def test_validate_family_rejects_step_outside_unit_interval(
+            self, step, tmp_path):
+        code = main(["validate", BIFURCATION, "--family", "--xi-step", step,
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / "validation.json").exists()
+
+    def test_simulate_rejects_negative_horizon(self, tmp_path):
+        assert main(["simulate", CLASSIC, "--horizon", "-5",
+                     "--out", str(tmp_path)]) == 2
+
+
+class TestValidateRunsScenario:
+    def test_single_uses_simulation_diagram_and_boundary_sections(
+            self, tmp_path):
+        scn = tmp_path / "coarse.yaml"
+        scn.write_text(COARSE_STARVED)
+        code = main(["validate", str(scn), "--out", str(tmp_path)])
+        payload = json.loads((tmp_path / "validation.json").read_text())
+        assert code == (0 if payload.pop("pass") else 1)
+        assert payload == expected_validation(COARSE_SPEC, COARSE_CONFIG)
+
+    def test_family_members_use_the_scenario_and_horizon_override(
+            self, tmp_path):
+        scn = tmp_path / "coarse.yaml"
+        scn.write_text(COARSE_STARVED)
+        code = main(["validate", str(scn), "--family", "--xi-step", "0.45",
+                     "--horizon", "100", "--out", str(tmp_path)])
+        members = json.loads((tmp_path / "validation.json").read_text())
+        passes = [m.pop("pass") for m in members]
+        assert code == (0 if all(passes) else 1)
+        config = replace(COARSE_CONFIG, horizon=100.0)
+        assert members == [
+            expected_validation(COARSE_SPEC.with_xi(float(xi)), config)
+            for xi in np.arange(0.45, 1.0, 0.45)]
 
 
 class TestEmittedNumbers:

@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dmflow import (ConfigurationError, Destination, DmSpec, DomainError,
-                    Link, LinkRegime, Network, Origin, SimConfig, Simulation,
-                    StationaryState, build_beltway, build_dm, build_dmn,
-                    diverge_flux, initialize_dm_stationary, merge_flux,
-                    stationary_states)
+from dmflow import (ConfigurationError, DmSpec, DomainError, SimConfig,
+                    Simulation, build_dm)
+from dmflow.ctm import diverge_flux, initialize_dm_stationary, merge_flux
+from dmflow.network import (Destination, Link, LinkRegime, Network, Origin,
+                            StationaryState, build_beltway, build_dmn,
+                            stationary_states)
 
 CLASSIC = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.45)
 
@@ -121,6 +122,11 @@ class TestStep:
         assert len(record.times) == 0
         assert np.array_equal(sim.links["a"].k, np.full(20, 0.25))
 
+    def test_negative_horizon_override_rejected(self):
+        sim = Simulation(single_link_network())
+        with pytest.raises(ConfigurationError, match="horizon"):
+            sim.run(-5.0)
+
     def test_cfl_violation_rejected(self):
         with pytest.raises(ConfigurationError):
             Simulation(single_link_network(), SimConfig(dt=0.2))
@@ -151,8 +157,8 @@ class TestConservation:
         # All of commodity 1 rides link 1: its share of the network load
         # settles near xi once the network fills.
         sim = Simulation(build_dm(CLASSIC), SimConfig(horizon=120.0))
-        record = sim.run()
-        frac = record.vehicles_c1[-1] / record.vehicles[-1]
+        sim.run()
+        frac = sim.k1.sum() / sim.k.sum()
         assert 0.3 < frac < 0.6
 
 
@@ -218,7 +224,8 @@ class TestGreenshields:
 
 class TestRingNetworkBookkeeping:
     def test_beltway_conservation_includes_ramps(self):
-        from dmflow import build_beltway, initialize_beltway_congested
+        from dmflow.ctm import initialize_beltway_congested
+        from dmflow.network import build_beltway
         sim = Simulation(build_beltway(4, beta=0.3, xi=0.2),
                          SimConfig(horizon=100.0))
         initialize_beltway_congested(sim, 0.8)
@@ -226,7 +233,7 @@ class TestRingNetworkBookkeeping:
         assert record.conservation_error < 1e-10
 
     def test_ring_of_stages_conservation(self):
-        from dmflow import build_dmn
+        from dmflow.network import build_dmn
         sim = Simulation(build_dmn(3, xi=0.4), SimConfig(horizon=60.0))
         record = sim.run()
         assert record.conservation_error < 1e-10

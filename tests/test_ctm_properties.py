@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmflow import (DmSpec, SimConfig, Simulation, build_beltway, build_dm,
-                    build_dmn, diverge_flux, merge_flux)
+from dmflow import DmSpec, SimConfig, Simulation, build_dm
+from dmflow.ctm import diverge_flux, merge_flux
+from dmflow.network import build_beltway, build_dmn
 
 STEPS = 25
 
@@ -140,6 +141,6 @@ def test_kernel_invariants_and_junction_reference(case):
         assert np.array_equal(ls.k, sim.links[name].k)
         assert np.array_equal(ls.k1, sim.links[name].k1)
         assert np.array_equal(again_sim.links[name].k, ls.k)
+        assert np.array_equal(again_sim.links[name].k1, ls.k1)
         assert np.array_equal(first.outflux[name], again.outflux[name])
     assert np.array_equal(first.vehicles, again.vehicles)
-    assert np.array_equal(first.vehicles_c1, again.vehicles_c1)

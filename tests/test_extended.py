@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from dmflow import (BeltwaySpec, DmnPattern, DmSpec, DomainError,
-                    GridlockClass, beltway_classify, beltway_factor,
-                    beltway_half_life, build_map, dmn_classify,
-                    dmn_fixed_points, dmn_orbit, dmn_perturbation_factor,
-                    dmn_step)
+from dmflow import DmSpec, DomainError, build_map
+from dmflow.extended import (BeltwaySpec, DmnPattern, GridlockClass,
+                             beltway_classify, beltway_factor,
+                             beltway_half_life, dmn_classify, dmn_fixed_points,
+                             dmn_orbit, dmn_perturbation_factor, dmn_step)
 
 
 class TestRingStep:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmflow import (DomainError, GreenshieldsDiagram, TrafficState,
-                    TriangularDiagram)
+from dmflow import DomainError
+from dmflow.fundamental import (GreenshieldsDiagram, TrafficState,
+                                TriangularDiagram)
 
 TRI = TriangularDiagram(free_flow_speed=1.0, congested_wave_speed=0.5,
                         jam_density=3.0)

@@ -6,9 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from dmflow import (ConfigurationError, DmSpec, DomainError, LinkRegime,
-                    StationaryState, build_beltway, build_dm, build_dmn,
-                    stationary_profile, stationary_states)
+from dmflow import ConfigurationError, DmSpec, DomainError, build_dm
+from dmflow.network import (LinkRegime, StationaryState, build_beltway,
+                            build_dmn, stationary_profile, stationary_states)
 
 CLASSIC = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.45)
 
@@ -206,7 +206,7 @@ class TestBuilders:
         build_beltway(2, beta=0.3, xi=0.0)
 
     def test_validate_catches_dangling_link(self):
-        from dmflow import Link, Network, Origin
+        from dmflow.network import Link, Network, Origin
         net = Network(links=(Link("a", 1.0),), origins=(Origin("a", 1.0),))
         with pytest.raises(ConfigurationError):
             net.validate()

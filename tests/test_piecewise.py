@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from dmflow import DmSpec, PiecewiseLinear, build_map
-from dmflow.errors import DomainError
+from dmflow import DmSpec, DomainError, build_map
+from dmflow.piecewise import PiecewiseLinear
 
 WIDE = DmSpec(3, 1.5, 2, 2.5, beta=0.3, xi=0.4)
 

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmflow import (Circulation, DmSpec, DomainError, Regime, StabilityClass,
-                    UnsupportedRegimeError, build_map, classify_regime,
-                    classify_stability, cobweb, fixed_point, period2_points,
-                    stationary_states)
+from dmflow import (DmSpec, DomainError, UnsupportedRegimeError, build_map,
+                    classify_stability, period2_points)
+from dmflow.network import stationary_states
+from dmflow.poincare import (Circulation, Regime, StabilityClass,
+                             classify_regime, cobweb, fixed_point)
 
 CLASSIC = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.45)      # narrow link 1
 WIDE = DmSpec(3, 1.5, 2, 2.5, beta=0.3, xi=0.4)        # sweep showcase

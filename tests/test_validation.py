@@ -5,10 +5,12 @@ import random
 import numpy as np
 import pytest
 
-from dmflow import (DmSpec, DomainError, StabilityClass, Verdict,
-                    brute_force_period_roots, build_map, classify_stability,
-                    detect_oscillation, fixed_point, measure_decay_ratio,
-                    scan_period_roots, validate_spec)
+from dmflow import (DmSpec, DomainError, SimConfig, build_map,
+                    classify_stability, validate_spec)
+from dmflow.poincare import StabilityClass, fixed_point
+from dmflow.validation import (Verdict, brute_force_period_roots,
+                               detect_oscillation, measure_decay_ratio,
+                               scan_period_roots)
 from test_poincare import random_marginal_spec
 
 WIDE = DmSpec(3, 1.5, 2, 2.5, beta=0.3, xi=0.4)
@@ -128,14 +130,14 @@ class TestDecayFit:
 class TestValidateSpec:
     def test_unstable_case_matches_cycle(self):
         result = validate_spec(DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.45),
-                               horizon=300.0)
+                               SimConfig(horizon=300.0))
         assert result.agrees
         assert result.oscillation.verdict is Verdict.PERSISTENT_OSCILLATION
         assert max(result.extrema_rel_errors) < 0.05
 
     def test_finite_time_case_converges(self):
         result = validate_spec(DmSpec(3, 1.5, 2, 2.5, beta=0.3, xi=0.7),
-                               horizon=200.0)
+                               SimConfig(horizon=200.0))
         assert result.agrees
         assert result.oscillation.verdict is Verdict.CONVERGED
         assert result.v_star_rel_error < 0.01
@@ -144,7 +146,7 @@ class TestValidateSpec:
 def _agreement_sweep(spec, step, exclusion=0.01):
     """Simulated verdicts must match the analytic class away from
     regime boundaries (discretization blurs the exact thresholds)."""
-    from dmflow import boundary_values
+    from dmflow.bifurcation import boundary_values
     bounds = boundary_values(spec)
     xis = np.arange(step, 1.0 - step / 2, step)
     checked = 0
@@ -198,7 +200,7 @@ class TestLengthIndependence:
         # but not the map, so oscillation extrema must not move.
         spec = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.45,
                       lengths=(1.0, 2.0, 1.0, 1.5))
-        result = validate_spec(spec, horizon=500.0)
+        result = validate_spec(spec, SimConfig(horizon=500.0))
         assert result.oscillation.verdict is Verdict.PERSISTENT_OSCILLATION
         assert max(result.extrema_rel_errors) < 0.05
         # Loop time: congested link 1 backward at w=1/2, link 2 forward
