@@ -51,6 +51,7 @@ diverge behind an empty cell sends q0 = 0 whatever split it reads.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,12 @@ __all__ = [
 CFL_SAFETY = 0.9
 
 
+def _check_horizon(horizon: float) -> None:
+    if not 0.0 <= horizon < math.inf:
+        raise ConfigurationError(
+            f"horizon must be finite and nonnegative, got {horizon}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Discretization settings; dt=None picks the CFL-safe default."""
@@ -91,8 +98,7 @@ class SimConfig:
     def __post_init__(self):
         if self.cells_per_link < 1:
             raise ConfigurationError("cells_per_link must be positive")
-        if self.horizon < 0:
-            raise ConfigurationError("horizon must be nonnegative")
+        _check_horizon(self.horizon)
         if self.dt is not None and self.dt <= 0:
             raise ConfigurationError("dt must be positive")
 
@@ -366,8 +372,7 @@ class Simulation:
     def run(self, horizon: float | None = None) -> RunRecord:
         """Step until the horizon, recording boundary fluxes and totals."""
         horizon = self.config.horizon if horizon is None else horizon
-        if horizon < 0:
-            raise ConfigurationError("horizon must be nonnegative")
+        _check_horizon(horizon)
         n_steps = int(round(horizon / self.dt))
         times = np.empty(n_steps)
         outflux = np.empty((n_steps, self._n))

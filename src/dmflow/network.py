@@ -204,8 +204,8 @@ def stationary_states(spec: DmSpec) -> list[StationaryState]:
     return _expand(_SOC, _ANY, c3) + _expand(_SUC + _ZS, _SOC, c3)
 
 
-def _make_diagram(capacity: float, vf: float = 1.0, w: float = 0.5,
-                  shape: str = "triangular") -> FundamentalDiagram:
+def _make_diagram(capacity: float, vf: float, w: float,
+                  shape: str) -> FundamentalDiagram:
     if shape == "triangular":
         return TriangularDiagram.from_capacity(capacity, vf, w)
     if shape == "greenshields":
@@ -285,7 +285,8 @@ def stationary_profile(spec: DmSpec, state: StationaryState,
     speed and congested wave speed 1/2, scaled by each link's capacity.
     """
     fds = diagrams if diagrams is not None else tuple(
-        _make_diagram(c) for c in (spec.c0, spec.c1, spec.c2, spec.c3))
+        _make_diagram(c, 1.0, 0.5, "triangular")
+        for c in (spec.c0, spec.c1, spec.c2, spec.c3))
     q = state.q
     q1, q2 = spec.xi * q, (1.0 - spec.xi) * q
     return {

@@ -203,8 +203,9 @@ class TestSimulateValidate:
         assert code == 2
         assert not (tmp_path / "validation.json").exists()
 
-    def test_simulate_rejects_negative_horizon(self, tmp_path):
-        assert main(["simulate", CLASSIC, "--horizon", "-5",
+    @pytest.mark.parametrize("horizon", ["-5", "nan", "inf"])
+    def test_simulate_rejects_horizon_outside_range(self, horizon, tmp_path):
+        assert main(["simulate", CLASSIC, "--horizon", horizon,
                      "--out", str(tmp_path)]) == 2
 
 

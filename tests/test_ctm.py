@@ -122,10 +122,13 @@ class TestStep:
         assert len(record.times) == 0
         assert np.array_equal(sim.links["a"].k, np.full(20, 0.25))
 
-    def test_negative_horizon_override_rejected(self):
+    @pytest.mark.parametrize("horizon", [-5.0, float("nan"), float("inf")])
+    def test_horizon_override_outside_range_rejected(self, horizon):
         sim = Simulation(single_link_network())
         with pytest.raises(ConfigurationError, match="horizon"):
-            sim.run(-5.0)
+            sim.run(horizon)
+        with pytest.raises(ConfigurationError, match="horizon"):
+            SimConfig(horizon=horizon)
 
     def test_cfl_violation_rejected(self):
         with pytest.raises(ConfigurationError):
