@@ -78,6 +78,21 @@ GOLDEN = [
      "xi = 0.9000: converged [pass]\n",
      {"validation.json":
       "e6eafe8afb5456d2a4e4c76cba0ddbe3866a462bd5ac6abaed165692eb860c68"}),
+    (["sweep", "dm_classic"],
+     "swept 1002 xi value(s); boundaries:\n"
+     "  xi = 0.0: - -> [finite_time] -> asymptotic\n"
+     "  xi = 0.3333333333333333: asymptotic -> [finite_time] -> unstable\n"
+     "  xi = 0.5: unstable -> [finite_time] -> finite_time\n",
+     {"sweep.csv":
+      "2498c002cf2dc70327b1a5c75050c27c06c05f8bc1948c24abf832dd38d206cb"}),
+    (["sweep", "dm_bifurcation", "--step", "0.01", "--format", "json"],
+     "swept 101 xi value(s); boundaries:\n"
+     "  xi = 0.2: finite_time -> [finite_time] -> asymptotic\n"
+     "  xi = 0.3: asymptotic -> [finite_time] -> unstable\n"
+     "  xi = 0.5: unstable -> [neutral_two_cycle_continuum] -> asymptotic\n"
+     "  xi = 0.6: asymptotic -> [finite_time] -> finite_time\n",
+     {"sweep.json":
+      "9a575c08b89465f315618fbde41bc4affdadff4b8b07a8694c205a002beb60ff"}),
 ]
 
 
