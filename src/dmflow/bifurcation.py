@@ -14,10 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .errors import DomainError
 from .network import DmSpec
-from .poincare import (Regime, StabilityClass, classify_regime,
-                       classify_stability)
+from .poincare import (Regime, StabilityClass, _classify_grid,
+                       classify_regime, classify_stability)
 
 __all__ = ["BifurcationPoint", "Transition", "sweep_xi", "regime_boundaries",
            "boundary_values"]
@@ -79,14 +81,10 @@ def sweep_xi(template: DmSpec, grid: Iterable[float]) -> list[BifurcationPoint]:
     for x in xs:
         if not merged or x - merged[-1] > _DEDUPE_TOL:
             merged.append(x)
-    points = []
-    for xi in merged:
-        report = classify_stability(template.with_xi(xi))
-        p2 = report.period2
-        points.append(BifurcationPoint(
-            xi, report.fixed_point, report.stability,
-            p2.v_minus if p2 else None, p2.v_plus if p2 else None))
-    return points
+    stability, v_star, v_minus, v_plus = _classify_grid(
+        template, np.array(merged, dtype=float))
+    return list(map(BifurcationPoint, merged, v_star, stability, v_minus,
+                    v_plus))
 
 
 def regime_boundaries(template: DmSpec) -> list[Transition]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -127,8 +128,15 @@ def cmd_orbit(args) -> int:
 def cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario, args.xi)
     spec = scenario.require_dm()
+    for name, value in (("--step", args.step), ("--xi-min", args.xi_min),
+                        ("--xi-max", args.xi_max)):
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
     if args.step <= 0:
         raise ConfigurationError("--step must be positive")
+    if args.xi_min > args.xi_max:
+        raise ConfigurationError(
+            f"--xi-min {args.xi_min!r} exceeds --xi-max {args.xi_max!r}")
     n = int(round((args.xi_max - args.xi_min) / args.step))
     grid = [args.xi_min + i * args.step for i in range(max(n, 0) + 1)
             if args.xi_min + i * args.step <= args.xi_max + 1e-15]

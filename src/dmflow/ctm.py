@@ -374,9 +374,14 @@ class Simulation:
         horizon = self.config.horizon if horizon is None else horizon
         _check_horizon(horizon)
         n_steps = int(round(horizon / self.dt))
-        times = np.empty(n_steps)
-        outflux = np.empty((n_steps, self._n))
-        vehicles = np.empty(n_steps)
+        try:
+            times = np.empty(n_steps)
+            outflux = np.empty((n_steps, self._n))
+            vehicles = np.empty(n_steps)
+        except MemoryError:
+            raise ConfigurationError(
+                f"horizon {horizon!r} needs {n_steps} steps of dt = "
+                f"{self.dt!r}; their records do not fit in memory") from None
         cons = 0.0
         cons_c1 = 0.0
         prev_tot, prev_tot1 = self._totals()

@@ -13,6 +13,8 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from .bifurcation import BifurcationPoint
 from .ctm import RunRecord
 from .validation import ValidationResult
@@ -29,18 +31,17 @@ __all__ = [
 ]
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def _column(values: Iterable) -> list[str]:
+    """CSV cells of one column: repr for floats, "" for None, else str."""
+    return ["" if x is None else repr(x) if isinstance(x, float) else str(x)
+            for x in values]
 
 
 def write_csv(path: str | Path, header: Iterable[str],
-              rows: Iterable[Iterable]) -> None:
+              columns: Iterable[list[str]]) -> None:
+    """Write the header and the columns (cells from the *_rows builders)."""
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
+    lines.extend(map(",".join, zip(*columns)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8",
                           newline="\n")
 
@@ -50,33 +51,39 @@ def write_json(path: str | Path, payload) -> None:
                           encoding="utf-8", newline="\n")
 
 
-def orbit_rows(orbit: list[float]) -> tuple[list[str], list[tuple]]:
-    return ["step", "v"], [(i, v) for i, v in enumerate(orbit)]
+# The *_rows builders return (header, columns): one list of formatted
+# cells per column, ready for write_csv.
+
+def orbit_rows(orbit: list[float]) -> tuple[list[str], list[list[str]]]:
+    return ["step", "v"], [_column(range(len(orbit))), _column(orbit)]
 
 
-def cobweb_rows(segments) -> tuple[list[str], list[tuple]]:
+def cobweb_rows(segments) -> tuple[list[str], list[list[str]]]:
     header = ["segment", "x0", "y0", "x1", "y1"]
-    rows = [(i, a[0], a[1], b[0], b[1])
-            for i, (a, b) in enumerate(segments)]
-    return header, rows
+    return header, [_column(range(len(segments)))] + [
+        _column([seg[end][axis] for seg in segments])
+        for end in (0, 1) for axis in (0, 1)]
 
 
-def sweep_rows(points: list[BifurcationPoint]) -> tuple[list[str], list[tuple]]:
+def sweep_rows(points: list[BifurcationPoint],
+               ) -> tuple[list[str], list[list[str]]]:
     header = ["xi", "v_star", "stability", "v_minus", "v_plus"]
-    rows = [(p.xi, p.v_star, p.stability.value, p.v_minus, p.v_plus)
-            for p in points]
-    return header, rows
+    return header, [_column([p.xi for p in points]),
+                    _column([p.v_star for p in points]),
+                    [p.stability.value for p in points],
+                    _column([p.v_minus for p in points]),
+                    _column([p.v_plus for p in points])]
 
 
-def run_rows(record: RunRecord) -> tuple[list[str], list[tuple]]:
+def run_rows(record: RunRecord) -> tuple[list[str], list[list[str]]]:
     """Long-format section flux series: one row per (time, link)."""
     header = ["t", "section", "flux"]
-    rows = []
     names = sorted(record.outflux)
-    for i, t in enumerate(record.times):
-        for name in names:
-            rows.append((float(t), name, float(record.outflux[name][i])))
-    return header, rows
+    flux = np.array([record.outflux[n] for n in names]).T    # (time, link)
+    return header, [
+        [t for t in _column(record.times.tolist()) for _ in names],
+        names * len(record.times),
+        _column(flux.ravel().tolist())]
 
 
 def run_payload(record: RunRecord) -> dict:

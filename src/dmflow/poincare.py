@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import DomainError, UnsupportedRegimeError
 from .network import DmSpec
 from .piecewise import PiecewiseLinear
@@ -305,6 +307,77 @@ def classify_stability(spec: DmSpec) -> StabilityReport:
             period2=cycle, lyapunov_verdict="unstable")
     return StabilityReport(regime, StabilityClass.UNSTABLE, v_star,
                            period2=cycle)
+
+
+def _max(a, b):
+    """Elementwise builtin max(a, b): b only where b > a, so a NaN in b
+    loses (np.maximum would return it)."""
+    return np.where(b > a, b, a)
+
+
+def _min(a, b):
+    """Elementwise builtin min(a, b)."""
+    return np.where(b < a, b, a)
+
+
+def _classify_grid(template: DmSpec, xi: np.ndarray,
+                   ) -> tuple[list, list, list, list]:
+    """classify_stability(template.with_xi(x)) for every x in xi at once.
+
+    Returns the lists (stability, v*, v-, v+), None where the scalar report
+    has no value.  Each array expression is the scalar one in the same
+    order of operations -- the regime tests of classify_regime, fixed_point,
+    the slopes and clamps of build_map, and period2_points with v+ = F(v-)
+    -- so every number equals the scalar path's bit for bit.  As in Python
+    float arithmetic, a subnormal xi may overflow the counterclockwise
+    slope to inf, and inf * 0 gives a NaN that the clamps then drop.
+    """
+    n = len(xi)
+    if not classify_regime(template).supports_map:
+        # Bottleneck regimes depend on the capacities alone.
+        return [StabilityClass.FINITE_TIME] * n, [None] * n, [None] * n, \
+            [None] * n
+    c0, c1, c2, c3 = template.c0, template.c1, template.c2, template.c3
+    beta = template.beta
+    lo, hi = _thresholds(template)
+    v_star = np.where(xi >= hi, c1, np.where(xi <= lo, c3 - c2, xi * c3))
+    stability = np.full(n, StabilityClass.FINITE_TIME, dtype=object)
+    v_minus = np.full(n, None, dtype=object)
+    v_plus = np.full(n, None, dtype=object)
+    band = (lo < xi) & (xi < hi)
+    if c3 != c0:
+        # Off the overlap xi == beta, the open band circulates.  Indexing
+        # the branch first keeps xi = 0 and xi = 1 out of the divisions.
+        for ccw in (True, False):
+            idx = np.flatnonzero(band & ((xi > beta) if ccw else (xi < beta)))
+            x = xi[idx]
+            with np.errstate(over="ignore", invalid="ignore"):
+                if ccw:
+                    slope = (1.0 - x) / x
+                    lower = _max(_max(c3 - (1.0 - x) * c0, c3 - c2),
+                                 beta * c3)
+                    vm = _max(lower, c3 - slope * c1)
+                    vp = _min(c1, _max(lower, c3 - slope * vm))
+                else:
+                    slope = x / (1.0 - x)
+                    lower = c3 - c2
+                    upper = _min(_min(x * c0, c1), beta * c3)
+                    vm = _max(lower, slope * (c3 - upper))
+                    vp = _max(lower, _min(upper, slope * (c3 - vm)))
+            stability[idx] = np.where(
+                slope < 1.0, StabilityClass.ASYMPTOTIC,
+                np.where(slope == 1.0,
+                         StabilityClass.NEUTRAL_TWO_CYCLE_CONTINUUM,
+                         StabilityClass.UNSTABLE))
+            cycle = slope >= 1.0
+            bad = cycle & ~((0.0 <= vm) & (vm <= c3))
+            if bad.any():
+                # The scalar map refuses v- outside [0, C3]; raise as it does.
+                classify_stability(template.with_xi(float(x[bad][0])))
+            v_minus[idx[cycle]] = vm[cycle]
+            v_plus[idx[cycle]] = vp[cycle]
+    return (stability.tolist(), v_star.tolist(), v_minus.tolist(),
+            v_plus.tolist())
 
 
 def cobweb(fmap: PoincareMap, v0: float, n: int,

@@ -1,10 +1,16 @@
 """Route-split sweeps: interval classes, boundary injection, continuity."""
 
-import pytest
+import math
+import sys
 
-from dmflow import DmSpec, sweep_xi
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dmflow import DmSpec, classify_stability, sweep_xi
 from dmflow.bifurcation import boundary_values, regime_boundaries
-from dmflow.poincare import StabilityClass
+from dmflow.poincare import StabilityClass, _classify_grid
 
 WIDE = DmSpec(3, 1.5, 2, 2.5, beta=0.3, xi=0.4)
 CLASSIC = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.45)
@@ -98,3 +104,75 @@ class TestBoundaries:
         vals = boundary_values(WIDE)
         assert vals == sorted(vals)
         assert all(0.0 <= v <= 1.0 for v in vals)
+
+
+capacity = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]) | st.floats(0.1, 4.0)
+share = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def templates(draw):
+    """Every structural case: both bottlenecks, and downstream bottlenecks
+    with C3 == C0, with C2 > C3 or with unconstrained C3 < C1 + C2."""
+    kind = draw(st.sampled_from(["upstream", "middle", "downstream",
+                                 "c3_is_c0", "c2_above_c3"]))
+    c1, c2 = draw(capacity), draw(capacity)
+    if kind == "upstream":
+        c3 = draw(capacity)
+        c0 = min(c1 + c2, c3) * draw(st.floats(0.1, 0.99))
+    elif kind == "middle":
+        c0 = (c1 + c2) * draw(st.floats(1.0, 3.0))
+        c3 = (c1 + c2) * draw(st.floats(1.0, 3.0))
+    else:
+        c3 = (c2 if kind == "c2_above_c3" else c1 + c2) \
+            * draw(st.floats(0.1, 0.99))
+        c0 = c3 if kind == "c3_is_c0" else c3 * draw(st.floats(1.0, 3.0))
+    return DmSpec(c0, c1, c2, c3, beta=draw(share), xi=0.5)
+
+
+@st.composite
+def grids(draw, template):
+    """0, 1, every boundary value and its float neighbours, and random
+    interior points."""
+    xs = [0.0, 1.0]
+    for b in boundary_values(template):
+        xs += [b, math.nextafter(b, 0.0), math.nextafter(b, 1.0)]
+    xs += draw(st.lists(st.floats(0.0, 1.0), max_size=40))
+    return [x for x in xs if 0.0 <= x <= 1.0]
+
+
+class TestGridClassifier:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_equals_scalar_classification_bit_for_bit(self, data):
+        template = data.draw(templates())
+        grid = data.draw(grids(template))
+        stability, v_star, v_minus, v_plus = _classify_grid(
+            template, np.array(grid))
+        for i, xi in enumerate(grid):
+            report = classify_stability(template.with_xi(xi))
+            cycle = report.period2
+            assert stability[i] is report.stability, xi
+            assert repr(v_star[i]) == repr(report.fixed_point), xi
+            assert repr(v_minus[i]) == repr(cycle and cycle.v_minus), xi
+            assert repr(v_plus[i]) == repr(cycle and cycle.v_plus), xi
+
+    def test_scalar_calls_do_not_grow_with_the_grid(self):
+        def classify_calls(n_points):
+            calls = 0
+
+            def profile(frame, event, arg):
+                nonlocal calls
+                if event == "call" and \
+                        frame.f_code is classify_stability.__code__:
+                    calls += 1
+
+            grid = [i / (n_points - 1) for i in range(n_points)]
+            sys.setprofile(profile)
+            try:
+                sweep_xi(WIDE, grid)
+            finally:
+                sys.setprofile(None)
+            return calls
+
+        assert classify_calls(10) == classify_calls(10_000)

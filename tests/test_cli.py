@@ -115,16 +115,26 @@ class TestSweep:
         assert lines[0] == "xi,v_star,stability,v_minus,v_plus"
         assert [l.split(",")[0] for l in lines[1:]] == ["0.4"]
 
-    def test_empty_range_only_header(self, tmp_path):
-        code = main(["sweep", BIFURCATION, "--xi-min", "0.41", "--xi-max",
-                     "0.4", "--step", "0.01", "--out", str(tmp_path)])
-        assert code == 0
-        lines = (tmp_path / "sweep.csv").read_text().splitlines()
-        assert lines == ["xi,v_star,stability,v_minus,v_plus"]
-
     def test_rejects_bad_step(self, tmp_path):
         assert main(["sweep", BIFURCATION, "--step", "0",
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("options", [
+        ["--step", "nan"],
+        ["--step", "inf"],
+        ["--xi-min", "nan"],
+        ["--xi-min=-inf"],
+        ["--xi-max", "nan"],
+        ["--xi-max", "inf"],
+        ["--xi-min", "0.41", "--xi-max", "0.4", "--step", "0.01"],
+        ["--xi-min", "0.7", "--xi-max", "0.2"],
+    ], ids=["step-nan", "step-inf", "xi-min-nan", "xi-min-minus-inf",
+            "xi-max-nan", "xi-max-inf", "reversed", "reversed-wide"])
+    def test_rejects_bad_range(self, options, tmp_path, capsys):
+        code = main(["sweep", BIFURCATION, *options, "--out", str(tmp_path)])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestScenarioErrors:
@@ -207,6 +217,17 @@ class TestSimulateValidate:
     def test_simulate_rejects_horizon_outside_range(self, horizon, tmp_path):
         assert main(["simulate", CLASSIC, "--horizon", horizon,
                      "--out", str(tmp_path)]) == 2
+
+    def test_simulate_rejects_horizon_too_long_to_record(self, tmp_path,
+                                                          capsys):
+        # 2.2e13 steps: the record arrays exceed any address space, so the
+        # allocation fails at once instead of exhausting memory.
+        assert main(["simulate", CLASSIC, "--horizon", "1e12",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "1000000000000.0" in err and "22222222222222 steps" in err
+        assert not (tmp_path / "run.csv").exists()
 
 
 class TestValidateRunsScenario:
