@@ -220,8 +220,8 @@ class TestSimulateValidate:
 
     def test_simulate_rejects_horizon_too_long_to_record(self, tmp_path,
                                                           capsys):
-        # 2.2e13 steps: the record arrays exceed any address space, so the
-        # allocation fails at once instead of exhausting memory.
+        # 2.2e13 steps: 177 TB of records, more than the 128 TiB x86-64
+        # address space, so the allocation is refused before touching memory.
         assert main(["simulate", CLASSIC, "--horizon", "1e12",
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
