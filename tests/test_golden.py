@@ -93,6 +93,16 @@ GOLDEN = [
      "  xi = 0.6: asymptotic -> [finite_time] -> finite_time\n",
      {"sweep.json":
       "9a575c08b89465f315618fbde41bc4affdadff4b8b07a8694c205a002beb60ff"}),
+    # An offset start and a step that does not divide the range: pins the
+    # grid arithmetic and the end filter, which drops the 1430th point.
+    (["sweep", "dm_bifurcation", "--xi-min", "3.7e-06", "--step", "0.0007"],
+     "swept 1433 xi value(s); boundaries:\n"
+     "  xi = 0.2: finite_time -> [finite_time] -> asymptotic\n"
+     "  xi = 0.3: asymptotic -> [finite_time] -> unstable\n"
+     "  xi = 0.5: unstable -> [neutral_two_cycle_continuum] -> asymptotic\n"
+     "  xi = 0.6: asymptotic -> [finite_time] -> finite_time\n",
+     {"sweep.csv":
+      "3b99fe44503fb6c89aecf064f66b2a2c1bfa78595c084e16590797bc1588acf8"}),
 ]
 
 
