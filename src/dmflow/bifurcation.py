@@ -21,19 +21,28 @@ from .network import DmSpec
 from .poincare import (Regime, StabilityClass, _classify_grid,
                        classify_regime, classify_stability)
 
-__all__ = ["BifurcationPoint", "Transition", "sweep_xi", "regime_boundaries",
+__all__ = ["SweepTable", "Transition", "sweep_xi", "regime_boundaries",
            "boundary_values"]
 
 _DEDUPE_TOL = 1e-15
 
 
 @dataclass(frozen=True)
-class BifurcationPoint:
-    xi: float
-    v_star: float | None
-    stability: StabilityClass
-    v_minus: float | None
-    v_plus: float | None
+class SweepTable:
+    """A sweep by column: row i is the classification at xi[i].
+
+    Columns are lists of Python floats, StabilityClass members and None
+    (no fixed point in a bottleneck regime; no two-cycle when stable).
+    """
+
+    xi: list[float]
+    v_star: list[float | None]
+    stability: list[StabilityClass]
+    v_minus: list[float | None]
+    v_plus: list[float | None]
+
+    def __len__(self) -> int:
+        return len(self.xi)
 
 
 @dataclass(frozen=True)
@@ -64,13 +73,13 @@ def boundary_values(template: DmSpec) -> list[float]:
     return vals
 
 
-def sweep_xi(template: DmSpec, grid: Iterable[float]) -> list[BifurcationPoint]:
+def sweep_xi(template: DmSpec, grid: Iterable[float]) -> SweepTable:
     """Classify every xi on the grid, with boundary values always included.
 
     The grid is merged with the in-range boundary values, sorted ascending
     and deduplicated, so regime changes land on exact grid points.
     """
-    xs = sorted(grid)
+    xs = sorted(map(float, grid))
     if any(not 0.0 <= x <= 1.0 for x in xs):
         raise DomainError("grid values must lie in [0, 1]")
     if xs:
@@ -81,10 +90,7 @@ def sweep_xi(template: DmSpec, grid: Iterable[float]) -> list[BifurcationPoint]:
     for x in xs:
         if not merged or x - merged[-1] > _DEDUPE_TOL:
             merged.append(x)
-    stability, v_star, v_minus, v_plus = _classify_grid(
-        template, np.array(merged, dtype=float))
-    return list(map(BifurcationPoint, merged, v_star, stability, v_minus,
-                    v_plus))
+    return SweepTable(merged, *_classify_grid(template, np.array(merged)))
 
 
 def regime_boundaries(template: DmSpec) -> list[Transition]:

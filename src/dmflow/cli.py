@@ -137,18 +137,26 @@ def cmd_sweep(args) -> int:
     if args.xi_min > args.xi_max:
         raise ConfigurationError(
             f"--xi-min {args.xi_min!r} exceeds --xi-max {args.xi_max!r}")
-    n = int(round((args.xi_max - args.xi_min) / args.step))
-    grid = [args.xi_min + i * args.step for i in range(max(n, 0) + 1)
-            if args.xi_min + i * args.step <= args.xi_max + 1e-15]
-    points = sweep_xi(spec, grid)
+    steps = (args.xi_max - args.xi_min) / args.step
+    try:
+        grid = args.xi_min + np.arange(round(steps) + 1) * args.step
+    except (OverflowError, MemoryError, ValueError):
+        raise ConfigurationError(
+            f"--step {args.step!r} needs {steps + 1:.4g} xi points from "
+            f"{args.xi_min!r} to {args.xi_max!r}; they do not fit in memory"
+        ) from None
+    table = sweep_xi(spec, grid[grid <= args.xi_max + 1e-15].tolist())
     out = _outdir(args, scenario)
     if _format(args, scenario) == "csv":
-        io.write_csv(out / "sweep.csv", *io.sweep_rows(points))
+        io.write_csv(out / "sweep.csv", *io.sweep_rows(table))
     else:
         io.write_json(out / "sweep.json", [
-            {"xi": p.xi, "v_star": p.v_star, "stability": p.stability.value,
-             "v_minus": p.v_minus, "v_plus": p.v_plus} for p in points])
-    print(f"swept {len(points)} xi value(s); boundaries:")
+            {"xi": xi, "v_star": v_star, "stability": stability.value,
+             "v_minus": v_minus, "v_plus": v_plus}
+            for xi, v_star, stability, v_minus, v_plus in zip(
+                table.xi, table.v_star, table.stability, table.v_minus,
+                table.v_plus)])
+    print(f"swept {len(table)} xi value(s); boundaries:")
     for t in regime_boundaries(spec):
         print(f"  xi = {t.xi!r}: {t.describe()}")
     return EXIT_OK
@@ -188,6 +196,10 @@ def cmd_validate(args) -> int:
     scenario.require_dm()
     if args.family and not 0.0 < args.xi_step < 1.0:
         raise ConfigurationError("--xi-step must lie in (0, 1)")
+    for name, tol in (("--vstar-tol", args.vstar_tol),
+                      ("--extrema-tol", args.extrema_tol)):
+        if not tol >= 0.0:
+            raise ConfigurationError(f"{name} must be nonnegative, got {tol}")
     out = _outdir(args, scenario)
     if args.family:
         results = []

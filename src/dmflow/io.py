@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .bifurcation import BifurcationPoint
+from .bifurcation import SweepTable
 from .ctm import RunRecord
 from .validation import ValidationResult
 
@@ -65,14 +65,11 @@ def cobweb_rows(segments) -> tuple[list[str], list[list[str]]]:
         for end in (0, 1) for axis in (0, 1)]
 
 
-def sweep_rows(points: list[BifurcationPoint],
-               ) -> tuple[list[str], list[list[str]]]:
+def sweep_rows(table: SweepTable) -> tuple[list[str], list[list[str]]]:
     header = ["xi", "v_star", "stability", "v_minus", "v_plus"]
-    return header, [_column([p.xi for p in points]),
-                    _column([p.v_star for p in points]),
-                    [p.stability.value for p in points],
-                    _column([p.v_minus for p in points]),
-                    _column([p.v_plus for p in points])]
+    return header, [_column(table.xi), _column(table.v_star),
+                    [s.value for s in table.stability],
+                    _column(table.v_minus), _column(table.v_plus)]
 
 
 def run_rows(record: RunRecord) -> tuple[list[str], list[list[str]]]:

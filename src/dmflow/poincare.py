@@ -234,16 +234,11 @@ def fixed_point(spec: DmSpec) -> float:
     stationary through-flow, which collapses to C1, C3 - C2, or xi*C3
     depending on where xi sits relative to the thresholds.
     """
-    regime = classify_regime(spec)
-    if not regime.supports_map:
+    report = classify_stability(spec)
+    if report.fixed_point is None:
         raise UnsupportedRegimeError(
-            f"no return-map fixed point in regime {regime.value}")
-    lo, hi = _thresholds(spec)
-    if spec.xi >= hi:
-        return spec.c1
-    if spec.xi <= lo:
-        return spec.c3 - spec.c2
-    return spec.xi * spec.c3
+            f"no return-map fixed point in regime {report.regime.value}")
+    return report.fixed_point
 
 
 def period2_points(spec: DmSpec) -> PeriodTwoPoints | None:
@@ -257,27 +252,16 @@ def period2_points(spec: DmSpec) -> PeriodTwoPoints | None:
     v+ is evaluated as the image of v-, so the cycle closes bitwise under
     the map.
     """
-    regime = classify_regime(spec)
-    if regime not in (Regime.SOC_SUC, Regime.SUC_SOC):
-        if not regime.supports_map:
-            raise UnsupportedRegimeError(
-                f"no return map in regime {regime.value}")
-        return None
-    fmap = build_map(spec)
-    if fmap.slope < 1.0:
-        return None
-    if fmap.branch is Circulation.COUNTERCLOCKWISE:
-        v_minus = max(fmap.lower, fmap.c3 - fmap.slope * fmap.upper)
-    else:
-        v_minus = max(fmap.lower, fmap.slope * (fmap.c3 - fmap.upper))
-    v_plus = fmap(v_minus)
-    return PeriodTwoPoints(v_minus, v_plus, continuum=(fmap.slope == 1.0))
+    report = classify_stability(spec)
+    if not report.regime.supports_map:
+        raise UnsupportedRegimeError(
+            f"no return map in regime {report.regime.value}")
+    return report.period2
 
 
-def _finite_time_steps(spec: DmSpec) -> int:
+def _finite_time_steps(spec: DmSpec, v_star: float) -> int:
     """1 when the map is constant, else 2 (the general clamp bound)."""
     fmap = build_map(spec)
-    v_star = fixed_point(spec)
     return 1 if fmap(0.0) == v_star and fmap(spec.c3) == v_star else 2
 
 
@@ -289,24 +273,17 @@ def classify_stability(spec: DmSpec) -> StabilityReport:
     with no fixed-point value.
     """
     regime = classify_regime(spec)
-    if not regime.supports_map:
-        return StabilityReport(regime, StabilityClass.FINITE_TIME, None)
-    if regime in (Regime.CCW_FINITE_TIME, Regime.CW_FINITE_TIME,
-                  Regime.CCW_CW_OVERLAP):
-        return StabilityReport(regime, StabilityClass.FINITE_TIME,
-                               fixed_point(spec),
-                               max_steps=_finite_time_steps(spec))
-    v_star = fixed_point(spec)
-    slope = build_map(spec).slope
-    if slope < 1.0:
-        return StabilityReport(regime, StabilityClass.ASYMPTOTIC, v_star)
-    cycle = period2_points(spec)
-    if slope == 1.0:
-        return StabilityReport(
-            regime, StabilityClass.NEUTRAL_TWO_CYCLE_CONTINUUM, v_star,
-            period2=cycle, lyapunov_verdict="unstable")
-    return StabilityReport(regime, StabilityClass.UNSTABLE, v_star,
-                           period2=cycle)
+    (v_star,), (stability,), (v_minus,), (v_plus,) = _classify_grid(
+        spec, np.array([spec.xi]))
+    max_steps = (_finite_time_steps(spec, v_star)
+                 if stability is StabilityClass.FINITE_TIME
+                 and regime.supports_map else None)
+    neutral = stability is StabilityClass.NEUTRAL_TWO_CYCLE_CONTINUUM
+    cycle = (None if v_minus is None
+             else PeriodTwoPoints(v_minus, v_plus, continuum=neutral))
+    return StabilityReport(regime, stability, v_star, max_steps=max_steps,
+                           period2=cycle,
+                           lyapunov_verdict="unstable" if neutral else None)
 
 
 def _max(a, b):
@@ -322,20 +299,21 @@ def _min(a, b):
 
 def _classify_grid(template: DmSpec, xi: np.ndarray,
                    ) -> tuple[list, list, list, list]:
-    """classify_stability(template.with_xi(x)) for every x in xi at once.
+    """Classify the return map of template.with_xi(x) for every x in xi.
 
-    Returns the lists (stability, v*, v-, v+), None where the scalar report
-    has no value.  Each array expression is the scalar one in the same
-    order of operations -- the regime tests of classify_regime, fixed_point,
-    the slopes and clamps of build_map, and period2_points with v+ = F(v-)
-    -- so every number equals the scalar path's bit for bit.  As in Python
-    float arithmetic, a subnormal xi may overflow the counterclockwise
-    slope to inf, and inf * 0 gives a NaN that the clamps then drop.
+    Returns the lists (v*, stability, v-, v+) of Python values, None where
+    the class has no value.  This is the one implementation of the fixed
+    point, slope and two-cycle closed forms; classify_stability is its
+    one-point case.  The regime tests are those of classify_regime and the
+    slopes and clamps those of build_map, and v+ is evaluated as the image
+    of v-, so the cycle closes bitwise under the map.  As in Python float
+    arithmetic, a subnormal xi may overflow the counterclockwise slope to
+    inf, and inf * 0 gives a NaN that the clamps then drop.
     """
     n = len(xi)
     if not classify_regime(template).supports_map:
         # Bottleneck regimes depend on the capacities alone.
-        return [StabilityClass.FINITE_TIME] * n, [None] * n, [None] * n, \
+        return [None] * n, [StabilityClass.FINITE_TIME] * n, [None] * n, \
             [None] * n
     c0, c1, c2, c3 = template.c0, template.c1, template.c2, template.c3
     beta = template.beta
@@ -372,11 +350,11 @@ def _classify_grid(template: DmSpec, xi: np.ndarray,
             cycle = slope >= 1.0
             bad = cycle & ~((0.0 <= vm) & (vm <= c3))
             if bad.any():
-                # The scalar map refuses v- outside [0, C3]; raise as it does.
-                classify_stability(template.with_xi(float(x[bad][0])))
+                # The map is defined on [0, C3] only.
+                raise DomainError(f"v={vm[bad][0]} outside [0, {c3}]")
             v_minus[idx[cycle]] = vm[cycle]
             v_plus[idx[cycle]] = vp[cycle]
-    return (stability.tolist(), v_star.tolist(), v_minus.tolist(),
+    return (v_star.tolist(), stability.tolist(), v_minus.tolist(),
             v_plus.tolist())
 
 

@@ -47,4 +47,8 @@ def test_readme_library_sketch_runs_as_documented():
     cycle = namespace["cycle"]
     assert (cycle.v_minus, cycle.v_plus) == pytest.approx((0.75, 1.375),
                                                           abs=1e-12)
+    table = namespace["table"]
+    assert len(table) == len(table.v_plus) == 101
+    assert (table.xi[40], table.stability[40], table.v_minus[40]) == (
+        0.4, StabilityClass.UNSTABLE, 0.75)
     assert namespace["result"].agrees

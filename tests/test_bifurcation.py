@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from dmflow import DmSpec, classify_stability, sweep_xi
 from dmflow.bifurcation import boundary_values, regime_boundaries
-from dmflow.poincare import StabilityClass, _classify_grid
+from dmflow.poincare import (Regime, StabilityClass, _classify_grid,
+                             build_map, classify_regime)
+from dmflow.validation import brute_force_period_roots
 
 WIDE = DmSpec(3, 1.5, 2, 2.5, beta=0.3, xi=0.4)
 CLASSIC = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.45)
@@ -34,42 +36,41 @@ def expected_wide_class(xi):
 
 class TestSweep:
     def test_wide_network_interval_classes(self):
-        points = sweep_xi(WIDE, [i / 1000 for i in range(1001)])
-        for p in points:
-            assert p.stability is expected_wide_class(p.xi), p.xi
+        table = sweep_xi(WIDE, [i / 1000 for i in range(1001)])
+        for xi, stability in zip(table.xi, table.stability):
+            assert stability is expected_wide_class(xi), xi
 
     def test_boundaries_are_injected(self):
-        points = sweep_xi(WIDE, [0.05, 0.95])
-        xs = [p.xi for p in points]
+        xs = sweep_xi(WIDE, [0.05, 0.95]).xi
         for b in (0.2, 0.3, 0.5, 0.6):
             assert b in xs
 
     def test_branch_endpoints(self):
-        points = {p.xi: p for p in sweep_xi(WIDE, [0.0, 1.0])}
-        assert points[0.0].v_star == pytest.approx(0.5, abs=1e-12)
-        assert points[1.0].v_star == pytest.approx(1.5, abs=1e-12)
+        table = sweep_xi(WIDE, [0.0, 1.0])
+        v_star = dict(zip(table.xi, table.v_star))
+        assert v_star[0.0] == pytest.approx(0.5, abs=1e-12)
+        assert v_star[1.0] == pytest.approx(1.5, abs=1e-12)
 
     def test_v_star_continuous_in_xi(self):
-        points = sweep_xi(WIDE, [i / 500 for i in range(501)])
-        vs = [p.v_star for p in points]
-        xs = [p.xi for p in points]
+        table = sweep_xi(WIDE, [i / 500 for i in range(501)])
+        xs, vs = table.xi, table.v_star
         for (x0, v0), (x1, v1) in zip(zip(xs, vs), zip(xs[1:], vs[1:])):
             assert abs(v1 - v0) <= 3.0 * (x1 - x0) + 1e-12
 
     def test_cycle_width_positive_throughout_unstable_interval(self):
-        points = sweep_xi(WIDE, [i / 1000 for i in range(1001)])
-        for p in points:
-            if p.stability is UNS:
-                assert p.v_plus - p.v_minus > 0.0
-                assert p.v_minus < p.v_star < p.v_plus
+        table = sweep_xi(WIDE, [i / 1000 for i in range(1001)])
+        for stability, v_minus, v_star, v_plus in zip(
+                table.stability, table.v_minus, table.v_star, table.v_plus):
+            if stability is UNS:
+                assert v_plus - v_minus > 0.0
+                assert v_minus < v_star < v_plus
 
     def test_grid_values_validated(self):
         with pytest.raises(Exception):
             sweep_xi(WIDE, [-0.1])
 
     def test_duplicates_removed(self):
-        points = sweep_xi(WIDE, [0.2, 0.2, 0.5])
-        xs = [p.xi for p in points]
+        xs = sweep_xi(WIDE, [0.2, 0.2, 0.5]).xi
         assert len(xs) == len(set(xs))
 
 
@@ -86,8 +87,8 @@ class TestBoundaries:
     def test_symmetric_network_has_no_unstable_interval(self):
         for t in regime_boundaries(SYMMETRIC):
             assert t.below is not UNS and t.above is not UNS
-        points = sweep_xi(SYMMETRIC, [i / 200 for i in range(201)])
-        assert all(p.stability is not UNS for p in points)
+        table = sweep_xi(SYMMETRIC, [i / 200 for i in range(201)])
+        assert all(s is not UNS for s in table.stability)
 
     def test_wide_transition_classes(self):
         by_xi = {round(t.xi, 6): t for t in regime_boundaries(WIDE)}
@@ -144,18 +145,68 @@ def grids(draw, template):
 class TestGridClassifier:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.data())
-    def test_equals_scalar_classification_bit_for_bit(self, data):
+    def test_classification_matches_the_map_oracles(self, data):
         template = data.draw(templates())
         grid = data.draw(grids(template))
-        stability, v_star, v_minus, v_plus = _classify_grid(
-            template, np.array(grid))
-        for i, xi in enumerate(grid):
-            report = classify_stability(template.with_xi(xi))
+        columns = _classify_grid(template, np.array(grid))
+        # A few roundings of values of the capacities' size, and the
+        # resolution at which the piecewise oracle dedupes its roots.
+        residual = 16 * math.ulp(max(template.c0, template.c1, template.c2,
+                                     template.c3))
+        root_tol = 1e-9 * max(template.c3, 1.0)
+        for xi, *row in zip(grid, *columns):
+            spec = template.with_xi(xi)
+            report = classify_stability(spec)
             cycle = report.period2
-            assert stability[i] is report.stability, xi
-            assert repr(v_star[i]) == repr(report.fixed_point), xi
-            assert repr(v_minus[i]) == repr(cycle and cycle.v_minus), xi
-            assert repr(v_plus[i]) == repr(cycle and cycle.v_plus), xi
+            assert list(map(repr, row)) == list(map(repr, [
+                report.fixed_point, report.stability,
+                cycle and cycle.v_minus, cycle and cycle.v_plus])), xi
+            regime = classify_regime(spec)
+            if not regime.supports_map:
+                assert report.stability is FT, xi
+                assert report.fixed_point is None and cycle is None, xi
+                continue
+            fmap = build_map(spec)
+            if regime in (Regime.CCW_FINITE_TIME, Regime.CW_FINITE_TIME,
+                          Regime.CCW_CW_OVERLAP):
+                expected = FT
+            else:
+                expected = (ASY if fmap.slope < 1.0 else
+                            NEU if fmap.slope == 1.0 else UNS)
+            assert report.stability is expected, xi
+            v_star = report.fixed_point
+            # F amplifies a rounding of its argument by its slope.
+            tol = residual * (1.0 + fmap.slope)
+            assert abs(fmap(v_star) - v_star) <= tol, xi
+            # Outside the open band the flow is capped, and v* is the clamp
+            # level of F itself.
+            if xi >= spec.c1 / spec.c3:
+                assert v_star == fmap.upper, xi
+            elif xi <= (spec.c3 - spec.c2) / spec.c3:
+                assert v_star == fmap.lower, xi
+            assert (cycle is None) == (expected in (FT, ASY)), xi
+            if cycle is None:
+                continue
+            v_minus, v_plus = cycle.v_minus, cycle.v_plus
+            assert fmap(v_minus) == v_plus, xi
+            assert abs(fmap(v_plus) - v_minus) <= tol, xi
+            assert v_minus - tol <= v_star <= v_plus + tol, xi
+            if fmap.slope * root_tol >= abs(fmap.upper - fmap.lower):
+                # The piecewise oracle merges breakpoints closer than its
+                # resolution, so it cannot resolve so steep a segment.
+                continue
+            roots, intervals = brute_force_period_roots(fmap, 2)
+            if intervals or (expected is NEU and v_plus - v_minus > root_tol):
+                # A band of two-cycles: slope one, or a slope within the
+                # oracle's identity tolerance of one.
+                assert intervals == [pytest.approx((v_minus, v_plus),
+                                                   abs=root_tol)], xi
+            else:
+                want = (v_minus, v_star, v_plus)
+                assert all(min(abs(r - w) for w in want) <= root_tol
+                           for r in roots), xi
+                assert all(min(abs(r - w) for r in roots) <= root_tol
+                           for w in want), xi
 
     def test_scalar_calls_do_not_grow_with_the_grid(self):
         def classify_calls(n_points):

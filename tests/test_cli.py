@@ -136,6 +136,22 @@ class TestSweep:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("step,points", [
+        ("1e-15", "1e+15"), ("1e-300", "1e+300"), ("1e-310", "inf")])
+    def test_rejects_step_too_fine_to_hold(self, step, points, tmp_path,
+                                           capsys):
+        # 1e15 grid values are 7.11 PiB, more than the 128 TiB x86-64
+        # address space, so the allocation is refused before touching
+        # memory; 1e300 exceeds numpy's largest array and 1e-310 overflows
+        # the point count.
+        code = main(["sweep", BIFURCATION, "--step", step,
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert f"--step {step} needs {points} xi points" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
 
 class TestScenarioErrors:
     def test_missing_file(self, tmp_path):
@@ -213,6 +229,28 @@ class TestSimulateValidate:
         assert code == 2
         assert not (tmp_path / "validation.json").exists()
 
+    @pytest.mark.parametrize("options", [
+        [BIFURCATION, "--xi", "0.55", "--vstar-tol", "nan"],
+        [BIFURCATION, "--xi", "0.55", "--vstar-tol", "-0.1"],
+        [CLASSIC, "--vstar-tol", "nan"],
+        [CLASSIC, "--extrema-tol", "nan"],
+        [CLASSIC, "--extrema-tol", "-0.1"],
+        [BIFURCATION, "--family", "--vstar-tol", "nan"],
+        [BIFURCATION, "--family", "--extrema-tol", "-0.1"],
+    ], ids=["vstar-nan", "vstar-negative", "classic-vstar-nan",
+            "extrema-nan", "extrema-negative", "family-vstar-nan",
+            "family-extrema-negative"])
+    def test_validate_rejects_bad_tolerance_before_simulating(
+            self, options, tmp_path, capsys, monkeypatch):
+        def no_simulation(*args):
+            raise AssertionError("simulated despite a bad tolerance")
+
+        monkeypatch.setattr("dmflow.cli.validate_spec", no_simulation)
+        code = main(["validate", *options, "--out", str(tmp_path)])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "validation.json").exists()
+
     @pytest.mark.parametrize("horizon", ["-5", "nan", "inf"])
     def test_simulate_rejects_horizon_outside_range(self, horizon, tmp_path):
         assert main(["simulate", CLASSIC, "--horizon", horizon,
@@ -261,13 +299,13 @@ class TestEmittedNumbers:
               "--step", "0.01", "--out", str(tmp_path)])
         from dmflow import DmSpec, sweep_xi
         spec = DmSpec(3, 1.5, 2, 2.5, beta=0.3, xi=0.4)
-        points = sweep_xi(spec, [0.3 + i * 0.01 for i in range(21)])
+        table = sweep_xi(spec, [0.3 + i * 0.01 for i in range(21)])
         lines = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
-        assert len(lines) == len(points)
-        for line, p in zip(lines, points):
-            xi, v_star = line.split(",")[:2]
-            assert float(xi) == p.xi
-            assert float(v_star) == p.v_star
+        assert len(lines) == len(table)
+        for line, xi, v_star in zip(lines, table.xi, table.v_star):
+            xi_cell, v_star_cell = line.split(",")[:2]
+            assert float(xi_cell) == xi
+            assert float(v_star_cell) == v_star
 
     def test_committed_schema_matches_code(self):
         import json
