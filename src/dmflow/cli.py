@@ -35,7 +35,12 @@ EXIT_INTERNAL = 3
 
 def _outdir(args, scenario: Scenario) -> Path:
     out = Path(args.out if args.out else scenario.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigurationError(
+            f"cannot create output directory {str(out)!r}: {exc.strerror}"
+        ) from None
     return out
 
 
@@ -271,13 +276,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _configure_logging() -> None:
+    name = os.environ.get("DMFLOW_LOG", "warning")
+    level = logging.getLevelName(name.upper())
+    if not isinstance(level, int):
+        raise ConfigurationError(
+            f"DMFLOW_LOG={name!r} is not a log level; use debug, info, "
+            f"warning, error or critical")
+    logging.basicConfig(level=level,
+                        format="%(levelname)s %(name)s: %(message)s")
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("DMFLOW_LOG", "warning").upper(),
-        format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _configure_logging()
         return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

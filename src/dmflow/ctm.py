@@ -99,8 +99,8 @@ class SimConfig:
         if self.cells_per_link < 1:
             raise ConfigurationError("cells_per_link must be positive")
         _check_horizon(self.horizon)
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigurationError("dt must be positive")
+        if self.dt is not None and not self.dt > 0:
+            raise ConfigurationError(f"dt must be positive, got {self.dt}")
 
 
 def diverge_flux(d0: float, s1: float, s2: float, xi: float,
@@ -378,12 +378,11 @@ class Simulation:
             times = np.empty(n_steps)
             outflux = np.empty((n_steps, self._n))
             vehicles = np.empty(n_steps)
+            errors = np.empty((n_steps, 2))
         except MemoryError:
             raise ConfigurationError(
                 f"horizon {horizon!r} needs {n_steps} steps of dt = "
                 f"{self.dt!r}; their records do not fit in memory") from None
-        cons = 0.0
-        cons_c1 = 0.0
         prev_tot, prev_tot1 = self._totals()
         for i in range(n_steps):
             src, src1, snk, snk1 = self.step()
@@ -391,10 +390,11 @@ class Simulation:
             outflux[i] = self.q[:, -1]
             tot, tot1 = self._totals()
             vehicles[i] = tot
-            cons = max(cons, abs(tot - prev_tot - self.dt * (src - snk)))
-            cons_c1 = max(cons_c1,
-                          abs(tot1 - prev_tot1 - self.dt * (src1 - snk1)))
+            errors[i, 0] = abs(tot - prev_tot - self.dt * (src - snk))
+            errors[i, 1] = abs(tot1 - prev_tot1 - self.dt * (src1 - snk1))
             prev_tot, prev_tot1 = tot, tot1
+        # np.max keeps a NaN step error, where Python's max would drop it.
+        cons, cons_c1 = np.max(errors, axis=0, initial=0.0).tolist()
         return RunRecord(self.dt, times,
                          {n: outflux[:, i] for i, n in enumerate(self.links)},
                          vehicles, cons, cons_c1)

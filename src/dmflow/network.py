@@ -27,6 +27,7 @@ off-ramp / on-ramp pairs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -82,8 +83,10 @@ class DmSpec:
         for name in ("c0", "c1", "c2", "c3", "beta", "xi"):
             object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("c0", "c1", "c2", "c3"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"capacity {name} must be positive")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise DomainError(f"capacity {name} must be positive and "
+                                  f"finite, got {value}")
         if not 0.0 <= self.beta <= 1.0:
             raise DomainError(f"beta must lie in [0, 1], got {self.beta}")
         if not 0.0 <= self.xi <= 1.0:

@@ -3,17 +3,20 @@
 Sections: `network` (topology kind and its parameters), `diagram`
 (flow-density shape and speeds), `simulation` (grid, time step, horizon),
 `initial` (starting profile) and `output` (directory and format defaults).
-The JSON-Schema used for validation is exported as SCENARIO_SCHEMA and
-committed alongside the example scenarios.
+The JSON-Schema (Draft 2020-12) that a document must satisfy is exported
+as SCENARIO_SCHEMA and committed alongside the example scenarios.  A small
+interpreter of the keywords it uses checks documents with jsonschema's own
+messages, so loading a scenario does not import jsonschema; numbers must
+also be finite, which JSON-Schema cannot express.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
+from numbers import Number
 from pathlib import Path
 
-import jsonschema
 import yaml
 
 from .ctm import SimConfig, Simulation, initialize_beltway_congested
@@ -132,14 +135,125 @@ class Scenario:
         return sim
 
 
+# Draft 2020-12 type names: bool is not a number, 20.0 is an integer.
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": lambda x: isinstance(x, Number) and not isinstance(x, bool),
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                          or isinstance(x, float) and x.is_integer()),
+}
+# Keywords that constrain only instances of one type.
+_APPLIES_TO = {
+    "required": "object", "properties": "object",
+    "additionalProperties": "object", "items": "array",
+    "minItems": "array", "maxItems": "array", "minimum": "number",
+    "maximum": "number", "exclusiveMinimum": "number",
+}
+
+
+def _same(a, b) -> bool:
+    """JSON equality of scalars: 1 equals 1.0, but true is not 1."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _schema_errors(instance, schema: dict, path: tuple = ()):
+    """Yield (path, message) for each keyword of `schema` that `instance`
+    breaks, in schema order and worded as jsonschema words them.
+
+    Only the keywords SCENARIO_SCHEMA uses are interpreted; any other
+    raises, so that no rule added to the schema goes unenforced.
+    """
+    for key, value in schema.items():
+        if key in _APPLIES_TO and not _TYPES[_APPLIES_TO[key]](instance):
+            continue
+        if key in ("$schema", "title"):
+            pass
+        elif key == "type":
+            types = [value] if isinstance(value, str) else value
+            if not any(_TYPES[t](instance) for t in types):
+                yield path, (f"{instance!r} is not of type "
+                             + ", ".join(repr(t) for t in types))
+        elif key == "enum":
+            if not any(_same(instance, v) for v in value):
+                yield path, f"{instance!r} is not one of {value!r}"
+        elif key == "const":
+            if not _same(instance, value):
+                yield path, f"{value!r} was expected"
+        elif key == "anyOf":
+            if all(any(_schema_errors(instance, s, path)) for s in value):
+                yield path, (f"{instance!r} is not valid under any of the "
+                             f"given schemas")
+        elif key == "required":
+            for name in value:
+                if name not in instance:
+                    yield path, f"{name!r} is a required property"
+        elif key == "properties":
+            for name, sub in value.items():
+                if name in instance:
+                    yield from _schema_errors(instance[name], sub,
+                                              path + (name,))
+        elif key == "additionalProperties" and value is False:
+            known = schema.get("properties", {})
+            extras = sorted({k for k in instance if k not in known}, key=str)
+            if extras:
+                yield path, ("Additional properties are not allowed ("
+                             + ", ".join(repr(k) for k in extras)
+                             + (" was" if len(extras) == 1 else " were")
+                             + " unexpected)")
+        elif key == "items":
+            for i, item in enumerate(instance):
+                yield from _schema_errors(item, value, path + (i,))
+        elif key == "minItems":
+            if len(instance) < value:
+                yield path, (f"{instance!r} "
+                             + ("should be non-empty" if value == 1
+                                else "is too short"))
+        elif key == "maxItems":
+            if len(instance) > value:
+                yield path, (f"{instance!r} "
+                             + ("is expected to be empty" if value == 0
+                                else "is too long"))
+        elif key == "minimum":
+            if instance < value:
+                yield path, (f"{instance!r} is less than the minimum of "
+                             f"{value!r}")
+        elif key == "maximum":
+            if instance > value:
+                yield path, (f"{instance!r} is greater than the maximum of "
+                             f"{value!r}")
+        elif key == "exclusiveMinimum":
+            if instance <= value:
+                yield path, (f"{instance!r} is less than or equal to the "
+                             f"minimum of {value!r}")
+        else:
+            raise NotImplementedError(
+                f"scenario schema keyword {key!r}: {value!r} is not supported")
+
+
+def _non_finite(node, path: tuple = ()):
+    """Yield (path, message) for each NaN or infinite number in `node`."""
+    if isinstance(node, float) and not math.isfinite(node):
+        yield path, f"{node!r} is not a finite number"
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield from _non_finite(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _non_finite(value, path + (i,))
+
+
 def _validate(doc: dict, source: str) -> None:
-    validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.path))
+    # NaN passes every JSON-Schema bound, so finiteness is checked once the
+    # schema holds, keeping the schema's own errors exactly jsonschema's.
+    errors = (sorted(_schema_errors(doc, SCENARIO_SCHEMA), key=lambda e: e[0])
+              or list(_non_finite(doc)))
     if errors:
         lines = [f"{source}: invalid scenario"]
-        for e in errors:
-            where = "/".join(str(p) for p in e.path) or "(root)"
-            lines.append(f"  at {where}: {e.message}")
+        for path, message in errors:
+            where = "/".join(str(p) for p in path) or "(root)"
+            lines.append(f"  at {where}: {message}")
         raise ConfigurationError("\n".join(lines))
 
 

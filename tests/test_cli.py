@@ -189,6 +189,36 @@ class TestScenarioErrors:
         with pytest.raises(ConfigurationError, match="beltway"):
             load_scenario(scn)
 
+    @pytest.mark.parametrize("snippet,where,value", [
+        ("network:\n  kind: dm\n  capacities: [3.0, 1.0, 2.0, .nan]\n"
+         "  beta: 0.3\n  xi: 0.45\n", "network/capacities/3", "nan"),
+        ("network:\n  kind: dm\n  capacities: [3.0, 1.0, 2.0, .inf]\n"
+         "  beta: 0.3\n  xi: 0.45\n", "network/capacities/3", "inf"),
+        ("network:\n  kind: dm\n  capacities: [3.0, 1.0, 2.0, 2.0]\n"
+         "  beta: 0.3\n  xi: 0.45\n  origin_demand: .nan\n",
+         "network/origin_demand", "nan"),
+        ("network:\n  kind: dm\n  capacities: [3.0, 1.0, 2.0, 2.0]\n"
+         "  beta: 0.3\n  xi: 0.45\nsimulation:\n  dt: .nan\n",
+         "simulation/dt", "nan"),
+        ("network:\n  kind: dm\n  capacities: [3.0, 1.0, 2.0, 2.0]\n"
+         "  beta: 0.3\n  xi: 0.45\ndiagram:\n  free_flow_speed: .inf\n",
+         "diagram/free_flow_speed", "inf"),
+    ], ids=["capacity-nan", "capacity-inf", "origin-demand-nan", "dt-nan",
+            "free-flow-speed-inf"])
+    @pytest.mark.parametrize("command", [["analyze"],
+                                         ["simulate", "--horizon", "5"]],
+                             ids=["analyze", "simulate"])
+    def test_non_finite_number_is_config_error(self, snippet, where, value,
+                                               command, tmp_path, capsys):
+        scn = tmp_path / "nonfinite.yaml"
+        scn.write_text(snippet)
+        code = main([command[0], str(scn), *command[1:],
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert (f"at {where}: {value} is not a finite number"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == [scn]
+
     def test_cfl_violation_is_config_error(self, tmp_path):
         scn = tmp_path / "cfl.yaml"
         scn.write_text(
@@ -353,6 +383,21 @@ class TestScenarioOverrides:
     def test_log_env_var_accepted(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DMFLOW_LOG", "debug")
         assert main(["analyze", BIFURCATION, "--out", str(tmp_path)]) == 0
+
+    def test_unknown_log_level_is_config_error(self, tmp_path, monkeypatch,
+                                               capsys):
+        monkeypatch.setenv("DMFLOW_LOG", "bogus")
+        assert main(["analyze", BIFURCATION, "--out", str(tmp_path)]) == 2
+        assert "configuration error: DMFLOW_LOG='bogus'" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "analysis.json").exists()
+
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("keep")
+        assert main(["analyze", BIFURCATION, "--out", str(target)]) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+        assert target.read_text() == "keep"
 
 
 class TestRingScenarios:

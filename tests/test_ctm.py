@@ -134,6 +134,11 @@ class TestStep:
         with pytest.raises(ConfigurationError):
             Simulation(single_link_network(), SimConfig(dt=0.2))
 
+    @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan")])
+    def test_dt_not_positive_rejected(self, dt):
+        with pytest.raises(ConfigurationError, match="dt must be positive"):
+            SimConfig(dt=dt)
+
     def test_explicit_dt_below_limit_accepted(self):
         sim = Simulation(single_link_network(), SimConfig(dt=0.04))
         assert sim.dt == 0.04
@@ -155,6 +160,13 @@ class TestConservation:
         record = sim.run()
         assert record.conservation_error < 1e-10
         assert record.conservation_error_c1 < 1e-10
+
+    def test_nan_step_error_is_not_reported_as_zero(self):
+        sim = Simulation(build_dm(CLASSIC), SimConfig(horizon=1.0))
+        sim.links["link1"].set_uniform(float("nan"), 0.0)
+        record = sim.run()
+        assert np.isnan(record.conservation_error)
+        assert np.isnan(record.conservation_error_c1)
 
     def test_commodity_split_matches_route_choice(self):
         # All of commodity 1 rides link 1: its share of the network load

@@ -211,6 +211,11 @@ class TestBuilders:
         with pytest.raises(ConfigurationError):
             net.validate()
 
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf")])
+    def test_spec_rejects_non_finite_capacity(self, capacity):
+        with pytest.raises(DomainError, match="c3 must be positive and fin"):
+            DmSpec(3, 1, 2, capacity, beta=0.5, xi=0.5)
+
     def test_spec_validation(self):
         with pytest.raises(DomainError):
             DmSpec(0, 1, 1, 1, beta=0.5, xi=0.5)
