@@ -103,6 +103,20 @@ GOLDEN = [
      "  xi = 0.6: asymptotic -> [finite_time] -> finite_time\n",
      {"sweep.csv":
       "3b99fe44503fb6c89aecf064f66b2a2c1bfa78595c084e16590797bc1588acf8"}),
+    # The JSON run output carries `vehicles` and every digit of the
+    # conservation error, which run.csv does not.  The beltway has
+    # fixed-xi diverges, constant-demand on-ramps and sink off-ramps, so
+    # it covers every kind of boundary endpoint.
+    (["simulate", "dm_classic", "--format", "json", "--horizon", "30"],
+     "simulated 667 step(s), dt = 0.045000000000000005\n"
+     "conservation error: 4.123e-15\n",
+     {"run.json":
+      "68549151d587891c73ddcfcb027d2a6ab1d264485fe50c04298b75510b2e7ba3"}),
+    (["simulate", "beltway_gridlock", "--format", "json", "--horizon", "30"],
+     "simulated 667 step(s), dt = 0.045000000000000005\n"
+     "conservation error: 8.073e-15\n",
+     {"run.json":
+      "0764a04331544df6d8046e8c922d58f98594c6934efad23fa1638a61e7fb7219"}),
 ]
 
 
