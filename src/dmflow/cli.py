@@ -50,6 +50,7 @@ def _format(args, scenario: Scenario) -> str:
 
 def cmd_analyze(args) -> int:
     scenario = load_scenario(args.scenario, args.xi)
+    out = _outdir(args, scenario)
     if scenario.kind == "dm":
         report = classify_stability(scenario.require_dm())
         payload = {
@@ -107,16 +108,16 @@ def cmd_analyze(args) -> int:
             hl = beltway_half_life(spec)
             payload["half_life_pairs"] = hl.pairs
             print(f"flow half-life: {hl.pairs!r} pairs")
-    io.write_json(_outdir(args, scenario) / "analysis.json", payload)
+    io.write_json(out / "analysis.json", payload)
     return EXIT_OK
 
 
 def cmd_orbit(args) -> int:
     scenario = load_scenario(args.scenario, args.xi)
     fmap = build_map(scenario.require_dm())
+    out = _outdir(args, scenario)
     orbit = fmap.iterate(args.v0, args.steps)
     segments = cobweb(fmap, args.v0, args.steps)
-    out = _outdir(args, scenario)
     if _format(args, scenario) == "csv":
         io.write_csv(out / "orbit.csv", *io.orbit_rows(orbit))
         io.write_csv(out / "cobweb.csv", *io.cobweb_rows(segments))
@@ -150,8 +151,8 @@ def cmd_sweep(args) -> int:
             f"--step {args.step!r} needs {steps + 1:.4g} xi points from "
             f"{args.xi_min!r} to {args.xi_max!r}; they do not fit in memory"
         ) from None
-    table = sweep_xi(spec, grid[grid <= args.xi_max + 1e-15].tolist())
     out = _outdir(args, scenario)
+    table = sweep_xi(spec, grid[grid <= args.xi_max + 1e-15].tolist())
     if _format(args, scenario) == "csv":
         io.write_csv(out / "sweep.csv", *io.sweep_rows(table))
     else:
@@ -170,8 +171,8 @@ def cmd_sweep(args) -> int:
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario, args.xi)
     sim = scenario.simulation()
-    record = sim.run(args.horizon)
     out = _outdir(args, scenario)
+    record = sim.run(args.horizon)
     if _format(args, scenario) == "csv":
         io.write_csv(out / "run.csv", *io.run_rows(record))
     else:

@@ -28,19 +28,31 @@ density k and commodity-1 density k1, one row per link in the order of
 cells at once, fills a face-flux array of shape (2, n_links, cells + 1)
 (column 0 the flux entering a link, column -1 the flux leaving it) and
 updates every cell through it.  Junctions are compiled once, at
-construction, into index arrays over junction endpoints, one group per
-type:
+construction, into index arrays of two groups:
 
-  * transfers: origins and destinations, one sender and one receiver;
-  * diverges: fixed or commodity-driven xi, link or sink branches;
-  * merges: link or constant-demand approaches.
+  * merges: link or constant-demand approaches.  Origins and destinations
+    are merges whose second approach is an empty slot (demand 0,
+    fraction 0), for which min(d, max(s - 0, s/2)) is min(d, s) bit for
+    bit.
+  * diverges: fixed or commodity-driven xi, link or sink branches.  The
+    split and the commodity multipliers are gathered from constants kept
+    after the cell fractions, and a branch with share 0 drops its ratio
+    constraint through a `where=` mask.
 
-Senders are the downstream link ends, then the origins and constant-demand
-approaches; receivers are the upstream link ends, then the destinations
-and sink branches.  Each group reads demands and supplies from and writes
-its fluxes to these endpoints, so a step costs a fixed number of numpy
-calls whatever the size of the network.  The scalar `diverge_flux` and
-`merge_flux` are the reference the compiled groups reproduce bit for bit.
+The groups gather demands, fractions and supplies from buffers that hold
+the cells of every link followed by the boundary slots, and write their
+[q, phi] through `out=` into one result array; one gather copies its link
+ends into the face fluxes.  A step is thus a fixed number of numpy calls
+and one Python-level call whatever the size of the network.  The scalar
+`diverge_flux` and `merge_flux` are the reference the compiled groups
+reproduce bit for bit.
+
+Bookkeeping.  `run` records each step's per-link vehicle sums and the
+fluxes of the boundary endpoints (origins, constant-demand approaches,
+destinations and sink branches).  After the loop it derives the network
+totals and both conservation errors from them as arrays, in the order of
+float operations of a step-by-step account: links summed left to right,
+boundary fluxes accumulated from 0.0 in endpoint order.
 
 Empty cells carry commodity fraction 0.  No flux depends on that value: an
 empty cell's demand is exactly 0 in both diagram shapes, so every flux it
@@ -76,6 +88,9 @@ __all__ = [
 ]
 
 CFL_SAFETY = 0.9
+# Steps of `Simulation.run` whose per-link sums and boundary fluxes are
+# kept before their totals are folded in; bounds that memory for any horizon.
+_BLOCK = 256
 
 
 def _check_horizon(horizon: float) -> None:
@@ -164,8 +179,13 @@ class RunRecord:
         return self.times, self.outflux[link]
 
 
-def _ints(values) -> np.ndarray:
-    return np.array(list(values), dtype=np.intp)
+def _ints(values, width: int | None = None) -> np.ndarray:
+    """Index array of `values`; with a width, rows of that many indices
+    transposed into `width` contiguous columns."""
+    ints = np.array(list(values), dtype=np.intp)
+    if width is None:
+        return ints
+    return np.ascontiguousarray(ints.reshape(-1, width).T)
 
 
 class Simulation:
@@ -184,7 +204,6 @@ class Simulation:
 
         self._state = np.zeros((2, n, cells))
         self.k, self.k1 = self._state
-        self._frac = np.empty((n, cells))
         # Face fluxes [q, phi] of the last step; `q` is public for recording.
         self._flux = np.zeros((2, n, cells + 1))
         self.q = self._flux[0]
@@ -223,187 +242,276 @@ class Simulation:
 
     def _compile_junctions(self, network: Network,
                            row: dict[str, int]) -> None:
-        """Index and constant arrays of every junction, grouped by type.
+        """Buffers, index and constant arrays of the two junction groups.
 
-        Endpoint slots 0..n-1 are the links; slot n is a constant zero that
-        starts the boundary totals; the slots after it are the boundary
-        endpoints in the order the totals accumulate them (sources: origins,
-        then constant-demand approaches; sinks: destinations, then sink
-        branches).
+        Senders index the demand and fraction buffers, receivers the supply
+        buffer.  Each buffer starts with the cells of every link, which the
+        step fills in place: a link sends from its last cell and receives
+        into its first.  Boundary slots follow: origins and constant-demand
+        approaches, then EMPTY (demand 0, fraction 0); destinations and
+        sink branches.  The fraction buffer goes on with the fixed diverge
+        splits and a constant 1.0.
+
+        The result array holds [q, phi] of every junction end, one column
+        each: merge approaches 1, merge approaches 2, merge downstream ends,
+        diverge upstream ends, diverge branches 1, diverge branches 2.
+        Origins and destinations are merges whose second approach is EMPTY.
         """
-        demand = [0.0] * (self._n + 1)
-        fraction = [0.0] * (self._n + 1)
-        supply = [0.0] * (self._n + 1)
+        n, cells = self._n, self.config.cells_per_link
+        size = n * cells
+        demand: list[float] = []
+        fraction: list[float] = []
+        supply: list[float] = []
 
         def sender(d: float, frac: float) -> int:
             demand.append(d)
             fraction.append(frac)
-            return len(demand) - 1
+            return size + len(demand) - 1
 
         def receiver(s: float) -> int:
             supply.append(s)
-            return len(supply) - 1
+            return size + len(supply) - 1
 
-        def approach(a) -> int:
-            return row[a.link] if a.link is not None else sender(a.demand, 0.0)
+        def last(link: str) -> int:
+            return row[link] * cells + cells - 1
 
-        def branch(b) -> int:
-            return row[b.link] if b.link is not None else receiver(b.supply)
-
-        transfers = ([(sender(o.demand, o.fraction), row[o.link])
-                      for o in network.origins]
-                     + [(row[d.link], receiver(d.supply))
-                        for d in network.destinations])
-        self._tr_snd = _ints(t[0] for t in transfers)
-        self._tr_rcv = _ints(t[1] for t in transfers)
+        def first(link: str) -> int:
+            return row[link] * cells
 
         for dv in network.diverges:
             if dv.xi is not None and not 0.0 <= dv.xi <= 1.0:
                 raise DomainError(f"xi must lie in [0, 1], got {dv.xi}")
-        self._dv_up = _ints(row[dv.upstream] for dv in network.diverges)
-        branches = _ints([branch(dv.branch1), branch(dv.branch2)]
-                         for dv in network.diverges).reshape(-1, 2)
-        self._dv_b1, self._dv_b2 = np.ascontiguousarray(branches.T)
-        self._dv_driven = np.array([dv.xi is None
-                                    for dv in network.diverges], dtype=bool)
-        self._dv_xi = np.array([0.0 if dv.xi is None else dv.xi
-                                for dv in network.diverges])
-
         for mg in network.merges:
             if not 0.0 <= mg.beta <= 1.0:
                 raise DomainError(f"beta must lie in [0, 1], got {mg.beta}")
-        approaches = _ints([approach(mg.approach1), approach(mg.approach2)]
-                           for mg in network.merges).reshape(-1, 2)
-        self._mg_a1, self._mg_a2 = np.ascontiguousarray(approaches.T)
-        self._mg_down = _ints(row[mg.downstream] for mg in network.merges)
-        self._mg_beta = np.array([mg.beta for mg in network.merges])
-        self._mg_beta_c = np.array([1.0 - mg.beta for mg in network.merges])
+        m = (len(network.origins) + len(network.merges)
+             + len(network.destinations))
+        nd = len(network.diverges)
+        inflow, outflow = [0] * n, [0] * n      # result column per link end
+        # Result columns of the boundary ends, in the order the totals
+        # accumulate them.
+        origin_ends: list[int] = []
+        approach_ends: list[int] = []
+        dest_ends: list[int] = []
+        branch_ends: list[int] = []
 
-        self._dem = np.array(demand)
-        self._fr = np.array(fraction)
-        self._sup = np.array(supply)
-        self._out = np.zeros((2, len(demand)))
-        self._in = np.zeros((2, len(supply)))
+        def approach(a, col: int) -> int:
+            if a.link is None:
+                approach_ends.append(col)
+                return sender(a.demand, 0.0)
+            outflow[row[a.link]] = col
+            return last(a.link)
 
-    def step(self) -> tuple[float, float, float, float]:
+        # Merge group rows (approach 1, approach 2, downstream) and beta.
+        # With the empty second approach, min(d, max(s - 0.0, 0.5*s)) is
+        # min(d, s) bit for bit.  Shares of 1/2 also keep an infinite d or
+        # s exact: beta = 1 would give the empty approach 0*inf = NaN.
+        empty = sender(0.0, 0.0)
+        merges: list[tuple[int, int, int]] = []
+        betas: list[float] = []
+        for o in network.origins:
+            inflow[row[o.link]] = 2 * m + len(merges)
+            origin_ends.append(len(merges))
+            merges.append((sender(o.demand, o.fraction), empty,
+                           first(o.link)))
+            betas.append(0.5)
+        for mg in network.merges:
+            j = len(merges)
+            inflow[row[mg.downstream]] = 2 * m + j
+            merges.append((approach(mg.approach1, j),
+                           approach(mg.approach2, m + j),
+                           first(mg.downstream)))
+            betas.append(mg.beta)
+        for d in network.destinations:
+            outflow[row[d.link]] = len(merges)
+            dest_ends.append(2 * m + len(merges))
+            merges.append((last(d.link), empty, receiver(d.supply)))
+            betas.append(0.5)
+
+        # Diverge group rows (upstream, split, branch 1, branch 2 and the
+        # two commodity multipliers).  The split and the multipliers are
+        # gathered from the fraction buffer; constants follow the senders.
+        def constant(value: float) -> int:
+            fraction.append(value)
+            return size + len(fraction) - 1
+
+        one = constant(1.0)
+        diverges: list[tuple[int, ...]] = []
+        for j, dv in enumerate(network.diverges):
+            up = last(dv.upstream)
+            outflow[row[dv.upstream]] = 3 * m + j
+            branches = []
+            for i, b in enumerate((dv.branch1, dv.branch2)):
+                col = 3 * m + (1 + i) * nd + j
+                if b.link is None:
+                    branch_ends.append(col)
+                    branches.append(receiver(b.supply))
+                else:
+                    inflow[row[b.link]] = col
+                    branches.append(first(b.link))
+            if dv.xi is None:
+                # Commodity-driven: branch 1 carries all of commodity 1.
+                diverges.append((up, up, *branches, one, empty))
+            else:
+                diverges.append((up, constant(dv.xi), *branches, up, up))
+
+        mg_ix = _ints(merges, 3)
+        self._mg_a, self._mg_down = mg_ix[:2], mg_ix[2]
+        self._mg_beta = np.array([betas, [1.0 - b for b in betas]])
+        dv_ix = _ints(diverges, 6)
+        self._dv_up, self._dv_xi = dv_ix[0], dv_ix[1]
+        self._dv_b, self._dv_m = dv_ix[2:4], dv_ix[4:]
+
+        self._dem = np.concatenate([np.zeros(size), demand])
+        self._fr = np.concatenate([np.zeros(size), fraction])
+        self._sup = np.concatenate([np.zeros(size), supply])
+        self._d = self._dem[:size].reshape(n, cells)
+        self._s = self._sup[:size].reshape(n, cells)
+        self._frac = self._fr[:size].reshape(n, cells)
+        # One more column, never written, starts both boundary totals.
+        res = self._res = np.zeros((2, 3 * m + 3 * nd + 1))
+        zero = 3 * m + 3 * nd
+        self._q_app = res[0, :2 * m].reshape(2, m)
+        self._phi_app = res[1, :2 * m].reshape(2, m)
+        self._q_down, self._phi_down = res[:, 2 * m:3 * m]
+        self._q_up, self._phi_up = res[:, 3 * m:3 * m + nd]
+        self._q_br = res[0, 3 * m + nd:zero].reshape(2, nd)
+        self._phi_br = res[1, 3 * m + nd:zero].reshape(2, nd)
+        self._split = np.empty((2, nd))         # (xi, 1 - xi)
+        self._lim = np.empty((3, nd))           # d0, s1/xi, s2/(1 - xi)
+        self._open = np.ones((3, nd), dtype=bool)
+        self._ends = _ints(zip(inflow, outflow))
+        # Fixed views the step reads and writes through.
+        flux = self._flux
+        self._d_out, self._s_in = self._d[:, :-1], self._s[:, 1:]
+        self._frac_out = self._frac[:, :-1]
+        self._q_inner, self._phi_inner = flux[:, :, 1:-1]
+        self._flux_ends = flux[:, :, ::cells]
+        self._flux_up, self._flux_down = flux[:, :, :-1], flux[:, :, 1:]
+        self._bnd = _ints([zero, *origin_ends, *approach_ends,
+                           zero, *dest_ends, *branch_ends])
+        self._n_src = 1 + len(origin_ends) + len(approach_ends)
+
+    def step(self) -> None:
         """Advance one dt.
 
         Leaves the face fluxes in `q` (column 0 the flux entering each
-        link, column -1 the flux leaving it) and returns the boundary
-        totals (source q, source phi, sink q, sink phi) of the step.
+        link, column -1 the flux leaving it); `boundary_totals` reads the
+        step's boundary fluxes.
         """
-        k, k1, n = self.k, self.k1, self._n
+        k, d, s, frac = self.k, self._d, self._s, self._frac
         if self._triangular:
-            d = np.minimum(self._vf * k, self._cap)
-            s = np.minimum(self._cap, self._w * (self._kj - k))
+            np.minimum(self._vf * k, self._cap, out=d)
+            np.minimum(self._cap, self._w * (self._kj - k), out=s)
         else:
             lo = np.minimum(k, self._kc)
             hi = np.maximum(k, self._kc)
-            d = self._vf * lo * (1.0 - lo / self._kj)
-            s = self._vf * hi * (1.0 - hi / self._kj)
-        frac = self._frac
+            np.multiply(self._vf * lo, 1.0 - lo / self._kj, out=d)
+            np.multiply(self._vf * hi, 1.0 - hi / self._kj, out=s)
         frac.fill(0.0)
-        np.divide(k1, k, out=frac, where=k > 0.0)
-
+        np.divide(self.k1, k, out=frac, where=k > 0.0)
         dem, fr, sup = self._dem, self._fr, self._sup
-        (out_q, out_phi), (in_q, in_phi) = self._out, self._in
-        dem[:n] = d[:, -1]
-        fr[:n] = frac[:, -1]
-        sup[:n] = s[:, 0]
 
-        snd, rcv = self._tr_snd, self._tr_rcv
-        q = np.minimum(dem[snd], sup[rcv])
-        out_q[snd] = in_q[rcv] = q
-        out_phi[snd] = in_phi[rcv] = fr[snd] * q
-
-        up, b1, b2, driven = (self._dv_up, self._dv_b1, self._dv_b2,
-                              self._dv_driven)
-        f0 = fr[up]
-        xi = np.where(driven, f0, self._dv_xi)
-        bad = ~((xi >= 0.0) & (xi <= 1.0))
-        if bad.any():
+        split, lim, open_ = self._split, self._lim, self._open
+        split[0] = fr[self._dv_xi]
+        np.subtract(1.0, split[0], out=split[1])
+        if not np.minimum.reduce(split, None, None, None, False, 1.0) >= 0.0:
+            xi = split[0]
+            bad = ~((xi >= 0.0) & (xi <= 1.0))
             raise DomainError(f"xi must lie in [0, 1], got {xi[bad]}")
-        xi_c = 1.0 - xi
-        q0 = dem[up]
-        open1 = xi > 0.0
-        q0 = np.where(open1,
-                      np.minimum(q0, sup[b1] / np.where(open1, xi, 1.0)), q0)
-        open2 = xi < 1.0
-        q0 = np.where(open2,
-                      np.minimum(q0, sup[b2] / np.where(open2, xi_c, 1.0)),
-                      q0)
-        q1, q2 = xi * q0, xi_c * q0
-        out_q[up] = q0
-        out_phi[up] = f0 * q0
-        # Commodity-driven: branch 1 carries all of commodity 1.
-        in_q[b1] = q1
-        in_phi[b1] = np.where(driven, q1, f0 * q1)
-        in_q[b2] = q2
-        in_phi[b2] = np.where(driven, 0.0, f0 * q2)
+        lim[0] = dem[self._dv_up]
+        # A branch with share 0 drops its ratio constraint.
+        np.greater(split, 0.0, out=open_[1:])
+        np.divide(sup[self._dv_b], split, out=lim[1:], where=open_[1:])
+        q0 = np.minimum.reduce(lim, 0, None, self._q_up, False, np.inf,
+                               open_)
+        np.multiply(fr[self._dv_up], q0, out=self._phi_up)
+        np.multiply(split, q0, out=self._q_br)
+        np.multiply(fr[self._dv_m], self._q_br, out=self._phi_br)
 
-        a1, a2, down = self._mg_a1, self._mg_a2, self._mg_down
-        d1, d2, s3 = dem[a1], dem[a2], sup[down]
-        q1 = np.minimum(d1, np.maximum(s3 - d2, self._mg_beta * s3))
-        q2 = np.minimum(d2, np.maximum(s3 - d1, self._mg_beta_c * s3))
-        phi1, phi2 = fr[a1] * q1, fr[a2] * q2
-        out_q[a1] = q1
-        out_phi[a1] = phi1
-        out_q[a2] = q2
-        out_phi[a2] = phi2
+        a = self._mg_a
+        d12, s3 = dem[a], sup[self._mg_down]
+        room = np.maximum(s3 - d12[::-1], self._mg_beta * s3)
+        q12 = np.minimum(d12, room, out=self._q_app)
+        np.multiply(fr[a], q12, out=self._phi_app)
         # q1 + q2 equals min(d1+d2, s3); summing keeps the node exactly
-        # conservative in floating point.  Constant-demand approaches carry
-        # no commodity 1; the leading 0.0 keeps the sum's sign of zero.
-        in_q[down] = q1 + q2
-        in_phi[down] = 0.0 + phi1 + phi2
+        # conservative in floating point.  The 0.0 that starts the
+        # commodity sum keeps its sign of zero.
+        np.add.reduce(q12, 0, None, self._q_down)
+        np.add.reduce(self._phi_app, 0, None, self._phi_down, False, 0.0)
 
-        flux = self._flux
-        np.minimum(d[:, :-1], s[:, 1:], out=flux[0, :, 1:-1])
-        np.multiply(frac[:, :-1], flux[0, :, 1:-1], out=flux[1, :, 1:-1])
-        flux[:, :, 0] = self._in[:, :n]
-        flux[:, :, -1] = self._out[:, :n]
-        self._state += self._r * (flux[:, :, :-1] - flux[:, :, 1:])
+        q_in = self._q_inner
+        np.minimum(self._d_out, self._s_in, out=q_in)
+        np.multiply(self._frac_out, q_in, out=self._phi_inner)
+        self._flux_ends[...] = self._res.take(self._ends, axis=1)
+        self._state += self._r * (self._flux_up - self._flux_down)
         self.t += self.dt
-        src_q, src_phi = np.add.accumulate(self._out[:, n:],
-                                           axis=1)[:, -1].tolist()
-        snk_q, snk_phi = np.add.accumulate(self._in[:, n:],
-                                           axis=1)[:, -1].tolist()
-        return src_q, src_phi, snk_q, snk_phi
+
+    def boundary_totals(self) -> tuple[float, float, float, float]:
+        """Boundary totals (source q, source phi, sink q, sink phi) of the
+        last step."""
+        src, snk = self._boundary_sums(self._res[:, self._bnd])
+        return (*src.tolist(), *snk.tolist())
+
+    def _boundary_sums(self, ends: np.ndarray,
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """Source and sink totals of boundary-end fluxes `ends[..., bnd]`:
+        each group, led by the zero column, accumulated in endpoint
+        order."""
+        n_src = self._n_src
+        return (np.add.accumulate(ends[..., :n_src], axis=-1)[..., -1],
+                np.add.accumulate(ends[..., n_src:], axis=-1)[..., -1])
+
+    def _vehicles(self, sums: np.ndarray) -> np.ndarray:
+        """Vehicles (all, commodity 1) from per-link cell sums
+        `sums[..., 2, n_links]`: times dx, then summed in link order."""
+        return np.add.accumulate(sums * self._dx, axis=-1)[..., -1]
 
     def run(self, horizon: float | None = None) -> RunRecord:
-        """Step until the horizon, recording boundary fluxes and totals."""
+        """Step until the horizon, recording boundary fluxes and totals.
+
+        The loop records the per-link vehicle sums and the boundary-end
+        fluxes of each step.  Every `_BLOCK` steps, and at the end, the
+        network totals and conservation errors of the block are derived
+        from them as arrays, in the order of float operations of a
+        step-by-step account.
+        """
         horizon = self.config.horizon if horizon is None else horizon
         _check_horizon(horizon)
         n_steps = int(round(horizon / self.dt))
         try:
             times = np.empty(n_steps)
             outflux = np.empty((n_steps, self._n))
-            vehicles = np.empty(n_steps)
+            totals = np.empty((n_steps + 1, 2))
             errors = np.empty((n_steps, 2))
-        except MemoryError:
+        except (MemoryError, ValueError):
             raise ConfigurationError(
                 f"horizon {horizon!r} needs {n_steps} steps of dt = "
                 f"{self.dt!r}; their records do not fit in memory") from None
-        prev_tot, prev_tot1 = self._totals()
-        for i in range(n_steps):
-            src, src1, snk, snk1 = self.step()
-            times[i] = self.t
-            outflux[i] = self.q[:, -1]
-            tot, tot1 = self._totals()
-            vehicles[i] = tot
-            errors[i, 0] = abs(tot - prev_tot - self.dt * (src - snk))
-            errors[i, 1] = abs(tot1 - prev_tot1 - self.dt * (src1 - snk1))
-            prev_tot, prev_tot1 = tot, tot1
+        state, res, bnd, add = self._state, self._res, self._bnd, np.add
+        block = min(n_steps, _BLOCK)
+        sums = np.empty((block, 2, self._n))
+        ends = np.empty((block, 2, len(bnd)))
+        totals[0] = self._vehicles(add.reduce(state, 2))
+        for start in range(0, n_steps, _BLOCK):
+            stop = min(start + _BLOCK, n_steps)
+            for i in range(stop - start):
+                self.step()
+                times[start + i] = self.t
+                outflux[start + i] = self.q[:, -1]
+                add.reduce(state, 2, None, sums[i])
+                ends[i] = res.take(bnd, axis=1)
+            now = totals[start + 1:stop + 1]
+            now[...] = self._vehicles(sums[:stop - start])
+            src, snk = self._boundary_sums(ends[:stop - start])
+            np.abs(now - totals[start:stop] - self.dt * (src - snk),
+                   out=errors[start:stop])
         # np.max keeps a NaN step error, where Python's max would drop it.
         cons, cons_c1 = np.max(errors, axis=0, initial=0.0).tolist()
         return RunRecord(self.dt, times,
-                         {n: outflux[:, i] for i, n in enumerate(self.links)},
-                         vehicles, cons, cons_c1)
-
-    def _totals(self) -> tuple[float, float]:
-        """Vehicles (all, commodity 1): per link, then summed in link order."""
-        per_link = self._state.sum(axis=2) * self._dx
-        tot, tot1 = np.add.accumulate(per_link, axis=1)[:, -1].tolist()
-        return tot, tot1
+                         {name: outflux[:, i]
+                          for i, name in enumerate(self.links)},
+                         totals[1:, 0], cons, cons_c1)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dmflow import ConfigurationError, DmSpec, SimConfig, build_dm
+from dmflow import (ConfigurationError, DmSpec, SimConfig, Simulation,
+                    build_dm, cli)
 from dmflow.cli import main
 from dmflow.extended import dmn_classify
 from dmflow.io import validation_payload
@@ -398,6 +399,27 @@ class TestScenarioOverrides:
         assert main(["analyze", BIFURCATION, "--out", str(target)]) == 2
         assert "cannot create output directory" in capsys.readouterr().err
         assert target.read_text() == "keep"
+
+    @pytest.mark.parametrize("command,work", [
+        (["analyze"], (cli, "classify_stability")),
+        (["orbit", "--v0", "1.1"], (cli, "cobweb")),
+        (["sweep"], (cli, "sweep_xi")),
+        (["simulate"], (Simulation, "run")),
+        (["validate"], (cli, "validate_spec"))],
+        ids=["analyze", "orbit", "sweep", "simulate", "validate"])
+    def test_out_naming_a_file_fails_before_the_work(
+            self, command, work, tmp_path, capsys, monkeypatch):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("the command did its work before --out")
+
+        monkeypatch.setattr(*work, not_reached)
+        target = tmp_path / "taken"
+        target.write_text("keep")
+        name, *options = command
+        assert main([name, BIFURCATION, *options, "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot create output directory" in captured.err
 
 
 class TestRingScenarios:

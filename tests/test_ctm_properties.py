@@ -7,13 +7,15 @@ commodity fractions.  Each example is a short horizon; the search is
 derandomized so the suite cannot flake.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmflow import DmSpec, SimConfig, Simulation, build_dm
-from dmflow.ctm import diverge_flux, merge_flux
+from dmflow.ctm import _BLOCK, diverge_flux, merge_flux
 from dmflow.network import build_beltway, build_dmn
 
 STEPS = 25
@@ -73,32 +75,40 @@ def end_fraction(ls) -> float:
 def reference_fluxes(sim):
     """Boundary fluxes the scalar junction models give for the state now.
 
-    Returns ({row: inflow}, {row: outflow}, source total, sink total).
+    Returns ({row: inflow}, {row: outflow}, (source total, its commodity-1
+    part, sink total, its commodity-1 part)); each total accumulates from
+    0.0 in endpoint order: origins, then constant-demand approaches;
+    destinations, then sink branches.
     """
     net = sim.network
     row = {name: i for i, name in enumerate(sim.links)}
     demand = {n: ls.fd.demand(ls.k[-1]) for n, ls in sim.links.items()}
     supply = {n: ls.fd.supply(ls.k[0]) for n, ls in sim.links.items()}
     q_in, q_out = {}, {}
-    src = snk = 0.0
+    src = src1 = snk = snk1 = 0.0
     for o in net.origins:
         q_in[row[o.link]] = q = min(o.demand, supply[o.link])
         src += q
+        src1 += o.fraction * q
     for d in net.destinations:
         q_out[row[d.link]] = q = min(demand[d.link], d.supply)
         snk += q
+        snk1 += end_fraction(sim.links[d.link]) * q
     for dv in net.diverges:
-        xi = (dv.xi if dv.xi is not None
-              else end_fraction(sim.links[dv.upstream]))
+        f0 = end_fraction(sim.links[dv.upstream])
+        xi = dv.xi if dv.xi is not None else f0
         s1, s2 = (supply[b.link] if b.link is not None else b.supply
                   for b in (dv.branch1, dv.branch2))
         q0, q1, q2 = diverge_flux(demand[dv.upstream], s1, s2, xi)
         q_out[row[dv.upstream]] = q0
-        for b, q in ((dv.branch1, q1), (dv.branch2, q2)):
+        # A commodity-driven split sends all of commodity 1 to branch 1.
+        phi1, phi2 = (q1, 0.0) if dv.xi is None else (f0 * q1, f0 * q2)
+        for b, q, phi in ((dv.branch1, q1, phi1), (dv.branch2, q2, phi2)):
             if b.link is not None:
                 q_in[row[b.link]] = q
             else:
                 snk += q
+                snk1 += phi
     for mg in net.merges:
         d1, d2 = (demand[a.link] if a.link is not None else a.demand
                   for a in (mg.approach1, mg.approach2))
@@ -108,8 +118,20 @@ def reference_fluxes(sim):
                 q_out[row[a.link]] = q
             else:
                 src += q
+                src1 += 0.0 * q
         q_in[row[mg.downstream]] = q1 + q2
-    return q_in, q_out, src, snk
+    return q_in, q_out, (src, src1, snk, snk1)
+
+
+def link_totals(sim) -> tuple[float, float]:
+    """Vehicles (all, commodity 1): each link's cells times dx, summed in
+    link order."""
+    per_link = [(ls.k.sum() * ls.dx, ls.k1.sum() * ls.dx)
+                for ls in sim.links.values()]
+    tot, tot1 = per_link[0]
+    for k, k1 in per_link[1:]:
+        tot, tot1 = tot + k, tot1 + k1
+    return float(tot), float(tot1)
 
 
 # A subnormal xi overflows s1/xi to inf in both the scalar reference and the
@@ -122,8 +144,9 @@ def test_kernel_invariants_and_junction_reference(case):
     sim = loaded(network, config, seed)
     kj = np.array([[ls.fd.jam_density] for ls in sim.links.values()])
     for _ in range(STEPS):
-        q_in, q_out, src, snk = reference_fluxes(sim)
-        got_src, _, got_snk, _ = sim.step()
+        q_in, q_out, (src, _, snk, _) = reference_fluxes(sim)
+        sim.step()
+        got_src, _, got_snk, _ = sim.boundary_totals()
         for i, q in q_in.items():
             assert sim.q[i, 0] == q
         for i, q in q_out.items():
@@ -144,3 +167,51 @@ def test_kernel_invariants_and_junction_reference(case):
         assert np.array_equal(again_sim.links[name].k1, ls.k1)
         assert np.array_equal(first.outflux[name], again.outflux[name])
     assert np.array_equal(first.vehicles, again.vehicles)
+
+
+def reference_bookkeeping(sim, n_steps):
+    """Vehicles after each step and the largest per-step conservation
+    errors (all, commodity 1), accounted step by step in Python floats."""
+    prev, prev1 = link_totals(sim)
+    vehicles, errors, errors_c1 = [], [0.0], [0.0]
+    for _ in range(n_steps):
+        _, _, (src, src1, snk, snk1) = reference_fluxes(sim)
+        sim.step()
+        tot, tot1 = link_totals(sim)
+        vehicles.append(tot)
+        errors.append(abs(tot - prev - sim.dt * (src - snk)))
+        errors_c1.append(abs(tot1 - prev1 - sim.dt * (src1 - snk1)))
+        prev, prev1 = tot, tot1
+    return np.array(vehicles), max(errors), max(errors_c1)
+
+
+def assert_bookkeeping_matches(record, sim):
+    vehicles, error, error_c1 = reference_bookkeeping(sim, len(record.times))
+    assert record.vehicles.tobytes() == vehicles.tobytes()
+    assert record.conservation_error == error
+    assert record.conservation_error_c1 == error_c1
+
+
+# The overflow is the subnormal-xi case of the test above.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cases())
+def test_run_bookkeeping_matches_step_by_step_reference(case):
+    network, config, seed = case
+    record = loaded(network, config, seed).run()
+    assert len(record.times) == STEPS
+    assert_bookkeeping_matches(record, loaded(network, config, seed))
+
+
+@pytest.mark.parametrize("network", [
+    build_dm(DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.45)),
+    build_beltway(3, beta=0.3, xi=0.2)], ids=["dm", "beltway"])
+def test_run_bookkeeping_across_blocks(network):
+    # Totals are folded in every _BLOCK steps; end in a partial block.
+    config = SimConfig(cells_per_link=4)
+    steps = 2 * _BLOCK + 7
+    dt = Simulation(network, config).dt
+    config = replace(config, horizon=steps * dt)
+    record = loaded(network, config, 7).run()
+    assert len(record.times) == steps
+    assert_bookkeeping_matches(record, loaded(network, config, 7))
