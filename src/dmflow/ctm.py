@@ -49,10 +49,11 @@ reproduce bit for bit.
 
 Bookkeeping.  `run` records each step's per-link vehicle sums and the
 fluxes of the boundary endpoints (origins, constant-demand approaches,
-destinations and sink branches).  After the loop it derives the network
-totals and both conservation errors from them as arrays, in the order of
-float operations of a step-by-step account: links summed left to right,
-boundary fluxes accumulated from 0.0 in endpoint order.
+destinations and sink branches).  After every block of steps, outside
+the step, it derives the network totals and both conservation errors from
+them as arrays, in the order of float operations of a step-by-step
+account: links summed left to right, boundary fluxes accumulated from 0.0
+in endpoint order.
 
 Empty cells carry commodity fraction 0.  No flux depends on that value: an
 empty cell's demand is exactly 0 in both diagram shapes, so every flux it
@@ -254,8 +255,9 @@ class Simulation:
 
         The result array holds [q, phi] of every junction end, one column
         each: merge approaches 1, merge approaches 2, merge downstream ends,
-        diverge upstream ends, diverge branches 1, diverge branches 2.
-        Origins and destinations are merges whose second approach is EMPTY.
+        diverge upstream ends, diverge branches 1, diverge branches 2, and
+        a zero column.  Origins and destinations are merges whose second
+        approach is EMPTY.
         """
         n, cells = self._n, self.config.cells_per_link
         size = n * cells
@@ -412,6 +414,9 @@ class Simulation:
         np.divide(self.k1, k, out=frac, where=k > 0.0)
         dem, fr, sup = self._dem, self._fr, self._sup
 
+        # The reductions pass (axis, dtype, out, keepdims, initial, where)
+        # by position: on arrays this small, parsing keywords costs about
+        # as much as the reduction itself.
         split, lim, open_ = self._split, self._lim, self._open
         split[0] = fr[self._dv_xi]
         np.subtract(1.0, split[0], out=split[1])

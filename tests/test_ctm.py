@@ -337,8 +337,15 @@ class TestCompiledJunctions:
         with pytest.raises(DomainError, match="xi"):
             Simulation(bad)
 
-    @pytest.mark.parametrize("k1", [1.5, -0.5, float("nan")])
-    def test_commodity_split_outside_unit_interval_rejected(self, k1):
+    def test_commodity_split_outside_unit_interval_rejected(self):
+        sim = Simulation(build_dm(CLASSIC))
+        sim.links["link0"].set_uniform(1.0, 0.0)
+        sim.links["link0"].k1[-1] = 1.5
+        with pytest.raises(DomainError, match="xi"):
+            sim.step()
+
+    @pytest.mark.parametrize("k1", [-0.5, float("nan")])
+    def test_negative_or_nan_commodity_split_rejected(self, k1):
         sim = Simulation(build_dm(CLASSIC))
         sim.links["link0"].set_uniform(1.0, 0.0)
         sim.links["link0"].k1[-1] = k1
