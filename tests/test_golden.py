@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from dmflow.cli import main
+from dmflow.cli import EXIT_OK, EXIT_VALIDATION, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -117,6 +117,33 @@ GOLDEN = [
      "conservation error: 8.073e-15\n",
      {"run.json":
       "0764a04331544df6d8046e8c922d58f98594c6934efad23fa1638a61e7fb7219"}),
+    # xi = 0.8 reaches a state one step leaves bit for bit unchanged by
+    # step 165 of 8889: run.csv pins the time stamps and fluxes of every
+    # later step, run.json the vehicles and both conservation errors.
+    (["simulate", "dm_bifurcation", "--xi", "0.8"],
+     "simulated 8889 step(s), dt = 0.045000000000000005\n"
+     "conservation error: 2.825e-15\n",
+     {"run.csv":
+      "1034384c33a080abb1ecff6c7e971f68d9698de354b2fa8f61c46298b9470935"}),
+    (["simulate", "dm_bifurcation", "--xi", "0.8", "--format", "json"],
+     "simulated 8889 step(s), dt = 0.045000000000000005\n"
+     "conservation error: 2.825e-15\n",
+     {"run.json":
+      "ff0a44a38fa58a77dc7f034892fc3f41a5a2ba949d26484a802dc85b9f7a2da3"}),
+    # The benchmark's own family: six members settle, two FAIL, so the
+    # command exits with EXIT_VALIDATION.
+    (["validate", "dm_bifurcation", "--family", "--xi-step", "0.1"],
+     "xi = 0.1000: converged [FAIL]\n"
+     "xi = 0.2000: converged [pass]\n"
+     "xi = 0.3000: converged [FAIL]\n"
+     "xi = 0.4000: persistent_oscillation [pass]\n"
+     "xi = 0.5000: persistent_oscillation [pass]\n"
+     "xi = 0.6000: converged [pass]\n"
+     "xi = 0.7000: converged [pass]\n"
+     "xi = 0.8000: converged [pass]\n"
+     "xi = 0.9000: converged [pass]\n",
+     {"validation.json":
+      "d7d48bd2b59e068a49f163fccd0743499782cdac77c143b51d013f4dda406ef5"}),
 ]
 
 
@@ -128,7 +155,7 @@ def test_cli_outputs_match_golden_bytes(argv, stdout, digests, tmp_path,
     command, scenario, *options = argv
     code = main([command, str(SCENARIOS / f"{scenario}.yaml"), *options,
                  "--out", str(tmp_path)])
-    assert code == 0
+    assert code == (EXIT_VALIDATION if "FAIL" in stdout else EXIT_OK)
     assert capsys.readouterr().out == stdout
     emitted = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
