@@ -22,6 +22,7 @@ import numpy as np
 from .ctm import SimConfig, Simulation
 from .errors import DomainError
 from .network import DmSpec, Network, build_dm
+from .piecewise import _MERGE_TOL
 from .poincare import (PoincareMap, StabilityClass, StabilityReport,
                        classify_stability)
 
@@ -176,9 +177,23 @@ def brute_force_period_roots(fmap: PoincareMap, order: int,
 
     Returns isolated roots plus identity intervals (the latter only occur
     at interior slope one, where a whole band is two-periodic).
+
+    Raises DomainError when the steepest segment of F^order, which rises
+    by |upper - lower| over that divided by slope**order, is no wider
+    than the spacing below which `PiecewiseLinear.compose` merges
+    breakpoints: that segment, and the roots it decides, would be lost.
     """
     if order < 1:
         raise DomainError("order must be a positive integer")
+    rise = abs(fmap.upper - fmap.lower)
+    if fmap.slope > 0.0 and rise > 0.0:
+        width = rise
+        for _ in range(order):      # slope**order can overflow a float
+            width /= fmap.slope
+        if width <= _MERGE_TOL * max(fmap.c3, 1.0):
+            raise DomainError(
+                f"slope {fmap.slope!r} is too steep for the piecewise "
+                f"oracle: F^{order} has a segment {width!r} wide")
     return fmap.as_piecewise().iterate(order).fixed_points()
 
 

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from dmflow import DmSpec, classify_stability, sweep_xi
 from dmflow.bifurcation import boundary_values, regime_boundaries
+from dmflow.errors import DomainError
+from dmflow.piecewise import _MERGE_TOL
 from dmflow.poincare import (Regime, StabilityClass, _classify_grid,
                              build_map, classify_regime)
 from dmflow.validation import brute_force_period_roots
@@ -191,9 +193,14 @@ class TestGridClassifier:
             assert fmap(v_minus) == v_plus, xi
             assert abs(fmap(v_plus) - v_minus) <= tol, xi
             assert v_minus - tol <= v_star <= v_plus + tol, xi
-            if fmap.slope * root_tol >= abs(fmap.upper - fmap.lower):
-                # The piecewise oracle merges breakpoints closer than its
-                # resolution, so it cannot resolve so steep a segment.
+            # F o F rises by |upper - lower| over a segment slope**2 times
+            # narrower.  The piecewise oracle merges breakpoints closer than
+            # its resolution, so it must refuse so steep a segment.
+            rise = abs(fmap.upper - fmap.lower)
+            if 0.0 < rise and (rise / fmap.slope / fmap.slope
+                               <= _MERGE_TOL * max(fmap.c3, 1.0)):
+                with pytest.raises(DomainError, match="too steep"):
+                    brute_force_period_roots(fmap, 2)
                 continue
             roots, intervals = brute_force_period_roots(fmap, 2)
             if intervals or (expected is NEU and v_plus - v_minus > root_tol):

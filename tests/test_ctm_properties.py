@@ -7,7 +7,9 @@ commodity fractions.  Each example is a short horizon; the search is
 derandomized so the suite cannot flake.
 """
 
+import logging
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,9 @@ from hypothesis import strategies as st
 from dmflow import DmSpec, SimConfig, Simulation, build_dm
 from dmflow.ctm import _BLOCK, diverge_flux, merge_flux
 from dmflow.network import build_beltway, build_dmn
+from dmflow.scenario import load_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
 
 STEPS = 25
 
@@ -215,3 +220,106 @@ def test_run_bookkeeping_across_blocks(network):
     record = loaded(network, config, 7).run()
     assert len(record.times) == steps
     assert_bookkeeping_matches(record, loaded(network, config, 7))
+
+
+def stepped(sim, n_steps):
+    """Times and out-fluxes of `n_steps` plain `step()` calls."""
+    times = np.empty(n_steps)
+    outflux = np.empty((n_steps, len(sim.links)))
+    for i in range(n_steps):
+        sim.step()
+        times[i] = sim.t
+        outflux[i] = sim.q[:, -1]
+    return times, outflux
+
+
+# The overflow is the subnormal-xi case of the kernel test above.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(cases(), st.booleans())
+def test_run_matches_a_plain_step_loop(case, empty):
+    # Long enough for most networks started empty to settle, so that run()
+    # fills in later blocks without stepping; the records must not show it.
+    network, config, seed = case
+    steps = 2 * _BLOCK + 7
+    config = replace(config, horizon=steps * config.dt)
+
+    def start():
+        if empty:
+            return Simulation(network, config)
+        return loaded(network, config, seed)
+
+    sim, plain = start(), start()
+    record = sim.run()
+    times, outflux = stepped(plain, steps)
+    assert record.times.tobytes() == times.tobytes()
+    for i, name in enumerate(sim.links):
+        assert record.outflux[name].tobytes() == outflux[:, i].tobytes()
+    for got, want in ((sim.k, plain.k), (sim.k1, plain.k1),
+                      (sim.q, plain.q)):
+        assert got.tobytes() == want.tobytes()
+    assert sim.t == plain.t
+    assert_bookkeeping_matches(record, start())
+
+
+# The overflow is the subnormal-xi case of the kernel test above.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cases(), st.floats(0.0, 1e6))
+def test_step_does_not_read_the_time(case, t):
+    # run() fills in a settled run on the strength of this: a step is a
+    # function of the state alone.
+    network, config, seed = case
+    sim, later = loaded(network, config, seed), loaded(network, config, seed)
+    later.t = t
+    sim.step()
+    later.step()
+    for got, want in ((later._state, sim._state), (later._flux, sim._flux),
+                      (later._res, sim._res)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """Count `Simulation.step` calls, the way perfbench's probe wraps
+    `Simulation.run`."""
+    calls = []
+    step = Simulation.step
+
+    def counted(self):
+        calls.append(None)
+        step(self)
+
+    monkeypatch.setattr(Simulation, "step", counted)
+    return calls
+
+
+@pytest.mark.parametrize("path,xi,steps,calls", [
+    # Settled by step 165: the block that ends at step 256 sees it.
+    ("scenarios/dm_bifurcation.yaml", 0.8, 8889, _BLOCK),
+    # Oscillating runs step all the way.
+    ("scenarios/dm_classic.yaml", 0.45, 8889, 8889),
+    ("perfbench/scenarios/ring20.yaml", None, 1000, 1000),
+], ids=["dm_bifurcation-0.8", "dm_classic-0.45", "ring20"])
+def test_run_stops_stepping_once_settled(path, xi, steps, calls,
+                                         step_calls):
+    record = load_scenario(ROOT / path, xi).simulation().run()
+    assert len(record.times) == steps
+    assert len(step_calls) == calls
+
+
+def test_run_logs_progress_and_settling_at_debug(caplog):
+    sim = load_scenario(ROOT / "scenarios/dm_bifurcation.yaml",
+                        0.8).simulation()
+    with caplog.at_level(logging.DEBUG, logger="dmflow.ctm"):
+        sim.run()
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "dmflow.ctm"]
+    blocks = [f"run: {min(stop, 8889)} of 8889 steps"
+              for stop in range(_BLOCK, 8889 + _BLOCK, _BLOCK)]
+    progress = [line for line in lines if " of 8889 steps" in line]
+    assert [line.split(",")[0] for line in progress] == blocks
+    assert progress[0] == "run: 256 of 8889 steps, t = 11.52"
+    assert progress[-1] == "run: 8889 of 8889 steps, t = 400.005"
+    assert ("run: state settled at step 256; 8633 steps filled without "
+            "stepping") in lines

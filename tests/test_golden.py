@@ -8,13 +8,17 @@ with the reason in CHANGES.md.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from dmflow.cli import EXIT_OK, EXIT_VALIDATION, main
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 # ([command, scenario, options...], exact stdout, {emitted file: sha256})
 GOLDEN = [
@@ -160,3 +164,24 @@ def test_cli_outputs_match_golden_bytes(argv, stdout, digests, tmp_path,
     emitted = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
     assert emitted == digests
+
+
+def test_debug_log_goes_to_stderr_and_leaves_outputs_unchanged(tmp_path):
+    argv = ["simulate", "dm_bifurcation", "--xi", "0.8"]
+    (stdout, digests), = [(out, d) for a, out, d in GOLDEN if a == argv]
+    command, scenario, *options = argv
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from dmflow.cli import main; sys.exit(main())",
+         command, str(SCENARIOS / f"{scenario}.yaml"), *options,
+         "--out", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": path, "DMFLOW_LOG": "debug"},
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == stdout
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.iterdir()} == digests
+    assert "dmflow.ctm: run: 256 of 8889 steps" in result.stderr
+    assert "dmflow.ctm: run: state settled at step 256" in result.stderr

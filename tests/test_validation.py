@@ -97,6 +97,22 @@ class TestBruteForceRoots:
                 expected = [report.fixed_point]
             assert points == pytest.approx(expected, abs=1e-10)
 
+    def test_too_steep_a_map_raises_instead_of_losing_roots(self):
+        # Slope 1e9: F o F has a segment 2.5e-19 wide, below the spacing at
+        # which composition merges breakpoints.  The oracle used to return
+        # [0.3749999857472124] here, missing v- = 0.125 and v*.
+        spec = DmSpec(0.75, 0.5, 0.25, 0.375, beta=1.0, xi=0.999999999)
+        fmap = build_map(spec)
+        with pytest.raises(DomainError, match="too steep"):
+            brute_force_period_roots(fmap, 2)
+        # A milder slope still resolves every root.
+        milder = spec.with_xi(0.99999)
+        cycle = classify_stability(milder).period2
+        assert brute_force_period_roots(build_map(milder), 2) == ([
+            pytest.approx(cycle.v_minus, abs=1e-10),
+            pytest.approx(classify_stability(milder).fixed_point, abs=1e-10),
+            pytest.approx(cycle.v_plus, abs=1e-10)], [])
+
 
 class TestGridScan:
     def test_agrees_with_exact_enumeration(self):
