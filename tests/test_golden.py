@@ -148,7 +148,28 @@ GOLDEN = [
      "xi = 0.9000: converged [pass]\n",
      {"validation.json":
       "d7d48bd2b59e068a49f163fccd0743499782cdac77c143b51d013f4dda406ef5"}),
+    # The benchmark's 80-link ring of 20 DM stages, the only `dmn` network
+    # and the largest run.csv here; a path stands for itself, relative to
+    # the repository root.
+    (["simulate", "perfbench/scenarios/ring20.yaml"],
+     "simulated 1000 step(s), dt = 0.045000000000000005\n"
+     "conservation error: 4.978e-13\n",
+     {"run.csv":
+      "83a0147451c7f63aa221e44dc1a566b753c0e8e47d25e0884387622a8c1a3e43"}),
+    (["simulate", "perfbench/scenarios/ring20.yaml", "--format", "json",
+      "--horizon", "5"],
+     "simulated 111 step(s), dt = 0.045000000000000005\n"
+     "conservation error: 3.810e-13\n",
+     {"run.json":
+      "5515a00ad38f383e8cd09b75352c59ded2d8ef5a6eb005b71c4d7c7d1e4e5e6a"}),
 ]
+
+
+def scenario_path(scenario: str) -> Path:
+    """A committed scenario by name, or a file by its path from ROOT."""
+    if "/" in scenario:
+        return ROOT / scenario
+    return SCENARIOS / f"{scenario}.yaml"
 
 
 @pytest.mark.parametrize(
@@ -157,7 +178,7 @@ GOLDEN = [
 def test_cli_outputs_match_golden_bytes(argv, stdout, digests, tmp_path,
                                         capsys):
     command, scenario, *options = argv
-    code = main([command, str(SCENARIOS / f"{scenario}.yaml"), *options,
+    code = main([command, str(scenario_path(scenario)), *options,
                  "--out", str(tmp_path)])
     assert code == (EXIT_VALIDATION if "FAIL" in stdout else EXIT_OK)
     assert capsys.readouterr().out == stdout
@@ -175,7 +196,7 @@ def test_debug_log_goes_to_stderr_and_leaves_outputs_unchanged(tmp_path):
     result = subprocess.run(
         [sys.executable, "-c",
          "import sys; from dmflow.cli import main; sys.exit(main())",
-         command, str(SCENARIOS / f"{scenario}.yaml"), *options,
+         command, str(scenario_path(scenario)), *options,
          "--out", str(tmp_path)],
         env={**os.environ, "PYTHONPATH": path, "DMFLOW_LOG": "debug"},
         capture_output=True, text=True, timeout=120)
