@@ -27,7 +27,12 @@ density k and commodity-1 density k1, one row per link in the order of
 `Network.links`.  A step evaluates demand, supply and fractions of all
 cells at once, fills a face-flux array of shape (2, n_links, cells + 1)
 (column 0 the flux entering a link, column -1 the flux leaving it) and
-updates every cell through it.  Junctions are compiled once, at
+updates every cell through it.  The diagram constants are stored once per
+cell, shape (n_links, cells), and dt/dx once per cell of both rows, shape
+(2, n_links, cells), so no operand is broadcast.  Demand, supply, the
+occupied-cell mask, the merge room and the state update write through
+`out=` into buffers allocated at construction, with the operands in the
+order of the scalar formulas.  Junctions are compiled once, at
 construction, into index arrays of two groups:
 
   * merges: link or constant-demand approaches.  Origins and destinations
@@ -224,22 +229,32 @@ class Simulation:
             ln.name: LinkState(ln.name, fd, dx, self.k[i], self.k1[i])
             for i, (ln, fd, dx) in enumerate(zip(network.links, fds, dxs))}
 
-        def column(attr: str) -> np.ndarray:
-            return np.array([[getattr(fd, attr)] for fd in fds])
+        def per_cell(values, shape=(n, cells)) -> np.ndarray:
+            """One value per link, stored in every cell of the link."""
+            return np.broadcast_to(np.array(values)[:, None], shape).copy()
+
+        def diagram(attr: str) -> np.ndarray:
+            return per_cell([getattr(fd, attr) for fd in fds])
 
         self._triangular = config.shape == "triangular"
-        self._vf = column("free_flow_speed")
-        self._cap = column("capacity")
-        self._kj = column("jam_density")
-        self._kc = column("critical_density")
+        self._vf = diagram("free_flow_speed")
+        self._cap = diagram("capacity")
+        self._kj = diagram("jam_density")
         if self._triangular:
-            self._w = column("congested_wave_speed")
+            self._w = diagram("congested_wave_speed")
+        else:
+            self._kc = diagram("critical_density")
+            # lo/hi = min/max(k, kc) and 1 - lo/kj (or hi/kj).
+            self._side = np.empty((n, cells))
+            self._fill = np.empty((n, cells))
+        self._occupied = np.empty((n, cells), dtype=bool)
+        self._delta = np.empty((2, n, cells))
 
         self.t = 0.0
         limit = min(dx / fd.max_wave_speed for dx, fd in zip(dxs, fds))
         self.dt = self._resolve_dt(limit)
         self._dx = np.array(dxs)
-        self._r = (self.dt / self._dx)[:, None]
+        self._r = per_cell(self.dt / self._dx, (2, n, cells))
         row = {ln.name: i for i, ln in enumerate(network.links)}
         self._compile_junctions(network, row)
         logger.debug("simulation ready: %d links, dt=%g",
@@ -372,6 +387,7 @@ class Simulation:
         mg_ix = _ints(merges, 3)
         self._mg_a, self._mg_down = mg_ix[:2], mg_ix[2]
         self._mg_beta = np.array([betas, [1.0 - b for b in betas]])
+        self._room = np.empty((2,) + self._mg_beta.shape)
         dv_ix = _ints(diverges, 6)
         self._dv_up, self._dv_xi = dv_ix[0], dv_ix[1]
         self._dv_b, self._dv_m = dv_ix[2:4], dv_ix[4:]
@@ -414,16 +430,27 @@ class Simulation:
         step's boundary fluxes.
         """
         k, d, s, frac = self.k, self._d, self._s, self._frac
+        vf, cap, kj = self._vf, self._cap, self._kj
         if self._triangular:
-            np.minimum(self._vf * k, self._cap, out=d)
-            np.minimum(self._cap, self._w * (self._kj - k), out=s)
+            # min(vf*k, cap) and min(cap, w*(kj - k)).
+            np.multiply(vf, k, out=d)
+            np.minimum(d, cap, out=d)
+            np.subtract(kj, k, out=s)
+            np.multiply(self._w, s, out=s)
+            np.minimum(cap, s, out=s)
         else:
-            lo = np.minimum(k, self._kc)
-            hi = np.maximum(k, self._kc)
-            np.multiply(self._vf * lo, 1.0 - lo / self._kj, out=d)
-            np.multiply(self._vf * hi, 1.0 - hi / self._kj, out=s)
+            # (vf*lo)*(1 - lo/kj) with lo = min(k, kc); hi = max(k, kc)
+            # likewise.
+            side, fill = self._side, self._fill
+            for extreme, out in ((np.minimum, d), (np.maximum, s)):
+                extreme(k, self._kc, out=side)
+                np.divide(side, kj, out=fill)
+                np.subtract(1.0, fill, out=fill)
+                np.multiply(vf, side, out=out)
+                np.multiply(out, fill, out=out)
         frac.fill(0.0)
-        np.divide(self.k1, k, out=frac, where=k > 0.0)
+        occupied = np.greater(k, 0.0, out=self._occupied)
+        np.divide(self.k1, k, out=frac, where=occupied)
         dem, fr, sup = self._dem, self._fr, self._sup
 
         # The reductions pass (axis, dtype, out, keepdims, initial, where)
@@ -448,7 +475,11 @@ class Simulation:
 
         a = self._mg_a
         d12, s3 = dem[a], sup[self._mg_down]
-        room = np.maximum(s3 - d12[::-1], self._mg_beta * s3)
+        # room = max(s3 - (d2, d1), (beta, 1 - beta)*s3)
+        room, share = self._room
+        np.subtract(s3, d12[::-1], out=room)
+        np.multiply(self._mg_beta, s3, out=share)
+        np.maximum(room, share, out=room)
         q12 = np.minimum(d12, room, out=self._q_app)
         np.multiply(fr[a], q12, out=self._phi_app)
         # q1 + q2 equals min(d1+d2, s3); summing keeps the node exactly
@@ -461,7 +492,9 @@ class Simulation:
         np.minimum(self._d_out, self._s_in, out=q_in)
         np.multiply(self._frac_out, q_in, out=self._phi_inner)
         self._flux_ends[...] = self._res.take(self._ends, axis=1)
-        self._state += self._r * (self._flux_up - self._flux_down)
+        delta = np.subtract(self._flux_up, self._flux_down, out=self._delta)
+        np.multiply(self._r, delta, out=delta)
+        np.add(self._state, delta, out=self._state)
         self.t += self.dt
 
     def boundary_totals(self) -> tuple[float, float, float, float]:
@@ -519,6 +552,7 @@ class Simulation:
         # (-0.0 differs from 0.0, equal NaN payloads match).
         before = np.empty_like(state)
         bits, before_bits = state.view(np.int64), before.view(np.int64)
+        q_out = self.q[:, -1]
         settled = False
         totals[0] = self._vehicles(add.reduce(state, 2))
         for start in range(0, n_steps, _BLOCK):
@@ -528,9 +562,9 @@ class Simulation:
                     before[...] = state
                 self.step()
                 times[start + i] = self.t
-                outflux[start + i] = self.q[:, -1]
+                outflux[start + i] = q_out
                 add.reduce(state, 2, None, sums[i])
-                ends[i] = res.take(bnd, axis=1)
+                res.take(bnd, 1, ends[i])
             now = totals[start + 1:stop + 1]
             now[...] = self._vehicles(sums[:stop - start])
             src, snk = self._boundary_sums(ends[:stop - start])
@@ -544,7 +578,7 @@ class Simulation:
                 # full, so its last rows are that step's; times go on by
                 # t += dt, which accumulate reproduces: it adds in order.
                 settled = True
-                outflux[stop:] = self.q[:, -1]
+                outflux[stop:] = q_out
                 sums[:] = sums[-1]
                 ends[:] = ends[-1]
                 rest = times[stop - 1:]

@@ -4,6 +4,11 @@ All numbers are written with repr (shortest round-tripping form), CSV uses
 comma separators, dot decimals, a header row and LF line endings, and no
 output carries timestamps, so identical inputs produce byte-identical
 files.
+
+The flux column of `run.csv` formats each distinct bit pattern once and
+repeats its text: an 80-link ring's 80 000 out-fluxes hold only a few
+thousand distinct values.  Bits, not float values, pick the text, because
+0.0 == -0.0 prints two ways and a NaN equals nothing.
 """
 
 from __future__ import annotations
@@ -35,6 +40,16 @@ def _column(values: Iterable) -> list[str]:
     """CSV cells of one column: repr for floats, "" for None, else str."""
     return ["" if x is None else repr(x) if isinstance(x, float) else str(x)
             for x in values]
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """repr of each float64 of a 1-D array, formatted once per distinct
+    bit pattern."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([repr(x) for x in distinct.view(np.float64).tolist()],
+                    dtype=object)
+    return text.take(inverse).tolist()
 
 
 def write_csv(path: str | Path, header: Iterable[str],
@@ -76,20 +91,19 @@ def run_rows(record: RunRecord) -> tuple[list[str], list[list[str]]]:
     """Long-format section flux series: one row per (time, link)."""
     header = ["t", "section", "flux"]
     names = sorted(record.outflux)
-    flux = np.array([record.outflux[n] for n in names]).T    # (time, link)
-    return header, [
-        [t for t in _column(record.times.tolist()) for _ in names],
-        names * len(record.times),
-        _column(flux.ravel().tolist())]
+    flux = np.array([record.outflux[n] for n in names], dtype=np.float64)
+    times = np.array(_column(record.times.tolist()), dtype=object)
+    return header, [times.repeat(len(names)).tolist(),
+                    names * len(record.times),
+                    _reprs(flux.T.ravel())]           # (time, link) order
 
 
 def run_payload(record: RunRecord) -> dict:
     return {
         "dt": record.dt,
-        "times": [float(t) for t in record.times],
-        "outflux": {n: [float(x) for x in xs]
-                    for n, xs in sorted(record.outflux.items())},
-        "vehicles": [float(x) for x in record.vehicles],
+        "times": record.times.tolist(),
+        "outflux": {n: xs.tolist() for n, xs in sorted(record.outflux.items())},
+        "vehicles": record.vehicles.tolist(),
         "conservation_error": record.conservation_error,
     }
 

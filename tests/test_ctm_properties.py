@@ -128,6 +128,31 @@ def reference_fluxes(sim):
     return q_in, q_out, (src, src1, snk, snk1)
 
 
+def interior_fluxes(sim) -> list[np.ndarray]:
+    """Each link's face fluxes between neighbouring cells for the state
+    now, in scalar form: min(demand(upstream cell), supply(downstream))."""
+    return [np.array([min(ls.fd.demand(up), ls.fd.supply(down))
+                      for up, down in zip(ls.k[:-1].tolist(),
+                                          ls.k[1:].tolist())])
+            for ls in sim.links.values()]
+
+
+def updated_state(sim, k: np.ndarray, k1: np.ndarray) -> np.ndarray:
+    """The cells the step just taken should leave, in scalar form from the
+    pre-step densities and the step's face fluxes: k + r*(q_up - q_down)
+    with r = dt/dx, and likewise k1 with the commodity fluxes."""
+    q, phi = sim._flux
+    cells = []
+    for i, ls in enumerate(sim.links.values()):
+        r = sim.dt / ls.dx
+        for density, flux in ((k[i], q[i]), (k1[i], phi[i])):
+            up, down = flux[:-1].tolist(), flux[1:].tolist()
+            cells.append([x + r * (u - d)
+                          for x, u, d in zip(density.tolist(), up, down)])
+    n = len(sim.links)
+    return np.array(cells).reshape(n, 2, -1).transpose(1, 0, 2)
+
+
 def link_totals(sim) -> tuple[float, float]:
     """Vehicles (all, commodity 1): each link's cells times dx, summed in
     link order."""
@@ -140,7 +165,9 @@ def link_totals(sim) -> tuple[float, float]:
 
 
 # A subnormal xi overflows s1/xi to inf in both the scalar reference and the
-# kernel; the ratio constraint then drops out of the min, as it should.
+# kernel; the ratio constraint then drops out of the min, as it should.  The
+# cases draw both diagram shapes; interior faces and the cell update are
+# compared bit for bit.
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(cases())
@@ -150,12 +177,17 @@ def test_kernel_invariants_and_junction_reference(case):
     kj = np.array([[ls.fd.jam_density] for ls in sim.links.values()])
     for _ in range(STEPS):
         q_in, q_out, (src, _, snk, _) = reference_fluxes(sim)
+        inner = interior_fluxes(sim)
+        k, k1 = sim.k.copy(), sim.k1.copy()
         sim.step()
         got_src, _, got_snk, _ = sim.boundary_totals()
         for i, q in q_in.items():
             assert sim.q[i, 0] == q
         for i, q in q_out.items():
             assert sim.q[i, -1] == q
+        for i, q in enumerate(inner):
+            assert sim.q[i, 1:-1].tobytes() == q.tobytes()
+        assert sim._state.tobytes() == updated_state(sim, k, k1).tobytes()
         assert got_src == src and got_snk == snk
         assert np.all(sim.k >= 0.0) and np.all(sim.k <= kj)
         assert np.all(sim.k1 >= 0.0) and np.all(sim.k1 <= sim.k)

@@ -1,0 +1,101 @@
+"""The run emitters against their per-element definition.
+
+`run_rows` formats each distinct bit pattern of the flux column once;
+every cell must still be the `repr` of its own float, including the values
+where formatting by float value would go wrong (0.0 == -0.0, NaN equals
+nothing) and those where `repr` switches notation (1e16 and 1e-4).
+"""
+
+import json
+import math
+import struct
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dmflow import io
+from dmflow.ctm import RunRecord
+
+
+def from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+SPECIAL = [
+    0.0, -0.0, math.inf, -math.inf,
+    from_bits(0x7FF8000000000000),          # NaN, two payloads
+    from_bits(0x7FF8000000000123),
+    from_bits(0xFFF8000000000000),          # NaN with the sign bit
+    5e-324, -5e-324, 2.225073858507201e-308,        # subnormals
+    *[math.nextafter(x, y) for x in (1e16, 1e-4) for y in (0.0, math.inf)],
+    1e16, -1e16, 1e-4, -1e-4,
+]
+values = st.one_of(st.sampled_from(SPECIAL), st.floats(width=64))
+
+
+@st.composite
+def records(draw):
+    """Records whose fluxes repeat a small pool of values, as a run's do."""
+    names = draw(st.lists(st.text("abc", min_size=1, max_size=3),
+                          min_size=1, max_size=4, unique=True))
+    steps = draw(st.integers(0, 12))
+    pool = draw(st.lists(values, min_size=1, max_size=8))
+    pick = st.lists(st.sampled_from(pool), min_size=steps, max_size=steps)
+    times = np.array(draw(st.lists(values, min_size=steps, max_size=steps)))
+    outflux = {name: np.array(draw(pick), dtype=np.float64)
+               for name in names}
+    return RunRecord(0.045, times, outflux, np.array(draw(pick)),
+                     draw(values), draw(values))
+
+
+def reference_rows(record: RunRecord) -> list[list[str]]:
+    """One cell at a time: repr of each float, rows by time, then link."""
+    names = sorted(record.outflux)
+    rows = [(repr(t), name, repr(float(record.outflux[name][i])))
+            for i, t in enumerate(record.times.tolist()) for name in names]
+    return [list(column) for column in zip(*rows)] or [[], [], []]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(records())
+def test_run_rows_match_per_element_repr(record):
+    header, columns = io.run_rows(record)
+    assert header == ["t", "section", "flux"]
+    assert columns == reference_rows(record)
+
+
+def test_distinct_bit_patterns_keep_their_own_text():
+    nans = [from_bits(0x7FF8000000000000), from_bits(0x7FF8000000000123)]
+    flux = np.array([0.0, -0.0, *nans, 0.0, -0.0, math.inf, 1e16,
+                     math.nextafter(1e16, 0.0), 1e-4,
+                     math.nextafter(1e-4, 0.0)])
+    record = RunRecord(0.5, np.arange(1.0, len(flux) + 1.0), {"a": flux},
+                       flux, 0.0, 0.0)
+    _, (_, _, cells) = io.run_rows(record)
+    assert cells == ["0.0", "-0.0", "nan", "nan", "0.0", "-0.0", "inf",
+                     "1e+16", "9999999999999998.0", "0.0001",
+                     "9.999999999999999e-05"]
+
+
+def test_zero_step_record_writes_the_header_only(tmp_path):
+    empty = np.empty(0)
+    record = RunRecord(0.045, empty, {"b": empty, "a": empty}, empty,
+                       0.0, 0.0)
+    io.write_csv(tmp_path / "run.csv", *io.run_rows(record))
+    assert (tmp_path / "run.csv").read_bytes() == b"t,section,flux\n"
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(records())
+def test_run_payload_matches_per_element_floats(record):
+    expected = {
+        "dt": record.dt,
+        "times": [float(t) for t in record.times],
+        "outflux": {n: [float(x) for x in xs]
+                    for n, xs in sorted(record.outflux.items())},
+        "vehicles": [float(x) for x in record.vehicles],
+        "conservation_error": record.conservation_error,
+    }
+    assert (json.dumps(io.run_payload(record), indent=2)
+            == json.dumps(expected, indent=2))
