@@ -33,7 +33,7 @@ cell, shape (n_links, cells), and dt/dx once per cell of both rows, shape
 occupied-cell mask, the merge room and the state update write through
 `out=` into buffers allocated at construction, with the operands in the
 order of the scalar formulas.  Junctions are compiled once, at
-construction, into index arrays of two groups:
+construction, into the rows of two groups:
 
   * merges: link or constant-demand approaches.  Origins and destinations
     are merges whose second approach is an empty slot (demand 0,
@@ -42,15 +42,30 @@ construction, into index arrays of two groups:
   * diverges: fixed or commodity-driven xi, link or sink branches.  The
     split and the commodity multipliers are gathered from constants kept
     after the cell fractions, and a branch with share 0 drops its ratio
-    constraint through a `where=` mask.
+    constraint.
 
-The groups gather demands, fractions and supplies from buffers that hold
-the cells of every link followed by the boundary slots, and write their
-[q, phi] through `out=` into one result array; one gather copies its link
-ends into the face fluxes.  A step is thus a fixed number of numpy calls
-and one Python-level call whatever the size of the network.  The scalar
-`diverge_flux` and `merge_flux` are the reference the compiled groups
-reproduce bit for bit.
+Both read demands, fractions and supplies from one buffer that holds the
+cells of every link followed by the boundary slots, and write [q, phi] of
+every junction end into one result array; one gather copies its link ends
+into the face fluxes.  The rows run on one of two evaluators, chosen at
+construction by their number (origins, merges, destinations and
+diverges):
+
+  * up to `_SCALAR_ROWS` rows, a loop over Python floats: one `take` of
+    every operand, the rows in turn, one write of [q, phi].  On
+    arrays of one to three elements a numpy call costs about a
+    microsecond whatever it computes, and the groups make about twenty.
+  * above it, the groups in numpy, whatever their size: index arrays,
+    `out=` buffers and a `where=` mask for the zero shares.
+
+The crossover of the two lies near 30 rows: the DM network (4 rows) and
+beltways of up to 12 ramp pairs take the loop, the 80-row ring of 20
+stages the groups.  The loop mirrors numpy bit for bit.  np.minimum(a, b)
+is a when a < b or a is NaN, else b, so a tie such as (0.0, -0.0) goes to
+the second operand; Python's min would return the first, and would drop a
+NaN second operand.  np.maximum likewise, and both sums start from 0.0.
+Either way a step is one Python-level call, and the scalar `diverge_flux`
+and `merge_flux` are the reference both evaluators reproduce.
 
 Bookkeeping.  `run` records each step's per-link vehicle sums and the
 fluxes of the boundary endpoints (origins, constant-demand approaches,
@@ -109,6 +124,19 @@ CFL_SAFETY = 0.9
 # Steps of `Simulation.run` whose per-link sums and boundary fluxes are
 # kept before their totals are folded in; bounds that memory for any horizon.
 _BLOCK = 256
+# Networks with at most this many junction rows (origins, merges,
+# destinations and diverges) evaluate their junctions on Python floats;
+# larger ones run the numpy groups.  On `build_dmn(n, 0.4)` (4n rows), in
+# 41 interleaved rounds of 200 steps, a step took a median (groups/floats)
+# of 47/22 µs at 4 rows, 64/41 at 12, 61/52 at 24, 52/44 at 32 and 69/73
+# at 36; floats were faster in 41, 41, 37, 25 and 4 rounds of 41.
+_SCALAR_ROWS = 24
+
+
+def _split_error(xi: np.ndarray) -> DomainError:
+    """The error for diverge splits `xi` of which some lie outside [0, 1]."""
+    bad = ~((xi >= 0.0) & (xi <= 1.0))
+    return DomainError(f"xi must lie in [0, 1], got {xi[bad]}")
 
 
 def _check_horizon(horizon: float) -> None:
@@ -281,10 +309,16 @@ class Simulation:
         splits and a constant 1.0.
 
         The result array holds [q, phi] of every junction end, one column
-        each: merge approaches 1, merge approaches 2, merge downstream ends,
-        diverge upstream ends, diverge branches 1, diverge branches 2, and
-        a zero column.  Origins and destinations are merges whose second
-        approach is EMPTY.
+        each, junction by junction: each merge's approach 1, approach 2
+        and downstream end, then each diverge's upstream end, branch 1 and
+        branch 2, and a zero column.  Origins and destinations are merges
+        whose second approach is EMPTY.
+
+        The same rows also compile into the scalar program: one index
+        array into the buffer that holds demand, fraction and supply side
+        by side, read five values per merge (d1, d2, s3, f1, f2) and seven
+        per diverge (split, d0, s1, s2, f0, the two multipliers), and the
+        merge shares as Python floats.
         """
         n, cells = self._n, self.config.cells_per_link
         size = n * cells
@@ -339,21 +373,23 @@ class Simulation:
         merges: list[tuple[int, int, int]] = []
         betas: list[float] = []
         for o in network.origins:
-            inflow[row[o.link]] = 2 * m + len(merges)
-            origin_ends.append(len(merges))
+            j = 3 * len(merges)
+            inflow[row[o.link]] = j + 2
+            origin_ends.append(j)
             merges.append((sender(o.demand, o.fraction), empty,
                            first(o.link)))
             betas.append(0.5)
         for mg in network.merges:
-            j = len(merges)
-            inflow[row[mg.downstream]] = 2 * m + j
+            j = 3 * len(merges)
+            inflow[row[mg.downstream]] = j + 2
             merges.append((approach(mg.approach1, j),
-                           approach(mg.approach2, m + j),
+                           approach(mg.approach2, j + 1),
                            first(mg.downstream)))
             betas.append(mg.beta)
         for d in network.destinations:
-            outflow[row[d.link]] = len(merges)
-            dest_ends.append(2 * m + len(merges))
+            j = 3 * len(merges)
+            outflow[row[d.link]] = j
+            dest_ends.append(j + 2)
             merges.append((last(d.link), empty, receiver(d.supply)))
             betas.append(0.5)
 
@@ -368,10 +404,10 @@ class Simulation:
         diverges: list[tuple[int, ...]] = []
         for j, dv in enumerate(network.diverges):
             up = last(dv.upstream)
-            outflow[row[dv.upstream]] = 3 * m + j
+            outflow[row[dv.upstream]] = 3 * (m + j)
             branches = []
             for i, b in enumerate((dv.branch1, dv.branch2)):
-                col = 3 * m + (1 + i) * nd + j
+                col = 3 * (m + j) + 1 + i
                 if b.link is None:
                     branch_ends.append(col)
                     branches.append(receiver(b.supply))
@@ -392,21 +428,36 @@ class Simulation:
         self._dv_up, self._dv_xi = dv_ix[0], dv_ix[1]
         self._dv_b, self._dv_m = dv_ix[2:4], dv_ix[4:]
 
-        self._dem = np.concatenate([np.zeros(size), demand])
-        self._fr = np.concatenate([np.zeros(size), fraction])
-        self._sup = np.concatenate([np.zeros(size), supply])
+        # Demand, fraction and supply side by side in one buffer, so that
+        # the scalar program gathers all its operands in one `take`.
+        f0 = size + len(demand)
+        s0 = f0 + size + len(fraction)
+        buf = self._buf = np.concatenate([np.zeros(size), demand,
+                                          np.zeros(size), fraction,
+                                          np.zeros(size), supply])
+        self._dem, self._fr, self._sup = buf[:f0], buf[f0:s0], buf[s0:]
         self._d = self._dem[:size].reshape(n, cells)
         self._s = self._sup[:size].reshape(n, cells)
         self._frac = self._fr[:size].reshape(n, cells)
+        self._program = _ints(
+            [i for a1, a2, down in merges
+             for i in (a1, a2, s0 + down, f0 + a1, f0 + a2)]
+            + [i for up, xi, b1, b2, m1, m2 in diverges
+               for i in (f0 + xi, up, s0 + b1, s0 + b2, f0 + up, f0 + m1,
+                         f0 + m2)])
+        self._shares = tuple(zip(betas, self._mg_beta[1].tolist()))
+        self._splits_at = 5 * m
+        self._scalar = m + nd <= _SCALAR_ROWS
         # One more column, never written, starts both boundary totals.
-        res = self._res = np.zeros((2, 3 * m + 3 * nd + 1))
-        zero = 3 * m + 3 * nd
-        self._q_app = res[0, :2 * m].reshape(2, m)
-        self._phi_app = res[1, :2 * m].reshape(2, m)
-        self._q_down, self._phi_down = res[:, 2 * m:3 * m]
-        self._q_up, self._phi_up = res[:, 3 * m:3 * m + nd]
-        self._q_br = res[0, 3 * m + nd:zero].reshape(2, nd)
-        self._phi_br = res[1, 3 * m + nd:zero].reshape(2, nd)
+        res = self._res = np.zeros((2, 3 * (m + nd) + 1))
+        zero = 3 * (m + nd)
+        self._live = res[:, :zero]
+        q_mg, phi_mg = (r[:3 * m].reshape(m, 3).T for r in res)
+        self._q_app, self._q_down = q_mg[:2], q_mg[2]
+        self._phi_app, self._phi_down = phi_mg[:2], phi_mg[2]
+        q_dv, phi_dv = (r[3 * m:zero].reshape(nd, 3).T for r in res)
+        self._q_up, self._q_br = q_dv[0], q_dv[1:]
+        self._phi_up, self._phi_br = phi_dv[0], phi_dv[1:]
         self._split = np.empty((2, nd))         # (xi, 1 - xi)
         self._lim = np.empty((3, nd))           # d0, s1/xi, s2/(1 - xi)
         self._open = np.ones((3, nd), dtype=bool)
@@ -453,40 +504,77 @@ class Simulation:
         np.divide(self.k1, k, out=frac, where=occupied)
         dem, fr, sup = self._dem, self._fr, self._sup
 
-        # The reductions pass (axis, dtype, out, keepdims, initial, where)
-        # by position: on arrays this small, parsing keywords costs about
-        # as much as the reduction itself.
-        split, lim, open_ = self._split, self._lim, self._open
-        split[0] = fr[self._dv_xi]
-        np.subtract(1.0, split[0], out=split[1])
-        if not np.minimum.reduce(split, None, None, None, False, 1.0) >= 0.0:
-            xi = split[0]
-            bad = ~((xi >= 0.0) & (xi <= 1.0))
-            raise DomainError(f"xi must lie in [0, 1], got {xi[bad]}")
-        lim[0] = dem[self._dv_up]
-        # A branch with share 0 drops its ratio constraint.
-        np.greater(split, 0.0, out=open_[1:])
-        np.divide(sup[self._dv_b], split, out=lim[1:], where=open_[1:])
-        q0 = np.minimum.reduce(lim, 0, None, self._q_up, False, np.inf,
-                               open_)
-        np.multiply(fr[self._dv_up], q0, out=self._phi_up)
-        np.multiply(split, q0, out=self._q_br)
-        np.multiply(fr[self._dv_m], self._q_br, out=self._phi_br)
+        if self._scalar:
+            # The rows of both groups on Python floats, each operation with
+            # the operands, in the order, of the groups below.  np.minimum
+            # (a, b) is `a if a < b or a != a else b`, np.maximum likewise.
+            v = self._buf.take(self._program).tolist()
+            for xi in v[self._splits_at::7]:
+                if not 0.0 <= xi <= 1.0:
+                    raise _split_error(fr[self._dv_xi])
+            g = iter(v)
+            q: list[float] = []
+            phi: list[float] = []
+            for (b1, b2), d1, d2, s3, f1, f2 in zip(self._shares,
+                                                     g, g, g, g, g):
+                r, t = s3 - d2, b1 * s3
+                r = r if r > t or r != r else t
+                q1 = d1 if d1 < r or d1 != d1 else r
+                r, t = s3 - d1, b2 * s3
+                r = r if r > t or r != r else t
+                q2 = d2 if d2 < r or d2 != d2 else r
+                p1, p2 = f1 * q1, f2 * q2
+                # np.add.reduce starts both sums from 0.0.
+                q += (q1, q2, (0.0 + q1) + q2)
+                phi += (p1, p2, (0.0 + p1) + p2)
+            for xi, d0, s1, s2, f0, f1, f2 in zip(g, g, g, g, g, g, g):
+                # The minimum folds from inf, and min(inf, d0) is d0.
+                q0, xi2 = d0, 1.0 - xi
+                if xi > 0.0:
+                    t = s1 / xi
+                    q0 = q0 if q0 < t or q0 != q0 else t
+                if xi2 > 0.0:
+                    t = s2 / xi2
+                    q0 = q0 if q0 < t or q0 != q0 else t
+                q1, q2 = xi * q0, xi2 * q0
+                q += (q0, q1, q2)
+                phi += (f0 * q0, f1 * q1, f2 * q2)
+            self._live[...] = q, phi
+        else:
+            # The reductions pass (axis, dtype, out, keepdims, initial,
+            # where) by position: on arrays this small, parsing keywords
+            # costs about as much as the reduction itself.
+            split, lim, open_ = self._split, self._lim, self._open
+            split[0] = fr[self._dv_xi]
+            np.subtract(1.0, split[0], out=split[1])
+            if not np.minimum.reduce(split, None, None, None, False,
+                                     1.0) >= 0.0:
+                raise _split_error(split[0])
+            lim[0] = dem[self._dv_up]
+            # A branch with share 0 drops its ratio constraint.
+            np.greater(split, 0.0, out=open_[1:])
+            np.divide(sup[self._dv_b], split, out=lim[1:], where=open_[1:])
+            q0 = np.minimum.reduce(lim, 0, None, self._q_up, False, np.inf,
+                                   open_)
+            np.multiply(fr[self._dv_up], q0, out=self._phi_up)
+            np.multiply(split, q0, out=self._q_br)
+            np.multiply(fr[self._dv_m], self._q_br, out=self._phi_br)
 
-        a = self._mg_a
-        d12, s3 = dem[a], sup[self._mg_down]
-        # room = max(s3 - (d2, d1), (beta, 1 - beta)*s3)
-        room, share = self._room
-        np.subtract(s3, d12[::-1], out=room)
-        np.multiply(self._mg_beta, s3, out=share)
-        np.maximum(room, share, out=room)
-        q12 = np.minimum(d12, room, out=self._q_app)
-        np.multiply(fr[a], q12, out=self._phi_app)
-        # q1 + q2 equals min(d1+d2, s3); summing keeps the node exactly
-        # conservative in floating point.  The 0.0 that starts the
-        # commodity sum keeps its sign of zero.
-        np.add.reduce(q12, 0, None, self._q_down)
-        np.add.reduce(self._phi_app, 0, None, self._phi_down, False, 0.0)
+            a = self._mg_a
+            d12, s3 = dem[a], sup[self._mg_down]
+            # room = max(s3 - (d2, d1), (beta, 1 - beta)*s3)
+            room, share = self._room
+            np.subtract(s3, d12[::-1], out=room)
+            np.multiply(self._mg_beta, s3, out=share)
+            np.maximum(room, share, out=room)
+            q12 = np.minimum(d12, room, out=self._q_app)
+            np.multiply(fr[a], q12, out=self._phi_app)
+            # q1 + q2 equals min(d1+d2, s3); summing keeps the node
+            # exactly conservative in floating point.  Both sums start
+            # from 0.0, as a reduction without `initial` would too.
+            np.add.reduce(q12, 0, None, self._q_down, False, 0.0)
+            np.add.reduce(self._phi_app, 0, None, self._phi_down, False,
+                          0.0)
 
         q_in = self._q_inner
         np.minimum(self._d_out, self._s_in, out=q_in)

@@ -133,15 +133,89 @@ def templates(draw):
     return DmSpec(c0, c1, c2, c3, beta=draw(share), xi=0.5)
 
 
-@st.composite
-def grids(draw, template):
-    """0, 1, every boundary value and its float neighbours, and random
-    interior points."""
+def fixed_grid(template) -> list[float]:
+    """0, 1 and every boundary value with its two float neighbours."""
     xs = [0.0, 1.0]
     for b in boundary_values(template):
         xs += [b, math.nextafter(b, 0.0), math.nextafter(b, 1.0)]
-    xs += draw(st.lists(st.floats(0.0, 1.0), max_size=40))
     return [x for x in xs if 0.0 <= x <= 1.0]
+
+
+@st.composite
+def grids(draw, template):
+    """`fixed_grid` and random interior points."""
+    return fixed_grid(template) + draw(st.lists(st.floats(0.0, 1.0),
+                                                max_size=40))
+
+
+def assert_matches_the_map_oracles(template, grid) -> None:
+    """`_classify_grid` on `grid` agrees with `classify_stability` point by
+    point, and each point's class, v* and two-cycle with the map itself
+    and the piecewise root oracle."""
+    columns = _classify_grid(template, np.array(grid))
+    # A few roundings of values of the capacities' size, and the
+    # resolution at which the piecewise oracle dedupes its roots.
+    residual = 16 * math.ulp(max(template.c0, template.c1, template.c2,
+                                 template.c3))
+    root_tol = 1e-9 * max(template.c3, 1.0)
+    for xi, *row in zip(grid, *columns):
+        spec = template.with_xi(xi)
+        report = classify_stability(spec)
+        cycle = report.period2
+        assert list(map(repr, row)) == list(map(repr, [
+            report.fixed_point, report.stability,
+            cycle and cycle.v_minus, cycle and cycle.v_plus])), xi
+        regime = classify_regime(spec)
+        if not regime.supports_map:
+            assert report.stability is FT, xi
+            assert report.fixed_point is None and cycle is None, xi
+            continue
+        fmap = build_map(spec)
+        if regime in (Regime.CCW_FINITE_TIME, Regime.CW_FINITE_TIME,
+                      Regime.CCW_CW_OVERLAP):
+            expected = FT
+        else:
+            expected = (ASY if fmap.slope < 1.0 else
+                        NEU if fmap.slope == 1.0 else UNS)
+        assert report.stability is expected, xi
+        v_star = report.fixed_point
+        # F amplifies a rounding of its argument by its slope.
+        tol = residual * (1.0 + fmap.slope)
+        assert abs(fmap(v_star) - v_star) <= tol, xi
+        # Outside the open band the flow is capped, and v* is the clamp
+        # level of F itself.
+        if xi >= spec.c1 / spec.c3:
+            assert v_star == fmap.upper, xi
+        elif xi <= (spec.c3 - spec.c2) / spec.c3:
+            assert v_star == fmap.lower, xi
+        assert (cycle is None) == (expected in (FT, ASY)), xi
+        if cycle is None:
+            continue
+        v_minus, v_plus = cycle.v_minus, cycle.v_plus
+        assert fmap(v_minus) == v_plus, xi
+        assert abs(fmap(v_plus) - v_minus) <= tol, xi
+        assert v_minus - tol <= v_star <= v_plus + tol, xi
+        # F o F rises by |upper - lower| over a segment slope**2 times
+        # narrower.  The piecewise oracle merges breakpoints closer than
+        # its resolution, so it must refuse so steep a segment.
+        rise = abs(fmap.upper - fmap.lower)
+        if 0.0 < rise and (rise / fmap.slope / fmap.slope
+                           <= _MERGE_TOL * max(fmap.c3, 1.0)):
+            with pytest.raises(DomainError, match="too steep"):
+                brute_force_period_roots(fmap, 2)
+            continue
+        roots, intervals = brute_force_period_roots(fmap, 2)
+        if intervals or (expected is NEU and v_plus - v_minus > root_tol):
+            # A band of two-cycles: slope one, or a slope within the
+            # oracle's identity tolerance of one.
+            assert intervals == [pytest.approx((v_minus, v_plus),
+                                               abs=root_tol)], xi
+        else:
+            want = (v_minus, v_star, v_plus)
+            assert all(min(abs(r - w) for w in want) <= root_tol
+                       for r in roots), xi
+            assert all(min(abs(r - w) for r in roots) <= root_tol
+                       for w in want), xi
 
 
 class TestGridClassifier:
@@ -149,71 +223,13 @@ class TestGridClassifier:
     @given(st.data())
     def test_classification_matches_the_map_oracles(self, data):
         template = data.draw(templates())
-        grid = data.draw(grids(template))
-        columns = _classify_grid(template, np.array(grid))
-        # A few roundings of values of the capacities' size, and the
-        # resolution at which the piecewise oracle dedupes its roots.
-        residual = 16 * math.ulp(max(template.c0, template.c1, template.c2,
-                                     template.c3))
-        root_tol = 1e-9 * max(template.c3, 1.0)
-        for xi, *row in zip(grid, *columns):
-            spec = template.with_xi(xi)
-            report = classify_stability(spec)
-            cycle = report.period2
-            assert list(map(repr, row)) == list(map(repr, [
-                report.fixed_point, report.stability,
-                cycle and cycle.v_minus, cycle and cycle.v_plus])), xi
-            regime = classify_regime(spec)
-            if not regime.supports_map:
-                assert report.stability is FT, xi
-                assert report.fixed_point is None and cycle is None, xi
-                continue
-            fmap = build_map(spec)
-            if regime in (Regime.CCW_FINITE_TIME, Regime.CW_FINITE_TIME,
-                          Regime.CCW_CW_OVERLAP):
-                expected = FT
-            else:
-                expected = (ASY if fmap.slope < 1.0 else
-                            NEU if fmap.slope == 1.0 else UNS)
-            assert report.stability is expected, xi
-            v_star = report.fixed_point
-            # F amplifies a rounding of its argument by its slope.
-            tol = residual * (1.0 + fmap.slope)
-            assert abs(fmap(v_star) - v_star) <= tol, xi
-            # Outside the open band the flow is capped, and v* is the clamp
-            # level of F itself.
-            if xi >= spec.c1 / spec.c3:
-                assert v_star == fmap.upper, xi
-            elif xi <= (spec.c3 - spec.c2) / spec.c3:
-                assert v_star == fmap.lower, xi
-            assert (cycle is None) == (expected in (FT, ASY)), xi
-            if cycle is None:
-                continue
-            v_minus, v_plus = cycle.v_minus, cycle.v_plus
-            assert fmap(v_minus) == v_plus, xi
-            assert abs(fmap(v_plus) - v_minus) <= tol, xi
-            assert v_minus - tol <= v_star <= v_plus + tol, xi
-            # F o F rises by |upper - lower| over a segment slope**2 times
-            # narrower.  The piecewise oracle merges breakpoints closer than
-            # its resolution, so it must refuse so steep a segment.
-            rise = abs(fmap.upper - fmap.lower)
-            if 0.0 < rise and (rise / fmap.slope / fmap.slope
-                               <= _MERGE_TOL * max(fmap.c3, 1.0)):
-                with pytest.raises(DomainError, match="too steep"):
-                    brute_force_period_roots(fmap, 2)
-                continue
-            roots, intervals = brute_force_period_roots(fmap, 2)
-            if intervals or (expected is NEU and v_plus - v_minus > root_tol):
-                # A band of two-cycles: slope one, or a slope within the
-                # oracle's identity tolerance of one.
-                assert intervals == [pytest.approx((v_minus, v_plus),
-                                                   abs=root_tol)], xi
-            else:
-                want = (v_minus, v_star, v_plus)
-                assert all(min(abs(r - w) for w in want) <= root_tol
-                           for r in roots), xi
-                assert all(min(abs(r - w) for r in roots) <= root_tol
-                           for w in want), xi
+        assert_matches_the_map_oracles(template, data.draw(grids(template)))
+
+    def test_steep_template_matches_the_map_oracles(self):
+        # Slope 1e8 at the unstable points: the steepness guard's case,
+        # which the derandomized search above draws only in some sessions.
+        template = DmSpec(1.0, 0.5, 0.5, 0.5, beta=1e-08, xi=0.5)
+        assert_matches_the_map_oracles(template, fixed_grid(template))
 
     def test_scalar_calls_do_not_grow_with_the_grid(self):
         def classify_calls(n_points):

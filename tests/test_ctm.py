@@ -313,13 +313,53 @@ class TestKernelCost:
         assert (python_calls_per_step(Simulation(build_dmn(1, xi=0.4)))
                 == python_calls_per_step(Simulation(build_dmn(20, xi=0.4))))
 
+    def test_small_networks_take_the_float_evaluator(self):
+        # 4 and 8 junction rows step on Python floats, 80 on numpy groups.
+        assert Simulation(build_dm(CLASSIC))._scalar
+        assert Simulation(build_beltway(4, beta=0.3, xi=0.2))._scalar
+        assert not Simulation(build_dmn(20, xi=0.4))._scalar
+
     @pytest.mark.parametrize("network", [
         build_dm(CLASSIC), build_dmn(3, xi=0.4),
         build_beltway(4, beta=0.3, xi=0.2)], ids=["dm", "dmn3", "beltway"])
     def test_python_call_budget_per_step(self, network):
-        # The step is whole-array numpy work: a Python-level helper called
-        # per step (or per junction) would show here.
-        assert python_calls_per_step(Simulation(network)) <= 9
+        # The step is whole-array numpy work or one inline loop over
+        # Python floats: a Python-level helper called per step (or per
+        # junction) would show here.
+        assert python_calls_per_step(Simulation(network)) == 1
+
+
+class TestNumpyMinMaxRule:
+    """The scalar junction evaluator in `Simulation.step` mirrors these
+    rules of numpy's float minimum, maximum and sum reduction.  Should a
+    numpy release change one, this fails, instead of one evaluator
+    silently flipping a signed zero."""
+
+    @staticmethod
+    def operands(a, b):
+        # Python floats and arrays of the sizes the junction groups see.
+        yield a, b
+        for n in (1, 2, 3):
+            yield np.full(n, a), np.full(n, b)
+
+    @pytest.mark.parametrize("fn", [np.minimum, np.maximum])
+    @pytest.mark.parametrize("a,b", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_a_tie_returns_the_second_operand(self, fn, a, b):
+        for x, y in self.operands(a, b):
+            got = np.atleast_1d(fn(x, y))
+            assert got.tobytes() == np.atleast_1d(y).tobytes()
+
+    @pytest.mark.parametrize("fn", [np.minimum, np.maximum])
+    @pytest.mark.parametrize("a,b", [(math.nan, 1.0), (1.0, math.nan),
+                                     (math.nan, -math.inf),
+                                     (math.inf, math.nan)])
+    def test_a_nan_propagates_from_either_side(self, fn, a, b):
+        for x, y in self.operands(a, b):
+            assert np.all(np.isnan(fn(x, y)))
+
+    def test_a_sum_reduction_starts_from_positive_zero(self):
+        zeros = np.full((2, 3), -0.0)
+        assert np.add.reduce(zeros, 0).tobytes() == np.zeros(3).tobytes()
 
 
 class TestCompiledJunctions:

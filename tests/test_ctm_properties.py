@@ -8,6 +8,7 @@ derandomized so the suite cannot flake.
 """
 
 import logging
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmflow import DmSpec, SimConfig, Simulation, build_dm
+from dmflow import DmSpec, DomainError, SimConfig, Simulation, build_dm
+from dmflow import ctm
 from dmflow.ctm import _BLOCK, diverge_flux, merge_flux
 from dmflow.network import build_beltway, build_dmn
 from dmflow.scenario import load_scenario
@@ -309,6 +311,122 @@ def test_step_does_not_read_the_time(case, t):
     for got, want in ((later._state, sim._state), (later._flux, sim._flux),
                       (later._res, sim._res)):
         assert got.tobytes() == want.tobytes()
+
+
+def evaluated(network, config, scalar: bool) -> Simulation:
+    """A simulation forced onto the scalar (Python float) or the vector
+    (numpy group) junction evaluator through the private row threshold."""
+    threshold = ctm._SCALAR_ROWS
+    ctm._SCALAR_ROWS = math.inf if scalar else -1
+    try:
+        return Simulation(network, config)
+    finally:
+        ctm._SCALAR_ROWS = threshold
+
+
+def edged(network, draw):
+    """`network` with some boundary demands and supplies made infinite and
+    some merge shares and fixed splits made -0.0."""
+
+    def maybe(x, edge=math.inf):
+        return edge if draw(st.booleans()) else x
+
+    def approach(a):
+        return a if a.link is not None else replace(a, demand=maybe(a.demand))
+
+    def branch(b):
+        return b if b.link is not None else replace(b, supply=maybe(b.supply))
+
+    def diverge(dv):
+        xi = dv.xi if dv.xi is None else maybe(dv.xi, -0.0)
+        return replace(dv, branch1=branch(dv.branch1),
+                       branch2=branch(dv.branch2), xi=xi)
+
+    return replace(
+        network,
+        origins=tuple(replace(o, demand=maybe(o.demand))
+                      for o in network.origins),
+        destinations=tuple(replace(d, supply=maybe(d.supply))
+                           for d in network.destinations),
+        diverges=tuple(diverge(dv) for dv in network.diverges),
+        merges=tuple(replace(mg, approach1=approach(mg.approach1),
+                             approach2=approach(mg.approach2),
+                             beta=maybe(mg.beta, -0.0))
+                     for mg in network.merges))
+
+
+@st.composite
+def evaluator_cases(draw):
+    """A network on either side of the row threshold, with edge values
+    (`edged`), a config, a seed for the cells and a fault to plant: none,
+    a NaN density, or a commodity-driven split outside [0, 1] or NaN."""
+    if draw(st.booleans()):
+        network = draw(networks())
+    else:
+        network = build_dmn(draw(st.integers(1, ctm._SCALAR_ROWS // 4 + 2)),
+                            xi=draw(unit), beta=draw(unit))
+    network = edged(network, draw)
+    shape = draw(st.sampled_from(["triangular", "greenshields"]))
+    config = SimConfig(cells_per_link=draw(st.integers(1, 6)), shape=shape)
+    fault = draw(st.sampled_from([None, None, "nan", 1.5, -0.5, math.nan]))
+    return network, config, draw(st.integers(0, 2**32 - 1)), fault
+
+
+def tied_cells(sim, seed, fault) -> None:
+    """Cells empty (+0.0 or -0.0), jammed or in between, with fractions
+    0.0, -0.0, 1.0 or random, so that junctions meet ties of signed zeros;
+    then the fault."""
+    rng = np.random.default_rng(seed)
+    for ls in sim.links.values():
+        n = len(ls.k)
+        kj = ls.fd.jam_density
+        ls.k[:] = np.array([0.0, -0.0, kj, 0.0])[rng.integers(0, 4, n)]
+        mixed = ls.k[:] == 0.0
+        mixed[:] = rng.random(n) < 0.25
+        ls.k[mixed] = rng.uniform(0.0, kj, mixed.sum())
+        fraction = np.array([0.0, -0.0, 1.0, rng.random()])[
+            rng.integers(0, 4, n)]
+        ls.k1[:] = fraction * ls.k
+    links = list(sim.links.values())
+    if fault == "nan":
+        links[rng.integers(len(links))].k[rng.integers(len(links[0].k))] = \
+            math.nan
+    elif fault is not None:
+        for dv in sim.network.diverges:
+            if dv.xi is None:
+                end = sim.links[dv.upstream]
+                end.k[-1] = 0.5 * end.fd.jam_density
+                end.k1[-1] = fault * end.k[-1]
+
+
+# Python float division does not warn where numpy's reports an overflow:
+# the subnormal-xi case of the kernel test above.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(evaluator_cases())
+def test_scalar_and_vector_junctions_agree_bit_for_bit(case):
+    network, config, seed, fault = case
+    sims = [evaluated(network, config, scalar) for scalar in (True, False)]
+    assert [sim._scalar for sim in sims] == [True, False]
+    for sim in sims:
+        tied_cells(sim, seed, fault)
+    for _ in range(STEPS):
+        errors = []
+        for sim in sims:
+            try:
+                sim.step()
+                errors.append(None)
+            except DomainError as exc:
+                errors.append(str(exc))
+        assert errors[0] == errors[1]
+        scalar, vector = sims
+        for got, want in ((scalar._state, vector._state),
+                          (scalar._flux, vector._flux),
+                          (scalar._res, vector._res)):
+            assert got.tobytes() == want.tobytes()
+        if errors[0] is not None:
+            assert fault in (1.5, -0.5) or math.isnan(fault)
+            break
 
 
 @pytest.fixture
