@@ -52,14 +52,15 @@ construction by their number (origins, merges, destinations and
 diverges):
 
   * up to `_SCALAR_ROWS` rows, a loop over Python floats: one `take` of
-    every operand, the rows in turn, one write of [q, phi].  On
-    arrays of one to three elements a numpy call costs about a
-    microsecond whatever it computes, and the groups make about twenty.
+    every operand, the rows in turn, and one write of every [q, phi]
+    into the result.  On arrays of one to three elements a numpy call
+    costs about a microsecond whatever it computes, and the groups make
+    about twenty.
   * above it, the groups in numpy, whatever their size: index arrays,
     `out=` buffers and a `where=` mask for the zero shares.
 
-The crossover of the two lies near 30 rows: the DM network (4 rows) and
-beltways of up to 12 ramp pairs take the loop, the 80-row ring of 20
+The crossover of the two lies near 20 rows: the DM network (4 rows) and
+beltways of up to 8 ramp pairs take the loop, the 80-row ring of 20
 stages the groups.  The loop mirrors numpy bit for bit.  np.minimum(a, b)
 is a when a < b or a is NaN, else b, so a tie such as (0.0, -0.0) goes to
 the second operand; Python's min would return the first, and would drop a
@@ -128,9 +129,9 @@ _BLOCK = 256
 # destinations and diverges) evaluate their junctions on Python floats;
 # larger ones run the numpy groups.  On `build_dmn(n, 0.4)` (4n rows), in
 # 41 interleaved rounds of 200 steps, a step took a median (groups/floats)
-# of 47/22 µs at 4 rows, 64/41 at 12, 61/52 at 24, 52/44 at 32 and 69/73
-# at 36; floats were faster in 41, 41, 37, 25 and 4 rounds of 41.
-_SCALAR_ROWS = 24
+# of 50/31 µs at 4 rows, 52/42 at 12, 51/44 at 16, 47/47 at 20 and 50/53
+# at 24; floats were faster in 41, 40, 38, 22 and 9 rounds of 41.
+_SCALAR_ROWS = 16
 
 
 def _split_error(xi: np.ndarray) -> DomainError:
@@ -309,10 +310,10 @@ class Simulation:
         splits and a constant 1.0.
 
         The result array holds [q, phi] of every junction end, one column
-        each, junction by junction: each merge's approach 1, approach 2
-        and downstream end, then each diverge's upstream end, branch 1 and
-        branch 2, and a zero column.  Origins and destinations are merges
-        whose second approach is EMPTY.
+        each: merge approaches 1, merge approaches 2, merge downstream ends,
+        diverge upstream ends, diverge branches 1, diverge branches 2, and
+        a zero column.  Origins and destinations are merges whose second
+        approach is EMPTY.
 
         The same rows also compile into the scalar program: one index
         array into the buffer that holds demand, fraction and supply side
@@ -373,23 +374,21 @@ class Simulation:
         merges: list[tuple[int, int, int]] = []
         betas: list[float] = []
         for o in network.origins:
-            j = 3 * len(merges)
-            inflow[row[o.link]] = j + 2
-            origin_ends.append(j)
+            inflow[row[o.link]] = 2 * m + len(merges)
+            origin_ends.append(len(merges))
             merges.append((sender(o.demand, o.fraction), empty,
                            first(o.link)))
             betas.append(0.5)
         for mg in network.merges:
-            j = 3 * len(merges)
-            inflow[row[mg.downstream]] = j + 2
+            j = len(merges)
+            inflow[row[mg.downstream]] = 2 * m + j
             merges.append((approach(mg.approach1, j),
-                           approach(mg.approach2, j + 1),
+                           approach(mg.approach2, m + j),
                            first(mg.downstream)))
             betas.append(mg.beta)
         for d in network.destinations:
-            j = 3 * len(merges)
-            outflow[row[d.link]] = j
-            dest_ends.append(j + 2)
+            outflow[row[d.link]] = len(merges)
+            dest_ends.append(2 * m + len(merges))
             merges.append((last(d.link), empty, receiver(d.supply)))
             betas.append(0.5)
 
@@ -404,10 +403,10 @@ class Simulation:
         diverges: list[tuple[int, ...]] = []
         for j, dv in enumerate(network.diverges):
             up = last(dv.upstream)
-            outflow[row[dv.upstream]] = 3 * (m + j)
+            outflow[row[dv.upstream]] = 3 * m + j
             branches = []
             for i, b in enumerate((dv.branch1, dv.branch2)):
-                col = 3 * (m + j) + 1 + i
+                col = 3 * m + (1 + i) * nd + j
                 if b.link is None:
                     branch_ends.append(col)
                     branches.append(receiver(b.supply))
@@ -449,15 +448,15 @@ class Simulation:
         self._splits_at = 5 * m
         self._scalar = m + nd <= _SCALAR_ROWS
         # One more column, never written, starts both boundary totals.
-        res = self._res = np.zeros((2, 3 * (m + nd) + 1))
-        zero = 3 * (m + nd)
+        res = self._res = np.zeros((2, 3 * m + 3 * nd + 1))
+        zero = 3 * m + 3 * nd
         self._live = res[:, :zero]
-        q_mg, phi_mg = (r[:3 * m].reshape(m, 3).T for r in res)
-        self._q_app, self._q_down = q_mg[:2], q_mg[2]
-        self._phi_app, self._phi_down = phi_mg[:2], phi_mg[2]
-        q_dv, phi_dv = (r[3 * m:zero].reshape(nd, 3).T for r in res)
-        self._q_up, self._q_br = q_dv[0], q_dv[1:]
-        self._phi_up, self._phi_br = phi_dv[0], phi_dv[1:]
+        self._q_app = res[0, :2 * m].reshape(2, m)
+        self._phi_app = res[1, :2 * m].reshape(2, m)
+        self._q_down, self._phi_down = res[:, 2 * m:3 * m]
+        self._q_up, self._phi_up = res[:, 3 * m:3 * m + nd]
+        self._q_br = res[0, 3 * m + nd:zero].reshape(2, nd)
+        self._phi_br = res[1, 3 * m + nd:zero].reshape(2, nd)
         self._split = np.empty((2, nd))         # (xi, 1 - xi)
         self._lim = np.empty((3, nd))           # d0, s1/xi, s2/(1 - xi)
         self._open = np.ones((3, nd), dtype=bool)
@@ -513,8 +512,12 @@ class Simulation:
                 if not 0.0 <= xi <= 1.0:
                     raise _split_error(fr[self._dv_xi])
             g = iter(v)
-            q: list[float] = []
-            phi: list[float] = []
+            # [q, phi] of each row's three ends, row by row; the result
+            # array takes them end by end.
+            q_mg: list[float] = []
+            phi_mg: list[float] = []
+            q_dv: list[float] = []
+            phi_dv: list[float] = []
             for (b1, b2), d1, d2, s3, f1, f2 in zip(self._shares,
                                                      g, g, g, g, g):
                 r, t = s3 - d2, b1 * s3
@@ -524,9 +527,9 @@ class Simulation:
                 r = r if r > t or r != r else t
                 q2 = d2 if d2 < r or d2 != d2 else r
                 p1, p2 = f1 * q1, f2 * q2
-                # np.add.reduce starts both sums from 0.0.
-                q += (q1, q2, (0.0 + q1) + q2)
-                phi += (p1, p2, (0.0 + p1) + p2)
+                # Both sums start from 0.0, as np.add.reduce does.
+                q_mg += (q1, q2, (0.0 + q1) + q2)
+                phi_mg += (p1, p2, (0.0 + p1) + p2)
             for xi, d0, s1, s2, f0, f1, f2 in zip(g, g, g, g, g, g, g):
                 # The minimum folds from inf, and min(inf, d0) is d0.
                 q0, xi2 = d0, 1.0 - xi
@@ -537,9 +540,13 @@ class Simulation:
                     t = s2 / xi2
                     q0 = q0 if q0 < t or q0 != q0 else t
                 q1, q2 = xi * q0, xi2 * q0
-                q += (q0, q1, q2)
-                phi += (f0 * q0, f1 * q1, f2 * q2)
-            self._live[...] = q, phi
+                q_dv += (q0, q1, q2)
+                phi_dv += (f0 * q0, f1 * q1, f2 * q2)
+            self._live[...] = (
+                q_mg[::3] + q_mg[1::3] + q_mg[2::3]
+                + q_dv[::3] + q_dv[1::3] + q_dv[2::3],
+                phi_mg[::3] + phi_mg[1::3] + phi_mg[2::3]
+                + phi_dv[::3] + phi_dv[1::3] + phi_dv[2::3])
         else:
             # The reductions pass (axis, dtype, out, keepdims, initial,
             # where) by position: on arrays this small, parsing keywords
@@ -571,8 +578,9 @@ class Simulation:
             np.multiply(fr[a], q12, out=self._phi_app)
             # q1 + q2 equals min(d1+d2, s3); summing keeps the node
             # exactly conservative in floating point.  Both sums start
-            # from 0.0, as a reduction without `initial` would too.
-            np.add.reduce(q12, 0, None, self._q_down, False, 0.0)
+            # from 0.0, the first without `initial`, so -0.0 + -0.0 is
+            # 0.0.
+            np.add.reduce(q12, 0, None, self._q_down)
             np.add.reduce(self._phi_app, 0, None, self._phi_down, False,
                           0.0)
 
