@@ -511,6 +511,9 @@ class Simulation:
             for xi in v[self._splits_at::7]:
                 if not 0.0 <= xi <= 1.0:
                     raise _split_error(fr[self._dv_xi])
+            # zip draws from its arguments left to right: the shares stop
+            # the merge loop after the merge rows, and the diverge loop
+            # reads the rest, seven values a row.
             g = iter(v)
             # [q, phi] of each row's three ends, row by row; the result
             # array takes them end by end.
