@@ -17,9 +17,9 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DomainError
-from .network import DmSpec
-from .poincare import (Regime, StabilityClass, _classify_grid,
-                       classify_regime, classify_stability)
+from .network import DmSpec, _thresholds
+from .poincare import (StabilityClass, _classify_grid, classify_regime,
+                       classify_stability)
 
 __all__ = ["SweepTable", "Transition", "sweep_xi", "regime_boundaries",
            "boundary_values"]
@@ -62,10 +62,7 @@ class Transition:
 
 def boundary_values(template: DmSpec) -> list[float]:
     """Candidate transition points within [0, 1], sorted and deduplicated."""
-    cands = [(template.c3 - template.c2) / template.c3,
-             template.c1 / template.c3,
-             template.beta,
-             0.5]
+    cands = [*_thresholds(template), template.beta, 0.5]
     vals: list[float] = []
     for x in sorted(c for c in cands if 0.0 <= c <= 1.0):
         if not vals or x - vals[-1] > _DEDUPE_TOL:
@@ -100,8 +97,7 @@ def regime_boundaries(template: DmSpec) -> list[Transition]:
     open intervals, which is exact because the class is constant between
     boundaries.  Bottleneck-regime templates have no transitions.
     """
-    probe = classify_regime(template.with_xi(0.5))
-    if probe in (Regime.UPSTREAM_BOTTLENECK, Regime.MIDDLE_BOTTLENECK):
+    if not classify_regime(template.with_xi(0.5)).supports_map:
         return []
     bounds = boundary_values(template)
     edges = [0.0] + bounds + [1.0]

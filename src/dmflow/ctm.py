@@ -158,8 +158,15 @@ class SimConfig:
     shape: str = "triangular"
 
     def __post_init__(self):
-        if self.cells_per_link < 1:
-            raise ConfigurationError("cells_per_link must be positive")
+        cells = self.cells_per_link
+        if not (1 <= cells < math.inf and float(cells).is_integer()):
+            raise ConfigurationError(
+                f"cells_per_link must be a positive integer, got {cells!r}")
+        object.__setattr__(self, "cells_per_link", int(cells))
+        for name in ("free_flow_speed", "congested_wave_speed"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be positive and "
+                                         f"finite, got {getattr(self, name)}")
         _check_horizon(self.horizon)
         if self.dt is not None and not self.dt > 0:
             raise ConfigurationError(f"dt must be positive, got {self.dt}")

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError
+from .network import DMN_DEST_SUPPLY, DMN_NARROW_CAPACITY
 
 __all__ = [
     "DMN_XI_BAND",
@@ -73,8 +74,8 @@ def dmn_step(n: int, xi: float, state: tuple[float, ...],
     lam = _check_xi(xi)
     if len(state) != n:
         raise DomainError(f"state must have {n} components, got {len(state)}")
-    cap = 1.0 * scale
-    out = tuple(min(cap, 2.0 * scale - lam * state[(i - 1) % n])
+    cap, supply = DMN_NARROW_CAPACITY * scale, DMN_DEST_SUPPLY * scale
+    out = tuple(min(cap, supply - lam * state[(i - 1) % n])
                 for i in range(n))
     if any(v < 0.0 for v in out):
         raise DomainError(
@@ -125,13 +126,13 @@ def dmn_fixed_points(n: int, xi: float, scale: float = 1.0,
     """Stationary states of the ring map: symmetric, plus for even n the
     two saturated/starved alternations."""
     lam = _check_xi(xi)
-    sym = tuple(2.0 * xi * scale for _ in range(n))
+    sym = tuple(DMN_DEST_SUPPLY * xi * scale for _ in range(n))
     if n % 2:
         return (sym,)
     # Starved value written exactly as dmn_step computes the image of a
     # saturated predecessor, so these are bitwise fixed points.
-    cap = 1.0 * scale
-    low = 2.0 * scale - lam * cap
+    cap = DMN_NARROW_CAPACITY * scale
+    low = DMN_DEST_SUPPLY * scale - lam * cap
     alt1 = tuple((cap if i % 2 == 0 else low) for i in range(n))
     alt2 = tuple((low if i % 2 == 0 else cap) for i in range(n))
     return (sym, alt1, alt2)
@@ -153,8 +154,8 @@ def dmn_classify(n: int, xi: float, scale: float = 1.0) -> DmnClassification:
         return DmnClassification(DmnPattern.STABLE, analyzed, fps[0], (),
                                  None, factor)
     if n % 2:
-        cap = 1.0 * scale
-        cycle = (2.0 * scale - lam * cap, cap)
+        cap = DMN_NARROW_CAPACITY * scale
+        cycle = (DMN_DEST_SUPPLY * scale - lam * cap, cap)
         return DmnClassification(DmnPattern.PPO, analyzed, fps[0], (),
                                  cycle, factor)
     return DmnClassification(DmnPattern.BISTABLE, analyzed, fps[0],

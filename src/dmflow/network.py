@@ -93,8 +93,11 @@ class DmSpec:
             raise DomainError(f"xi must lie in [0, 1], got {self.xi}")
         object.__setattr__(self, "lengths",
                            tuple(float(x) for x in self.lengths))
-        if len(self.lengths) != 4 or any(x <= 0 for x in self.lengths):
-            raise DomainError("lengths must be four positive numbers")
+        if len(self.lengths) != 4 or not all(0.0 < x < math.inf
+                                             for x in self.lengths):
+            raise DomainError(
+                f"lengths must be four positive finite numbers, got "
+                f"{self.lengths}")
 
     def with_xi(self, xi: float) -> "DmSpec":
         return replace(self, xi=xi)
@@ -148,6 +151,12 @@ _ZS = [LinkRegime.ZS]
 _C = [LinkRegime.CRITICAL]
 
 
+def _thresholds(spec: DmSpec) -> tuple[float, float]:
+    """The ends (C3 - C2)/C3 and C1/C3 of the open band of xi in which a
+    downstream bottleneck circulates."""
+    return (spec.c3 - spec.c2) / spec.c3, spec.c1 / spec.c3
+
+
 def stationary_states(spec: DmSpec) -> list[StationaryState]:
     """All stationary pattern pairs admitted under the given network data.
 
@@ -176,8 +185,7 @@ def stationary_states(spec: DmSpec) -> list[StationaryState]:
         return _expand(_C, _C, c1 / xi)
 
     # Downstream link binds: c3 <= c0 and c3 < c1 + c2.
-    lo = (c3 - c2) / c3          # = 1 - c2/c3
-    hi = c1 / c3
+    lo, hi = _thresholds(spec)   # lo = 1 - c2/c3
     equal_caps = c3 == c0        # no strict upstream surplus
 
     if xi < lo:
@@ -396,7 +404,14 @@ class Network:
     kind: str = "custom"
 
     def validate(self) -> None:
-        """Every link must be fed and drained by exactly one junction."""
+        """Every link has a positive finite capacity and length, and is fed
+        and drained by exactly one junction."""
+        for ln in self.links:
+            if not (0.0 < ln.capacity < math.inf
+                    and 0.0 < ln.length < math.inf):
+                raise ConfigurationError(
+                    f"link {ln.name!r} needs a positive finite capacity and "
+                    f"length, got {ln.capacity} and {ln.length}")
         fed: dict[str, int] = {ln.name: 0 for ln in self.links}
         drained: dict[str, int] = {ln.name: 0 for ln in self.links}
 

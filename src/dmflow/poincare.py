@@ -29,11 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, UnsupportedRegimeError
-from .network import DmSpec
+from .network import DmSpec, _thresholds
 from .piecewise import PiecewiseLinear
 
 __all__ = [
@@ -115,8 +116,7 @@ def classify_regime(spec: DmSpec) -> Regime:
         return Regime.MIDDLE_BOTTLENECK
     # Downstream bottleneck: c3 <= c0 and c3 < c1 + c2.
     xi, beta = spec.xi, spec.beta
-    lo = (c3 - c2) / c3
-    hi = c1 / c3
+    lo, hi = _thresholds(spec)
     if xi >= hi:
         return Regime.CCW_FINITE_TIME
     if xi <= lo:
@@ -149,6 +149,7 @@ class PoincareMap:
         """Orbit [v0, F v0, ..., F^n v0]."""
         if n < 0:
             raise DomainError("n must be nonnegative")
+        self(v0)    # checks v0 against the domain, also when n == 0
         orbit = [v0]
         v = v0
         for _ in range(n):
@@ -159,24 +160,26 @@ class PoincareMap:
     def as_piecewise(self) -> PiecewiseLinear:
         """Exact breakpoint representation on [0, C3].
 
-        The interior kinks are the preimages of the two clamp levels; the
-        map is affine between consecutive breakpoints.
+        The fields convert to Fractions exactly, so the interior kinks, the
+        preimages of the two clamp levels, and F's values on them are
+        exact.  A field that is not finite raises DomainError: a subnormal
+        xi overflows the counterclockwise slope to inf.
         """
-        cuts = {0.0, self.c3}
-        if self.slope != 0.0:
-            if self.branch is Circulation.COUNTERCLOCKWISE:
-                candidates = ((self.c3 - self.upper) / self.slope,
-                              (self.c3 - self.lower) / self.slope)
+        fields = (self.slope, self.lower, self.upper, self.c3)
+        if not np.isfinite(fields).all():
+            raise DomainError(f"non-finite field in {self}")
+        f = PoincareMap(self.branch, *map(Fraction, fields))
+        cuts = {0, f.c3}
+        if f.slope != 0:
+            if f.branch is Circulation.COUNTERCLOCKWISE:
+                candidates = ((f.c3 - f.upper) / f.slope,
+                              (f.c3 - f.lower) / f.slope)
             else:
-                candidates = (self.c3 - self.upper / self.slope,
-                              self.c3 - self.lower / self.slope)
-            cuts.update(x for x in candidates if 0.0 < x < self.c3)
+                candidates = (f.c3 - f.upper / f.slope,
+                              f.c3 - f.lower / f.slope)
+            cuts.update(x for x in candidates if 0 < x < f.c3)
         xs = tuple(sorted(cuts))
-        return PiecewiseLinear(xs, tuple(self(x) for x in xs))
-
-
-def _thresholds(spec: DmSpec) -> tuple[float, float]:
-    return (spec.c3 - spec.c2) / spec.c3, spec.c1 / spec.c3
+        return PiecewiseLinear(xs, tuple(map(f, xs)))
 
 
 def _a1(spec: DmSpec) -> float:

@@ -8,7 +8,8 @@ with the map's fixed point and two-cycle.
 
 Two independent period-root finders back the periodic-point formulas: an
 exact enumerator built on the piecewise-linear representation of iterated
-maps, and a plain dense-grid scan with bisection refinement.
+maps in rational arithmetic, whose roots are Fractions, and a plain
+dense-grid scan with bisection refinement.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
 from .ctm import SimConfig, Simulation
 from .errors import DomainError
 from .network import DmSpec, Network, build_dm
-from .piecewise import _MERGE_TOL
 from .poincare import (PoincareMap, StabilityClass, StabilityReport,
                        classify_stability)
 
@@ -172,28 +173,16 @@ def validate_spec(spec: DmSpec, config: SimConfig = SimConfig(),
 
 
 def brute_force_period_roots(fmap: PoincareMap, order: int,
-                             ) -> tuple[list[float], list[tuple[float, float]]]:
+                             ) -> tuple[list[Fraction],
+                                        list[tuple[Fraction, Fraction]]]:
     """All solutions of F^order(v) = v on [0, C3], exactly per segment.
 
     Returns isolated roots plus identity intervals (the latter only occur
-    at interior slope one, where a whole band is two-periodic).
-
-    Raises DomainError when the steepest segment of F^order, which rises
-    by |upper - lower| over that divided by slope**order, is no wider
-    than the spacing below which `PiecewiseLinear.compose` merges
-    breakpoints: that segment, and the roots it decides, would be lost.
+    at interior slope one, where a whole band is two-periodic), as
+    Fractions: the exact roots of the map the float fields define.
     """
     if order < 1:
         raise DomainError("order must be a positive integer")
-    rise = abs(fmap.upper - fmap.lower)
-    if fmap.slope > 0.0 and rise > 0.0:
-        width = rise
-        for _ in range(order):      # slope**order can overflow a float
-            width /= fmap.slope
-        if width <= _MERGE_TOL * max(fmap.c3, 1.0):
-            raise DomainError(
-                f"slope {fmap.slope!r} is too steep for the piecewise "
-                f"oracle: F^{order} has a segment {width!r} wide")
     return fmap.as_piecewise().iterate(order).fixed_points()
 
 

@@ -101,6 +101,15 @@ class TestOrbit:
         payload = json.loads((tmp_path / "orbit.json").read_text())
         assert len(payload["orbit"]) == 4
 
+    @pytest.mark.parametrize("steps", ["0", "1"])
+    def test_start_outside_the_domain_is_a_configuration_error(
+            self, steps, tmp_path, capsys):
+        code = main(["orbit", BIFURCATION, "--v0", "5", "--steps", steps,
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "v=5.0 outside [0, 2.5]" in capsys.readouterr().err
+        assert not (tmp_path / "orbit.csv").exists()
+
     def test_orbit_requires_dm_network(self, tmp_path):
         code = main(["orbit", BELTWAY, "--v0", "1.0",
                      "--out", str(tmp_path)])

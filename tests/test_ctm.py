@@ -148,6 +148,38 @@ class TestStep:
         with pytest.raises(ConfigurationError, match="dt must be positive"):
             SimConfig(dt=dt)
 
+    @pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf])
+    def test_link_length_not_positive_and_finite_rejected(self, length):
+        network = Network(links=(Link("a", 1.0, length),),
+                          origins=(Origin("a", 0.5),),
+                          destinations=(Destination("a", 10.0),))
+        with pytest.raises(ConfigurationError, match="positive finite"):
+            Simulation(network)
+
+    def test_link_capacity_nan_rejected(self):
+        with pytest.raises(ConfigurationError, match="positive finite"):
+            Simulation(single_link_network(capacity=math.nan))
+
+    @pytest.mark.parametrize("field, value", [
+        ("free_flow_speed", math.nan), ("free_flow_speed", 0.0),
+        ("congested_wave_speed", 0.0), ("congested_wave_speed", -0.5),
+        ("congested_wave_speed", math.inf)])
+    def test_wave_speed_not_positive_and_finite_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("cells", [2.5, 0, math.nan, math.inf])
+    def test_cells_per_link_not_a_positive_integer_rejected(self, cells):
+        with pytest.raises(ConfigurationError, match="positive integer"):
+            SimConfig(cells_per_link=cells)
+
+    def test_integral_float_cells_per_link_accepted(self):
+        # A scenario's 20.0 is an integer to the schema.
+        config = SimConfig(cells_per_link=20.0)
+        assert config.cells_per_link == 20
+        assert isinstance(config.cells_per_link, int)
+        Simulation(single_link_network(), config)
+
     def test_explicit_dt_below_limit_accepted(self):
         sim = Simulation(single_link_network(), SimConfig(dt=0.04))
         assert sim.dt == 0.04

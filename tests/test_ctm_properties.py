@@ -63,9 +63,12 @@ def cases(draw):
     return network, config, seed
 
 
-def loaded(network, config, seed) -> Simulation:
-    """Simulation with random cell densities in [0, k_j] and fractions."""
-    sim = Simulation(network, config)
+def loaded(network, config, seed, scalar: bool | None = None) -> Simulation:
+    """Simulation with random cell densities in [0, k_j] and fractions, on
+    the junction evaluator `scalar` selects (see `evaluated`), by default
+    the one its size selects."""
+    sim = (Simulation(network, config) if scalar is None
+           else evaluated(network, config, scalar))
     rng = np.random.default_rng(seed)
     for ls in sim.links.values():
         empty = rng.random(config.cells_per_link) < 0.3
@@ -168,31 +171,33 @@ def link_totals(sim) -> tuple[float, float]:
 
 # A subnormal xi overflows s1/xi to inf in both the scalar reference and the
 # kernel; the ratio constraint then drops out of the min, as it should.  The
-# cases draw both diagram shapes; interior faces and the cell update are
-# compared bit for bit.
+# cases draw both diagram shapes and step on both junction evaluators;
+# interior faces and the cell update are compared bit for bit.
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(cases())
 def test_kernel_invariants_and_junction_reference(case):
     network, config, seed = case
-    sim = loaded(network, config, seed)
-    kj = np.array([[ls.fd.jam_density] for ls in sim.links.values()])
-    for _ in range(STEPS):
-        q_in, q_out, (src, _, snk, _) = reference_fluxes(sim)
-        inner = interior_fluxes(sim)
-        k, k1 = sim.k.copy(), sim.k1.copy()
-        sim.step()
-        got_src, _, got_snk, _ = sim.boundary_totals()
-        for i, q in q_in.items():
-            assert sim.q[i, 0] == q
-        for i, q in q_out.items():
-            assert sim.q[i, -1] == q
-        for i, q in enumerate(inner):
-            assert sim.q[i, 1:-1].tobytes() == q.tobytes()
-        assert sim._state.tobytes() == updated_state(sim, k, k1).tobytes()
-        assert got_src == src and got_snk == snk
-        assert np.all(sim.k >= 0.0) and np.all(sim.k <= kj)
-        assert np.all(sim.k1 >= 0.0) and np.all(sim.k1 <= sim.k)
+    sims = [loaded(network, config, seed, scalar) for scalar in (True, False)]
+    kj = np.array([[ls.fd.jam_density] for ls in sims[0].links.values()])
+    for sim in sims:
+        for _ in range(STEPS):
+            q_in, q_out, (src, _, snk, _) = reference_fluxes(sim)
+            inner = interior_fluxes(sim)
+            k, k1 = sim.k.copy(), sim.k1.copy()
+            sim.step()
+            got_src, _, got_snk, _ = sim.boundary_totals()
+            for i, q in q_in.items():
+                assert sim.q[i, 0] == q
+            for i, q in q_out.items():
+                assert sim.q[i, -1] == q
+            for i, q in enumerate(inner):
+                assert sim.q[i, 1:-1].tobytes() == q.tobytes()
+            assert (sim._state.tobytes()
+                    == updated_state(sim, k, k1).tobytes())
+            assert got_src == src and got_snk == snk
+            assert np.all(sim.k >= 0.0) and np.all(sim.k <= kj)
+            assert np.all(sim.k1 >= 0.0) and np.all(sim.k1 <= sim.k)
 
     first_sim = loaded(network, config, seed)
     again_sim = loaded(network, config, seed)
@@ -200,8 +205,9 @@ def test_kernel_invariants_and_junction_reference(case):
     assert first.conservation_error < 1e-10
     assert first.conservation_error_c1 < 1e-10
     for name, ls in first_sim.links.items():
-        assert np.array_equal(ls.k, sim.links[name].k)
-        assert np.array_equal(ls.k1, sim.links[name].k1)
+        for sim in sims:
+            assert np.array_equal(ls.k, sim.links[name].k)
+            assert np.array_equal(ls.k1, sim.links[name].k1)
         assert np.array_equal(again_sim.links[name].k, ls.k)
         assert np.array_equal(again_sim.links[name].k1, ls.k1)
         assert np.array_equal(first.outflux[name], again.outflux[name])

@@ -216,6 +216,11 @@ class TestBuilders:
         with pytest.raises(DomainError, match="c3 must be positive and fin"):
             DmSpec(3, 1, 2, capacity, beta=0.5, xi=0.5)
 
+    @pytest.mark.parametrize("length", [float("nan"), float("inf"), 0.0])
+    def test_spec_rejects_length_not_positive_and_finite(self, length):
+        with pytest.raises(DomainError, match="four positive finite"):
+            DmSpec(3, 1, 2, 2, beta=0.5, xi=0.5, lengths=(1, length, 1, 1))
+
     def test_spec_validation(self):
         with pytest.raises(DomainError):
             DmSpec(0, 1, 1, 1, beta=0.5, xi=0.5)

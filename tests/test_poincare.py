@@ -127,6 +127,11 @@ class TestApplyIterate:
     def test_zero_steps(self):
         assert build_map(WIDE).iterate(1.1, 0) == [1.1]
 
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_start_outside_the_domain_rejected(self, steps):
+        with pytest.raises(DomainError, match="outside"):
+            build_map(WIDE).iterate(5.0, steps)
+
 
 class TestFixedPoint:
     @pytest.mark.parametrize("xi,expected", [

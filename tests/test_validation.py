@@ -1,6 +1,7 @@
 """Oscillation detection and period-root oracles."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -97,14 +98,22 @@ class TestBruteForceRoots:
                 expected = [report.fixed_point]
             assert points == pytest.approx(expected, abs=1e-10)
 
-    def test_too_steep_a_map_raises_instead_of_losing_roots(self):
-        # Slope 1e9: F o F has a segment 2.5e-19 wide, below the spacing at
-        # which composition merges breakpoints.  The oracle used to return
-        # [0.3749999857472124] here, missing v- = 0.125 and v*.
-        spec = DmSpec(0.75, 0.5, 0.25, 0.375, beta=1.0, xi=0.999999999)
-        fmap = build_map(spec)
-        with pytest.raises(DomainError, match="too steep"):
-            brute_force_period_roots(fmap, 2)
+    def test_steep_maps_give_exact_roots(self):
+        # Slopes 1e9 and 1e16: F o F has segments 2.5e-19 and 2.5e-33
+        # wide.  A float oracle merged them away and returned
+        # [0.3749999857472124] at order 1 for xi = 0.999999999.
+        spec = DmSpec(0.75, 0.5, 0.25, 0.375, beta=1.0, xi=0.5)
+        for xi, v_star in ((0.999999999, 0.374999999625),
+                           (0.9999999999999999, 0.37499999999999994)):
+            fmap = build_map(spec.with_xi(xi))
+            for order, want in ((1, [v_star]), (2, [0.125, v_star, 0.375]),
+                                (3, [v_star])):
+                points, intervals = brute_force_period_roots(fmap, order)
+                assert intervals == []
+                assert [float(p) for p in points] == want, (xi, order)
+            # v* solves slope*(C3 - v) = v in the map's own floats.
+            slope, c3 = Fraction(fmap.slope), Fraction(fmap.c3)
+            assert points == [slope * c3 / (1 + slope)]
         # A milder slope still resolves every root.
         milder = spec.with_xi(0.99999)
         cycle = classify_stability(milder).period2
