@@ -44,20 +44,25 @@ construction, into the rows of two groups:
     after the cell fractions, and a branch with share 0 drops its ratio
     constraint.
 
-Both read demands, fractions and supplies from one buffer that holds the
-cells of every link followed by the boundary slots, and write [q, phi] of
-every junction end into one result array; one gather copies its link ends
-into the face fluxes.  The rows run on one of two evaluators, chosen at
-construction by their number (origins, merges, destinations and
-diverges):
+Demands, fractions and supplies sit side by side in one buffer that holds
+the cells of every link followed by the boundary slots.  The rows compile
+into one program, an index array into that buffer: five operands per
+merge (d1, d2, s3, f1, f2) and seven per diverge (xi, d0, s1, s2, f0 and
+the two multipliers), laid out operand by operand.  Each step gathers
+the program once, with one `take`, and both evaluators read that operand
+vector; every junction end's [q, phi] goes into one result array, and one
+gather copies its link ends into the face fluxes.  The evaluator is
+chosen at construction by the number of rows (origins, merges,
+destinations and diverges):
 
-  * up to `_SCALAR_ROWS` rows, a loop over Python floats: one `take` of
-    every operand, the rows in turn, and one write of every [q, phi]
-    into the result.  On arrays of one to three elements a numpy call
-    costs about a microsecond whatever it computes, and the groups make
-    about twenty.
-  * above it, the groups in numpy, whatever their size: index arrays,
-    `out=` buffers and a `where=` mask for the zero shares.
+  * up to `_SCALAR_ROWS` rows, a loop over Python floats: the vector's
+    rows (its transpose, one `tolist` per group) in turn, and one write
+    of every [q, phi] into the result.  On arrays of one to three
+    elements a numpy call costs about a microsecond whatever it computes,
+    and the groups make about twenty.
+  * above it, the groups in numpy, whatever their size: one contiguous
+    view of the vector per operand, `out=` buffers and a `where=` mask
+    for the zero shares.
 
 The crossover of the two lies near 20 rows: the DM network (4 rows) and
 beltways of up to 8 ramp pairs take the loop, the 80-row ring of 20
@@ -103,9 +108,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .fundamental import FundamentalDiagram, TrafficState
+from .fundamental import FundamentalDiagram, TrafficState, _make_diagram
 from .network import (DMN_DEST_SUPPLY, DmSpec, Network, StationaryState,
-                      _make_diagram, stationary_profile)
+                      stationary_profile)
 
 logger = logging.getLogger(__name__)
 
@@ -233,13 +238,8 @@ class RunRecord:
         return self.times, self.outflux[link]
 
 
-def _ints(values, width: int | None = None) -> np.ndarray:
-    """Index array of `values`; with a width, rows of that many indices
-    transposed into `width` contiguous columns."""
-    ints = np.array(list(values), dtype=np.intp)
-    if width is None:
-        return ints
-    return np.ascontiguousarray(ints.reshape(-1, width).T)
+def _ints(values) -> np.ndarray:
+    return np.array(list(values), dtype=np.intp)
 
 
 class Simulation:
@@ -322,11 +322,12 @@ class Simulation:
         a zero column.  Origins and destinations are merges whose second
         approach is EMPTY.
 
-        The same rows also compile into the scalar program: one index
-        array into the buffer that holds demand, fraction and supply side
-        by side, read five values per merge (d1, d2, s3, f1, f2) and seven
-        per diverge (split, d0, s1, s2, f0, the two multipliers), and the
-        merge shares as Python floats.
+        The rows compile into the program of operands that a step
+        gathers from the buffer holding demand, fraction and supply side by
+        side: five per merge (d1, d2, s3, f1, f2) and seven per diverge
+        (split, d0, s1, s2, f0, the two multipliers), operand by operand.
+        The merge shares are kept as an array for the groups and as Python
+        floats for the loop.
         """
         n, cells = self._n, self.config.cells_per_link
         size = n * cells
@@ -349,12 +350,6 @@ class Simulation:
         def first(link: str) -> int:
             return row[link] * cells
 
-        for dv in network.diverges:
-            if dv.xi is not None and not 0.0 <= dv.xi <= 1.0:
-                raise DomainError(f"xi must lie in [0, 1], got {dv.xi}")
-        for mg in network.merges:
-            if not 0.0 <= mg.beta <= 1.0:
-                raise DomainError(f"beta must lie in [0, 1], got {mg.beta}")
         m = (len(network.origins) + len(network.merges)
              + len(network.destinations))
         nd = len(network.diverges)
@@ -426,33 +421,34 @@ class Simulation:
             else:
                 diverges.append((up, constant(dv.xi), *branches, up, up))
 
-        mg_ix = _ints(merges, 3)
-        self._mg_a, self._mg_down = mg_ix[:2], mg_ix[2]
         self._mg_beta = np.array([betas, [1.0 - b for b in betas]])
         self._room = np.empty((2,) + self._mg_beta.shape)
-        dv_ix = _ints(diverges, 6)
-        self._dv_up, self._dv_xi = dv_ix[0], dv_ix[1]
-        self._dv_b, self._dv_m = dv_ix[2:4], dv_ix[4:]
 
         # Demand, fraction and supply side by side in one buffer, so that
-        # the scalar program gathers all its operands in one `take`.
+        # a step gathers the operands of every row in one `take`.
         f0 = size + len(demand)
         s0 = f0 + size + len(fraction)
         buf = self._buf = np.concatenate([np.zeros(size), demand,
                                           np.zeros(size), fraction,
                                           np.zeros(size), supply])
-        self._dem, self._fr, self._sup = buf[:f0], buf[f0:s0], buf[s0:]
-        self._d = self._dem[:size].reshape(n, cells)
-        self._s = self._sup[:size].reshape(n, cells)
-        self._frac = self._fr[:size].reshape(n, cells)
-        self._program = _ints(
-            [i for a1, a2, down in merges
-             for i in (a1, a2, s0 + down, f0 + a1, f0 + a2)]
-            + [i for up, xi, b1, b2, m1, m2 in diverges
-               for i in (f0 + xi, up, s0 + b1, s0 + b2, f0 + up, f0 + m1,
-                         f0 + m2)])
+        dem, fr, sup = buf[:f0], buf[f0:s0], buf[s0:]
+        self._d = dem[:size].reshape(n, cells)
+        self._s = sup[:size].reshape(n, cells)
+        self._frac = fr[:size].reshape(n, cells)
+        rows = ([(a1, a2, s0 + down, f0 + a1, f0 + a2)
+                 for a1, a2, down in merges],
+                [(f0 + xi, up, s0 + b1, s0 + b2, f0 + up, f0 + m1, f0 + m2)
+                 for up, xi, b1, b2, m1, m2 in diverges])
+        # Operand by operand: d1 of every merge row, then d2, and so on.
+        self._program = _ints(i for group in rows for column in zip(*group)
+                              for i in column)
+        ops = self._ops = np.empty(5 * m + 7 * nd)
+        mg, dv = ops[:5 * m].reshape(5, m), ops[5 * m:].reshape(7, nd)
+        self._mg_rows, self._dv_rows = mg.T, dv.T
+        self._d12, self._s3, self._f12 = mg[:2], mg[2], mg[3:]
+        self._xi, self._bound = dv[0], dv[1:4]      # xi; d0, s1, s2
+        self._f0, self._m12 = dv[4], dv[5:]
         self._shares = tuple(zip(betas, self._mg_beta[1].tolist()))
-        self._splits_at = 5 * m
         self._scalar = m + nd <= _SCALAR_ROWS
         # One more column, never written, starts both boundary totals.
         res = self._res = np.zeros((2, 3 * m + 3 * nd + 1))
@@ -465,7 +461,6 @@ class Simulation:
         self._q_br = res[0, 3 * m + nd:zero].reshape(2, nd)
         self._phi_br = res[1, 3 * m + nd:zero].reshape(2, nd)
         self._split = np.empty((2, nd))         # (xi, 1 - xi)
-        self._lim = np.empty((3, nd))           # d0, s1/xi, s2/(1 - xi)
         self._open = np.ones((3, nd), dtype=bool)
         self._ends = _ints(zip(inflow, outflow))
         # Fixed views the step reads and writes through.
@@ -508,28 +503,22 @@ class Simulation:
         frac.fill(0.0)
         occupied = np.greater(k, 0.0, out=self._occupied)
         np.divide(self.k1, k, out=frac, where=occupied)
-        dem, fr, sup = self._dem, self._fr, self._sup
+        # Every index is in range; 'clip' writes into `out` directly, where
+        # the default mode would buffer it.
+        self._buf.take(self._program, None, self._ops, "clip")
 
         if self._scalar:
             # The rows of both groups on Python floats, each operation with
             # the operands, in the order, of the groups below.  np.minimum
             # (a, b) is `a if a < b or a != a else b`, np.maximum likewise.
-            v = self._buf.take(self._program).tolist()
-            for xi in v[self._splits_at::7]:
-                if not 0.0 <= xi <= 1.0:
-                    raise _split_error(fr[self._dv_xi])
-            # zip draws from its arguments left to right: the shares stop
-            # the merge loop after the merge rows, and the diverge loop
-            # reads the rest, seven values a row.
-            g = iter(v)
-            # [q, phi] of each row's three ends, row by row; the result
-            # array takes them end by end.
+            # [q, phi] of each row's three ends go into lists row by row;
+            # the result array takes them end by end.
             q_mg: list[float] = []
             phi_mg: list[float] = []
             q_dv: list[float] = []
             phi_dv: list[float] = []
-            for (b1, b2), d1, d2, s3, f1, f2 in zip(self._shares,
-                                                     g, g, g, g, g):
+            for (b1, b2), (d1, d2, s3, f1, f2) in zip(
+                    self._shares, self._mg_rows.tolist()):
                 r, t = s3 - d2, b1 * s3
                 r = r if r > t or r != r else t
                 q1 = d1 if d1 < r or d1 != d1 else r
@@ -540,7 +529,9 @@ class Simulation:
                 # Both sums start from 0.0, as np.add.reduce does.
                 q_mg += (q1, q2, (0.0 + q1) + q2)
                 phi_mg += (p1, p2, (0.0 + p1) + p2)
-            for xi, d0, s1, s2, f0, f1, f2 in zip(g, g, g, g, g, g, g):
+            for xi, d0, s1, s2, f0, f1, f2 in self._dv_rows.tolist():
+                if not 0.0 <= xi <= 1.0:
+                    raise _split_error(self._xi)
                 # The minimum folds from inf, and min(inf, d0) is d0.
                 q0, xi2 = d0, 1.0 - xi
                 if xi > 0.0:
@@ -561,31 +552,30 @@ class Simulation:
             # The reductions pass (axis, dtype, out, keepdims, initial,
             # where) by position: on arrays this small, parsing keywords
             # costs about as much as the reduction itself.
-            split, lim, open_ = self._split, self._lim, self._open
-            split[0] = fr[self._dv_xi]
+            split, bound, open_ = self._split, self._bound, self._open
+            split[0] = self._xi
             np.subtract(1.0, split[0], out=split[1])
             if not np.minimum.reduce(split, None, None, None, False,
                                      1.0) >= 0.0:
                 raise _split_error(split[0])
-            lim[0] = dem[self._dv_up]
-            # A branch with share 0 drops its ratio constraint.
+            # (d0, s1/xi, s2/(1 - xi)); a branch with share 0 drops its
+            # ratio constraint.
             np.greater(split, 0.0, out=open_[1:])
-            np.divide(sup[self._dv_b], split, out=lim[1:], where=open_[1:])
-            q0 = np.minimum.reduce(lim, 0, None, self._q_up, False, np.inf,
+            np.divide(bound[1:], split, out=bound[1:], where=open_[1:])
+            q0 = np.minimum.reduce(bound, 0, None, self._q_up, False, np.inf,
                                    open_)
-            np.multiply(fr[self._dv_up], q0, out=self._phi_up)
+            np.multiply(self._f0, q0, out=self._phi_up)
             np.multiply(split, q0, out=self._q_br)
-            np.multiply(fr[self._dv_m], self._q_br, out=self._phi_br)
+            np.multiply(self._m12, self._q_br, out=self._phi_br)
 
-            a = self._mg_a
-            d12, s3 = dem[a], sup[self._mg_down]
+            d12, s3 = self._d12, self._s3
             # room = max(s3 - (d2, d1), (beta, 1 - beta)*s3)
             room, share = self._room
             np.subtract(s3, d12[::-1], out=room)
             np.multiply(self._mg_beta, s3, out=share)
             np.maximum(room, share, out=room)
             q12 = np.minimum(d12, room, out=self._q_app)
-            np.multiply(fr[a], q12, out=self._phi_app)
+            np.multiply(self._f12, q12, out=self._phi_app)
             # q1 + q2 equals min(d1+d2, s3); summing keeps the node
             # exactly conservative in floating point.  Both sums start
             # from 0.0, the first without `initial`, so -0.0 + -0.0 is

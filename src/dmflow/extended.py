@@ -59,6 +59,15 @@ def _check_xi(xi: float) -> float:
     return (1.0 - xi) / xi
 
 
+def _starved_and_saturated(lam: float, scale: float) -> tuple[float, float]:
+    """The two values of the ring's alternation: a starved link behind a
+    saturated one, and the saturated narrow-link capacity.  The starved
+    value is written exactly as `dmn_step` computes the image of a
+    saturated predecessor, so the alternations are bitwise fixed points."""
+    cap = DMN_NARROW_CAPACITY * scale
+    return DMN_DEST_SUPPLY * scale - lam * cap, cap
+
+
 def dmn_step(n: int, xi: float, state: tuple[float, ...],
              scale: float = 1.0) -> tuple[float, ...]:
     """One loop-time update of the narrow-link out-fluxes.
@@ -129,10 +138,7 @@ def dmn_fixed_points(n: int, xi: float, scale: float = 1.0,
     sym = tuple(DMN_DEST_SUPPLY * xi * scale for _ in range(n))
     if n % 2:
         return (sym,)
-    # Starved value written exactly as dmn_step computes the image of a
-    # saturated predecessor, so these are bitwise fixed points.
-    cap = DMN_NARROW_CAPACITY * scale
-    low = DMN_DEST_SUPPLY * scale - lam * cap
+    low, cap = _starved_and_saturated(lam, scale)
     alt1 = tuple((cap if i % 2 == 0 else low) for i in range(n))
     alt2 = tuple((low if i % 2 == 0 else cap) for i in range(n))
     return (sym, alt1, alt2)
@@ -147,17 +153,15 @@ def dmn_classify(n: int, xi: float, scale: float = 1.0) -> DmnClassification:
     only in the weak sense that perturbations do not grow.
     """
     factor = dmn_perturbation_factor(n, xi)
-    lam = (1.0 - xi) / xi
+    lam = _check_xi(xi)
     analyzed = DMN_XI_BAND[0] < xi < DMN_XI_BAND[1]
     fps = dmn_fixed_points(n, xi, scale)
     if abs(factor) <= 1.0:
         return DmnClassification(DmnPattern.STABLE, analyzed, fps[0], (),
                                  None, factor)
     if n % 2:
-        cap = DMN_NARROW_CAPACITY * scale
-        cycle = (DMN_DEST_SUPPLY * scale - lam * cap, cap)
         return DmnClassification(DmnPattern.PPO, analyzed, fps[0], (),
-                                 cycle, factor)
+                                 _starved_and_saturated(lam, scale), factor)
     return DmnClassification(DmnPattern.BISTABLE, analyzed, fps[0],
                              fps[1:], None, factor)
 

@@ -12,6 +12,11 @@ Lebacque 1996):
 A traffic state can equivalently be described by the pair (demand, supply):
 the flow is min(d, s), the larger of the two equals the capacity, and the
 density is recovered by inverting the appropriate branch of Q.
+
+Each shape has one constructor, from the capacity C of its link and its
+wave speeds: `TriangularDiagram(C, v_f=1, w=1/2)` and
+`GreenshieldsDiagram(C, v_f=1)`.  The critical and jam densities are
+derived from them.  `_make_diagram` picks the shape by its scenario name.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import ConfigurationError, DomainError
 
 __all__ = [
     "FundamentalDiagram",
@@ -105,57 +110,32 @@ class FundamentalDiagram:
         return self._invert_over_critical(u.supply)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class TriangularDiagram(FundamentalDiagram):
     """Triangular flow-density relation.
 
     Q(k) = min(v_f * k, w * (k_j - k)); the two branches meet at the
-    critical density k_c = C / v_f.  The cell-transmission scheme is exact
-    for piecewise-constant profiles on this shape, which is why it is the
-    default for simulation.
+    critical density k_c = C / v_f, and k_j = k_c + C / w.  The capacity
+    is C itself, so that flux plateaus of a simulated stationary state
+    reproduce C without rounding detours through k_j.  The
+    cell-transmission scheme is exact for piecewise-constant profiles on
+    this shape, which is why it is the default for simulation.
     """
 
-    free_flow_speed: float
-    congested_wave_speed: float
-    jam_density: float
     capacity: float
-    critical_density: float
-    max_wave_speed: float
+    free_flow_speed: float = 1.0
+    congested_wave_speed: float = 0.5
 
-    def __init__(self, free_flow_speed: float, congested_wave_speed: float,
-                 jam_density: float):
-        if free_flow_speed <= 0 or congested_wave_speed <= 0 or jam_density <= 0:
-            raise DomainError("triangular diagram parameters must be positive")
-        vf, w, kj = free_flow_speed, congested_wave_speed, jam_density
-        kc = kj * w / (vf + w)
-        object.__setattr__(self, "free_flow_speed", vf)
-        object.__setattr__(self, "congested_wave_speed", w)
-        object.__setattr__(self, "jam_density", kj)
+    def __post_init__(self):
+        c, vf = self.capacity, self.free_flow_speed
+        w = self.congested_wave_speed
+        if not (c > 0 and vf > 0 and w > 0):
+            raise DomainError(
+                f"triangular diagram parameters must be positive, got {self}")
+        kc = c / vf
         object.__setattr__(self, "critical_density", kc)
-        object.__setattr__(self, "capacity", vf * kc)
+        object.__setattr__(self, "jam_density", kc + c / w)
         object.__setattr__(self, "max_wave_speed", max(vf, w))
-
-    @classmethod
-    def from_capacity(cls, capacity: float, free_flow_speed: float = 1.0,
-                      congested_wave_speed: float = 0.5) -> "TriangularDiagram":
-        """Build from (C, v_f, w); the jam density k_j = C/v_f + C/w is derived.
-
-        Sets capacity and critical density exactly from the arguments so
-        that flux plateaus of a simulated stationary state reproduce C
-        without rounding detours through k_j.
-        """
-        if capacity <= 0:
-            raise DomainError("capacity must be positive")
-        vf, w = free_flow_speed, congested_wave_speed
-        kc = capacity / vf
-        fd = cls.__new__(cls)
-        object.__setattr__(fd, "free_flow_speed", vf)
-        object.__setattr__(fd, "congested_wave_speed", w)
-        object.__setattr__(fd, "jam_density", kc + capacity / w)
-        object.__setattr__(fd, "critical_density", kc)
-        object.__setattr__(fd, "capacity", capacity)
-        object.__setattr__(fd, "max_wave_speed", max(vf, w))
-        return fd
 
     def flow(self, k: float) -> float:
         return min(self.free_flow_speed * k,
@@ -177,33 +157,25 @@ class TriangularDiagram(FundamentalDiagram):
         return self.jam_density - q / self.congested_wave_speed
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class GreenshieldsDiagram(FundamentalDiagram):
-    """Parabolic flow-density relation Q(k) = v_f * k * (1 - k/k_j)."""
+    """Parabolic flow-density relation Q(k) = v_f * k * (1 - k/k_j), with
+    k_j = 4C / v_f and k_c = k_j / 2; the capacity is v_f * k_j / 4."""
 
-    free_flow_speed: float
-    jam_density: float
     capacity: float
-    critical_density: float
-    max_wave_speed: float
+    free_flow_speed: float = 1.0
 
-    def __init__(self, free_flow_speed: float, jam_density: float):
-        if free_flow_speed <= 0 or jam_density <= 0:
-            raise DomainError("greenshields parameters must be positive")
-        object.__setattr__(self, "free_flow_speed", free_flow_speed)
-        object.__setattr__(self, "jam_density", jam_density)
-        object.__setattr__(self, "critical_density", jam_density / 2.0)
-        object.__setattr__(self, "capacity",
-                           free_flow_speed * jam_density / 4.0)
+    def __post_init__(self):
+        c, vf = self.capacity, self.free_flow_speed
+        if not (c > 0 and vf > 0):
+            raise DomainError(
+                f"greenshields parameters must be positive, got {self}")
+        kj = 4.0 * c / vf
+        object.__setattr__(self, "jam_density", kj)
+        object.__setattr__(self, "critical_density", kj / 2.0)
+        object.__setattr__(self, "capacity", vf * kj / 4.0)
         # |Q'(k)| is maximal at the jam end, where it equals v_f.
-        object.__setattr__(self, "max_wave_speed", free_flow_speed)
-
-    @classmethod
-    def from_capacity(cls, capacity: float,
-                      free_flow_speed: float = 1.0) -> "GreenshieldsDiagram":
-        if capacity <= 0:
-            raise DomainError("capacity must be positive")
-        return cls(free_flow_speed, 4.0 * capacity / free_flow_speed)
+        object.__setattr__(self, "max_wave_speed", vf)
 
     def flow(self, k: float) -> float:
         return self.free_flow_speed * k * (1.0 - k / self.jam_density)
@@ -215,3 +187,13 @@ class GreenshieldsDiagram(FundamentalDiagram):
     def _invert_over_critical(self, q: float) -> float:
         r = max(0.0, 1.0 - q / self.capacity)
         return self.critical_density * (1.0 + math.sqrt(r))
+
+
+def _make_diagram(capacity: float, vf: float, w: float,
+                  shape: str) -> FundamentalDiagram:
+    """The diagram of `shape` for a link of the given capacity."""
+    if shape == "triangular":
+        return TriangularDiagram(capacity, vf, w)
+    if shape == "greenshields":
+        return GreenshieldsDiagram(capacity, vf)
+    raise ConfigurationError(f"unknown diagram shape {shape!r}")

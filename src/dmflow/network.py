@@ -34,8 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .fundamental import (FundamentalDiagram, GreenshieldsDiagram,
-                          TrafficState, TriangularDiagram)
+from .fundamental import FundamentalDiagram, TrafficState, _make_diagram
 
 __all__ = [
     "DmSpec",
@@ -213,15 +212,6 @@ def stationary_states(spec: DmSpec) -> list[StationaryState]:
     if xi > beta:
         return _expand(_SOC, _SUC, c3)
     return _expand(_SOC, _ANY, c3) + _expand(_SUC + _ZS, _SOC, c3)
-
-
-def _make_diagram(capacity: float, vf: float, w: float,
-                  shape: str) -> FundamentalDiagram:
-    if shape == "triangular":
-        return TriangularDiagram.from_capacity(capacity, vf, w)
-    if shape == "greenshields":
-        return GreenshieldsDiagram.from_capacity(capacity, vf)
-    raise ConfigurationError(f"unknown diagram shape {shape!r}")
 
 
 @dataclass(frozen=True)
@@ -405,7 +395,9 @@ class Network:
 
     def validate(self) -> None:
         """Every link has a positive finite capacity and length, and is fed
-        and drained by exactly one junction."""
+        and drained by exactly one junction.  Boundary demands and
+        supplies are nonnegative (+inf allowed), origin fractions and the
+        junction shares lie in [0, 1]."""
         for ln in self.links:
             if not (0.0 < ln.capacity < math.inf
                     and 0.0 < ln.length < math.inf):
@@ -413,32 +405,46 @@ class Network:
                     f"link {ln.name!r} needs a positive finite capacity and "
                     f"length, got {ln.capacity} and {ln.length}")
         fed: dict[str, int] = {ln.name: 0 for ln in self.links}
-        drained: dict[str, int] = {ln.name: 0 for ln in self.links}
+        drained = dict(fed)
 
-        def _feed(name):
-            if name not in fed:
+        def count(ends: dict[str, int], name: str) -> None:
+            if name not in ends:
                 raise ConfigurationError(f"unknown link {name!r}")
-            fed[name] += 1
+            ends[name] += 1
 
-        def _drain(name):
-            if name not in drained:
-                raise ConfigurationError(f"unknown link {name!r}")
-            drained[name] += 1
+        def nonnegative(what: str, link: str, value: float) -> None:
+            if not value >= 0.0:
+                raise ConfigurationError(f"{what} at link {link!r} must be "
+                                         f"nonnegative, got {value}")
+
+        def share(name: str, value: float) -> None:
+            if not 0.0 <= value <= 1.0:
+                raise DomainError(f"{name} must lie in [0, 1], got {value}")
 
         for o in self.origins:
-            _feed(o.link)
+            count(fed, o.link)
+            nonnegative("origin demand", o.link, o.demand)
+            share("origin fraction", o.fraction)
         for d in self.destinations:
-            _drain(d.link)
+            count(drained, d.link)
+            nonnegative("destination supply", d.link, d.supply)
         for dv in self.diverges:
-            _drain(dv.upstream)
+            count(drained, dv.upstream)
+            if dv.xi is not None:
+                share("xi", dv.xi)
             for b in (dv.branch1, dv.branch2):
-                if b.link is not None:
-                    _feed(b.link)
+                if b.link is None:
+                    nonnegative("branch supply", dv.upstream, b.supply)
+                else:
+                    count(fed, b.link)
         for mg in self.merges:
-            _feed(mg.downstream)
+            count(fed, mg.downstream)
+            share("beta", mg.beta)
             for a in (mg.approach1, mg.approach2):
-                if a.link is not None:
-                    _drain(a.link)
+                if a.link is None:
+                    nonnegative("approach demand", mg.downstream, a.demand)
+                else:
+                    count(drained, a.link)
         bad = [n for n in fed if fed[n] != 1 or drained[n] != 1]
         if bad:
             raise ConfigurationError(

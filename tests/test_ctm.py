@@ -160,6 +160,61 @@ class TestStep:
         with pytest.raises(ConfigurationError, match="positive finite"):
             Simulation(single_link_network(capacity=math.nan))
 
+    @pytest.mark.parametrize("origin, destination, error, match", [
+        (Origin("a", -0.5), Destination("a", 10.0), ConfigurationError,
+         "origin demand"),
+        (Origin("a", math.nan), Destination("a", 10.0), ConfigurationError,
+         "origin demand"),
+        (Origin("a", 0.5, fraction=2.0), Destination("a", 10.0),
+         DomainError, "origin fraction"),
+        (Origin("a", 0.5, fraction=-0.1), Destination("a", 10.0),
+         DomainError, "origin fraction"),
+        (Origin("a", 0.5, fraction=math.nan), Destination("a", 10.0),
+         DomainError, "origin fraction"),
+        (Origin("a", 0.5), Destination("a", -1.0), ConfigurationError,
+         "destination supply"),
+        (Origin("a", 0.5), Destination("a", math.nan), ConfigurationError,
+         "destination supply")],
+        ids=["demand-negative", "demand-nan", "fraction-2",
+             "fraction-negative", "fraction-nan", "supply-negative",
+             "supply-nan"])
+    def test_bad_origin_or_destination_rejected(self, origin, destination,
+                                                error, match):
+        network = Network(links=(Link("a", 1.0),), origins=(origin,),
+                          destinations=(destination,))
+        with pytest.raises(error, match=match):
+            network.validate()
+        with pytest.raises(error, match=match):
+            Simulation(network)
+
+    @pytest.mark.parametrize("value", [-0.5, math.nan])
+    def test_bad_approach_demand_or_branch_supply_rejected(self, value):
+        net = build_beltway(2, beta=0.3, xi=0.2)
+        mg, dv = net.merges[1], net.diverges[0]
+        bad_demand = replace(net, merges=(
+            net.merges[0],
+            replace(mg, approach1=replace(mg.approach1, demand=value))))
+        bad_supply = replace(net, diverges=(
+            replace(dv, branch1=replace(dv.branch1, supply=value)),
+            net.diverges[1]))
+        for network, match in ((bad_demand, "approach demand at link 'a2'"),
+                               (bad_supply, "branch supply at link 'a1'")):
+            with pytest.raises(ConfigurationError, match=match):
+                network.validate()
+
+    @pytest.mark.parametrize("share", [-0.5, 1.5, math.nan])
+    def test_share_outside_unit_interval_rejected(self, share):
+        net = build_beltway(1, beta=0.3, xi=0.2)
+        bad_split = replace(net, diverges=(replace(net.diverges[0],
+                                                   xi=share),))
+        bad_beta = replace(net, merges=(replace(net.merges[0], beta=share),))
+        for network, match in ((bad_split, "xi must lie in"),
+                               (bad_beta, "beta must lie in")):
+            with pytest.raises(DomainError, match=match):
+                network.validate()
+            with pytest.raises(DomainError, match=match):
+                Simulation(network)
+
     @pytest.mark.parametrize("field, value", [
         ("free_flow_speed", math.nan), ("free_flow_speed", 0.0),
         ("congested_wave_speed", 0.0), ("congested_wave_speed", -0.5),

@@ -23,6 +23,19 @@ class TestRingStep:
             for state in dmn_fixed_points(2, xi)[1:]:
                 assert dmn_step(2, xi, state) == state
 
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+    def test_alternation_values_are_images_under_the_step(self, n, scale):
+        # The even ring's alternations are bitwise fixed points, and the
+        # odd ring's cycle low is the step's image of a saturated link.
+        for xi in (1 / 3 + 1e-9, 0.34, 0.38, 0.4, 0.42, 0.45, 0.49):
+            if n % 2 == 0:
+                for state in dmn_fixed_points(n, xi, scale)[1:]:
+                    assert dmn_step(n, xi, state, scale) == state
+            else:
+                low, cap = dmn_classify(n, xi, scale).cycle
+                assert dmn_step(n, xi, (cap,) * n, scale) == (low,) * n
+
     def test_single_stage_matches_dm_map_orbit(self):
         # With beta = 0 the four-link network's map has the same middle
         # segment; on [2 - lam, 1] the two agree exactly.

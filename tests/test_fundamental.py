@@ -9,9 +9,9 @@ from dmflow import DomainError
 from dmflow.fundamental import (GreenshieldsDiagram, TrafficState,
                                 TriangularDiagram)
 
-TRI = TriangularDiagram(free_flow_speed=1.0, congested_wave_speed=0.5,
-                        jam_density=3.0)
-GREEN = GreenshieldsDiagram(free_flow_speed=1.0, jam_density=4.0)
+TRI = TriangularDiagram(capacity=1.0, free_flow_speed=1.0,
+                        congested_wave_speed=0.5)
+GREEN = GreenshieldsDiagram(capacity=1.0, free_flow_speed=1.0)
 
 
 class TestDemandSupply:
@@ -104,12 +104,12 @@ class TestInvariants:
 @given(capacity=st.floats(0.1, 10.0), k_frac=st.floats(0.0, 1.0))
 @settings(max_examples=300, deadline=None)
 def test_round_trip_random_triangular(capacity, k_frac):
-    fd = TriangularDiagram.from_capacity(capacity)
+    fd = TriangularDiagram(capacity)
     k = k_frac * fd.jam_density
     assert fd.state_to_density(fd.state(k)) == pytest.approx(k, abs=1e-12)
 
 
-def test_from_capacity_sets_capacity_exactly():
+def test_constructor_sets_capacity_exactly():
     for c in (1.0, 1.5, 2.0, 2.5, 3.0, 0.7):
-        assert TriangularDiagram.from_capacity(c).capacity == c
-        assert GreenshieldsDiagram.from_capacity(c).capacity == c
+        assert TriangularDiagram(c).capacity == c
+        assert GreenshieldsDiagram(c).capacity == c
