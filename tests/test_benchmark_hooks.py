@@ -64,12 +64,11 @@ def test_every_spanned_binding_resolves(child):
 
 
 def test_probed_sweep_counts_the_emitted_rows(probed, tmp_path):
-    info = probed
     assert cli.main(["sweep", BIFURCATION, "--step", "0.01",
                      "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
-    assert info["first_call_ns"] is not None
-    assert info["sweep_points"] == len(rows) == 101
+    assert probed["first_call_ns"] is not None
+    assert probed["sweep_points"] == len(rows) == 101
 
 
 def test_probed_family_records_one_run_per_member(bench, probed, tmp_path):

@@ -113,3 +113,14 @@ def test_constructor_sets_capacity_exactly():
     for c in (1.0, 1.5, 2.0, 2.5, 3.0, 0.7):
         assert TriangularDiagram(c).capacity == c
         assert GreenshieldsDiagram(c).capacity == c
+
+
+@pytest.mark.parametrize("args", [
+    (0.0,), (-1.0,), (float("nan"),), (1.0, 0.0), (1.0, float("nan")),
+    (1.0, 1.0, 0.0), (1.0, 1.0, -0.5)])
+def test_constructor_rejects_parameters_not_positive(args):
+    with pytest.raises(DomainError, match="must be positive"):
+        TriangularDiagram(*args)
+    if len(args) < 3:
+        with pytest.raises(DomainError, match="must be positive"):
+            GreenshieldsDiagram(*args)
