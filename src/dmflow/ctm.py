@@ -21,19 +21,24 @@ The smallest cell traversal time over all links bounds dt (CFL); with the
 default triangular diagram the scheme transports piecewise-constant
 profiles exactly, so stationary states are discrete fixed points.
 
-Layout.  Every link has the same number of cells, so the state of the
-whole network is one array of shape (2, n_links, cells_per_link): total
-density k and commodity-1 density k1, one row per link in the order of
-`Network.links`.  A step evaluates demand, supply and fractions of all
-cells at once, fills a face-flux array of shape (2, n_links, cells + 1)
-(column 0 the flux entering a link, column -1 the flux leaving it) and
-updates every cell through it.  The diagram constants are stored once per
-cell, shape (n_links, cells), and dt/dx once per cell of both rows, shape
-(2, n_links, cells), so no operand is broadcast.  Demand, supply, the
-occupied-cell mask, the merge room and the state update write through
-`out=` into buffers allocated at construction, with the operands in the
-order of the scalar formulas.  Junctions are compiled once, at
-construction, into the rows of two groups:
+Layout.  Each link has its cells plus one ghost cell behind them, so the
+state is one contiguous array of shape (2, n_links * (cells + 1)): k, then
+k1, link after link in the order of `Network.links`.  Face c of the face
+vector is the upstream face of flat cell c; a link's cells + 1 faces run
+from the flux entering it to the flux leaving it, its ghost's upstream
+face.  The ghost's dt/dx is 0, so it stays +0.0.  Every per-cell ufunc of
+a step runs on one contiguous 1-D array: the interior faces are one
+np.minimum(d[:-1], s[1:]), the commodity faces one multiply, the update
+one subtract, one multiply and one add; junction ends overwrite the
+garbage faces a ghost produces.  Strided views cost more than twice as
+much per call: np.minimum over the 4-link network's interior faces took
+1.95 µs on (4, 19) views against 0.86 µs flat (4.9 against 1.4 µs on the
+80-link ring), np.subtract 1.90 against 1.44 µs (6.95 against 2.40).  The
+triangular demand and supply take three calls: [kj - k | k] times [w | vf]
+into the adjacent [s | d] sections of the junction buffer, then the
+minimum with cap.  Diagram constants are stored per slot, the ghost's its
+link's, so that no 0/0 warns.  `k`, `k1` and `q` are views.  Junctions
+are compiled once, at construction, into the rows of two groups:
 
   * merges: link or constant-demand approaches.  Origins and destinations
     are merges whose second approach is an empty slot (demand 0,
@@ -44,48 +49,47 @@ construction, into the rows of two groups:
     after the cell fractions, and a branch with share 0 drops its ratio
     constraint.
 
-Demands, fractions and supplies sit side by side in one buffer that holds
-the cells of every link followed by the boundary slots.  The rows compile
-into one program, an index array into that buffer: five operands per
-merge (d1, d2, s3, f1, f2) and seven per diverge (xi, d0, s1, s2, f0 and
-the two multipliers), laid out operand by operand.  Each step gathers
-the program once, with one `take`, and both evaluators read that operand
-vector; every junction end's [q, phi] goes into one result array, and one
-gather copies its link ends into the face fluxes.  The evaluator is
-chosen at construction by the number of rows (origins, merges,
-destinations and diverges):
+The rows compile into one program, an index array into the buffer of
+supplies, demands and fractions: five operands per merge (d1, d2, s3, f1,
+f2) and seven per diverge (xi, d0, s1, s2, f0 and the two multipliers),
+laid out operand by operand.  Each step gathers it with one `take` for
+both evaluators, and every junction end's [q, phi] lands in the face
+vector: on its face, or for a boundary-only end in a slot after the
+faces.  The evaluator is chosen at construction by the number of rows
+(origins, merges, destinations and diverges):
 
-  * up to `_SCALAR_ROWS` rows, a loop over Python floats: the vector's
-    rows (its transpose, one `tolist` per group) in turn, and one write
-    of every [q, phi] into the result.  On arrays of one to three
-    elements a numpy call costs about a microsecond whatever it computes,
-    and the groups make about twenty.
+  * up to `_SCALAR_ROWS` rows, a loop over Python floats over the
+    vector's rows (one `tolist` per group), then one fancy assignment of
+    every [q, phi], in row order.  On arrays of one to three elements a
+    numpy call costs about a microsecond whatever it computes, and the
+    groups make about twenty.
   * above it, the groups in numpy, whatever their size: one contiguous
-    view of the vector per operand, `out=` buffers and a `where=` mask
-    for the zero shares.
+    view of the vector per operand, `out=` buffers, a `where=` mask for
+    the zero shares, and one assignment that scatters their result.
 
-The crossover of the two lies near 20 rows: the DM network (4 rows) and
-beltways of up to 8 ramp pairs take the loop, the 80-row ring of 20
-stages the groups.  The loop mirrors numpy bit for bit.  np.minimum(a, b)
-is a when a < b or a is NaN, else b, so a tie such as (0.0, -0.0) goes to
-the second operand; Python's min would return the first, and would drop a
-NaN second operand.  np.maximum likewise, and both sums start from 0.0.
-Either way a step is one Python-level call, and the scalar `diverge_flux`
-and `merge_flux` are the reference both evaluators reproduce.
+The crossover of the two lies between 24 and 28 rows: the DM network (4
+rows) and beltways of up to 12 ramp pairs take the loop, the 80-row ring
+of 20 stages the groups.  The loop mirrors numpy bit for bit.
+np.minimum(a, b) is a when a < b or a is NaN, else b, so a tie such as
+(0.0, -0.0) goes to the second operand; Python's min would return the
+first, and would drop a NaN second operand.  np.maximum likewise, and
+both sums start from 0.0.  Either way a step is one Python-level call,
+and the scalar `diverge_flux` and `merge_flux` are the reference both
+evaluators reproduce.
 
-Bookkeeping.  `run` records each step's per-link vehicle sums and the
-fluxes of the boundary endpoints (origins, constant-demand approaches,
-destinations and sink branches).  After every block of steps, outside
-the step, it derives the network totals and both conservation errors from
-them as arrays, in the order of float operations of a step-by-step
-account: links summed left to right, boundary fluxes accumulated from 0.0
-in endpoint order.
+Bookkeeping.  `run` records each step's per-link vehicle sums, and with
+one `take` from the face vector its out-fluxes and the fluxes of the
+boundary endpoints (origins, constant-demand approaches, destinations and
+sink branches).  After every block of steps, outside the step, it derives
+the network totals and both conservation errors from them as arrays, in
+the order of float operations of a step-by-step account: links summed
+left to right, boundary fluxes accumulated from 0.0 in endpoint order.
 
 Settled runs.  The step is autonomous: it reads the state and constants
 (boundary demands and supplies, junction indices and shares), never `t`.
 So a state that one step leaves bit for bit unchanged, a discrete fixed
-point such as a stationary profile, gives the same face fluxes, result
-array and state at every later step; only `t` advances.  `run` keeps a
+point such as a stationary profile, gives the same face vector and state
+at every later step; only `t` advances.  `run` keeps a
 copy of the state before the last step of each block and compares the two
 bitwise after the block.  Once they match it stops stepping: the rest of
 the record repeats the last step's out-fluxes, link sums and boundary
@@ -134,9 +138,10 @@ _BLOCK = 256
 # destinations and diverges) evaluate their junctions on Python floats;
 # larger ones run the numpy groups.  On `build_dmn(n, 0.4)` (4n rows), in
 # 41 interleaved rounds of 200 steps, a step took a median (groups/floats)
-# of 50/31 µs at 4 rows, 52/42 at 12, 51/44 at 16, 47/47 at 20 and 50/53
-# at 24; floats were faster in 41, 40, 38, 22 and 9 rounds of 41.
-_SCALAR_ROWS = 16
+# of 34/15 µs at 4 rows, 46/30 at 12, 46/35 at 16, 42/37 at 20, 48/44 at
+# 24, 49/51 at 28 and 48/56 at 32; floats were faster in 41, 41, 41, 34,
+# 33, 3 and 2 rounds of 41.
+_SCALAR_ROWS = 24
 
 
 def _split_error(xi: np.ndarray) -> DomainError:
@@ -238,10 +243,6 @@ class RunRecord:
         return self.times, self.outflux[link]
 
 
-def _ints(values) -> np.ndarray:
-    return np.array(list(values), dtype=np.intp)
-
-
 class Simulation:
     """Steppable CTM instance for one network description."""
 
@@ -255,42 +256,45 @@ class Simulation:
                for ln in network.links]
         dxs = [ln.length / cells for ln in network.links]
         n = self._n = len(fds)
+        size = n * (cells + 1)
 
-        self._state = np.zeros((2, n, cells))
+        # [kj - k | k | k1]: the flat state, each link's cells and its
+        # ghost, behind the triangular supply's gap kj - k.
+        self._cells = np.zeros(3 * size)
+        self._gap_k, self._flat = self._cells[:2 * size], self._cells[size:]
+        self._gap, self._flat_k, self._flat_k1 = self._cells.reshape(3, size)
+        self._state = self._flat.reshape(2, n, cells + 1)[..., :cells]
         self.k, self.k1 = self._state
-        # Face fluxes [q, phi] of the last step; `q` is public for recording.
-        self._flux = np.zeros((2, n, cells + 1))
-        self.q = self._flux[0]
         self.links: dict[str, LinkState] = {
             ln.name: LinkState(ln.name, fd, dx, self.k[i], self.k1[i])
             for i, (ln, fd, dx) in enumerate(zip(network.links, fds, dxs))}
 
-        def per_cell(values, shape=(n, cells)) -> np.ndarray:
-            """One value per link, stored in every cell of the link."""
-            return np.broadcast_to(np.array(values)[:, None], shape).copy()
-
         def diagram(attr: str) -> np.ndarray:
-            return per_cell([getattr(fd, attr) for fd in fds])
+            """One value per link, in every cell of the link and its ghost."""
+            return np.repeat([getattr(fd, attr) for fd in fds], cells + 1)
 
         self._triangular = config.shape == "triangular"
-        self._vf = diagram("free_flow_speed")
-        self._cap = diagram("capacity")
         self._kj = diagram("jam_density")
         if self._triangular:
-            self._w = diagram("congested_wave_speed")
+            self._wvf = np.concatenate([diagram("congested_wave_speed"),
+                                        diagram("free_flow_speed")])
+            self._cap = np.tile(diagram("capacity"), 2)
         else:
+            self._vf = diagram("free_flow_speed")
             self._kc = diagram("critical_density")
             # lo/hi = min/max(k, kc) and 1 - lo/kj (or hi/kj).
-            self._side = np.empty((n, cells))
-            self._fill = np.empty((n, cells))
-        self._occupied = np.empty((n, cells), dtype=bool)
-        self._delta = np.empty((2, n, cells))
+            self._side = np.empty(size)
+            self._fill = np.empty(size)
+        self._occupied = np.empty(size, dtype=bool)
+        self._delta = np.empty(2 * size)
 
         self.t = 0.0
         limit = min(dx / fd.max_wave_speed for dx, fd in zip(dxs, fds))
         self.dt = self._resolve_dt(limit)
         self._dx = np.array(dxs)
-        self._r = per_cell(self.dt / self._dx, (2, n, cells))
+        # dt/dx per cell of both rows; 0 in the ghosts keeps them +0.0.
+        r = np.outer(self.dt / self._dx, [1.0] * cells + [0.0])
+        self._r = np.tile(r.ravel(), 2)
         row = {ln.name: i for i, ln in enumerate(network.links)}
         self._compile_junctions(network, row)
         logger.debug("simulation ready: %d links, dt=%g",
@@ -308,29 +312,27 @@ class Simulation:
                            row: dict[str, int]) -> None:
         """Buffers, index and constant arrays of the two junction groups.
 
-        Senders index the demand and fraction buffers, receivers the supply
-        buffer.  Each buffer starts with the cells of every link, which the
-        step fills in place: a link sends from its last cell and receives
-        into its first.  Boundary slots follow: origins and constant-demand
-        approaches, then EMPTY (demand 0, fraction 0); destinations and
-        sink branches.  The fraction buffer goes on with the fixed diverge
-        splits and a constant 1.0.
+        One buffer holds the supplies and the demands of every cell, ghosts
+        included, then boundary demands: origins and constant-demand
+        approaches, then EMPTY (demand 0, fraction 0).  The fractions of
+        the cells and of those senders follow, then the fixed diverge
+        splits and a constant 1.0, and last the boundary supplies of
+        destinations and sink branches.  A link sends from its last cell
+        and receives into its first.  The rows compile into the program of
+        operands that a step gathers from that buffer: five per merge (d1,
+        d2, s3, f1, f2) and seven per diverge (split, d0, s1, s2, f0, the
+        two multipliers), operand by operand.  The merge shares are kept as
+        an array for the groups and as Python floats for the loop.
 
-        The result array holds [q, phi] of every junction end, one column
-        each: merge approaches 1, merge approaches 2, merge downstream ends,
-        diverge upstream ends, diverge branches 1, diverge branches 2, and
-        a zero column.  Origins and destinations are merges whose second
-        approach is EMPTY.
-
-        The rows compile into the program of operands that a step
-        gathers from the buffer holding demand, fraction and supply side by
-        side: five per merge (d1, d2, s3, f1, f2) and seven per diverge
-        (split, d0, s1, s2, f0, the two multipliers), operand by operand.
-        The merge shares are kept as an array for the groups and as Python
-        floats for the loop.
+        The groups' result array holds [q, phi] of every junction end, one
+        column each: merge approaches 1, merge approaches 2, merge
+        downstream ends, diverge upstream ends, diverge branches 1 and 2.
+        Origins and destinations are merges whose second approach is EMPTY.
+        Each end has a slot in the face vector: a link end its face, any
+        other end one of the slots after the faces.
         """
         n, cells = self._n, self.config.cells_per_link
-        size = n * cells
+        size = n * (cells + 1)
         demand: list[float] = []
         fraction: list[float] = []
         supply: list[float] = []
@@ -341,19 +343,21 @@ class Simulation:
             return size + len(demand) - 1
 
         def receiver(s: float) -> int:
+            # Boundary supplies end the buffer, in reverse.
             supply.append(s)
-            return size + len(supply) - 1
+            return -len(supply)
 
         def last(link: str) -> int:
-            return row[link] * cells + cells - 1
+            return row[link] * (cells + 1) + cells - 1
 
         def first(link: str) -> int:
-            return row[link] * cells
+            return row[link] * (cells + 1)
 
         m = (len(network.origins) + len(network.merges)
              + len(network.destinations))
         nd = len(network.diverges)
-        inflow, outflow = [0] * n, [0] * n      # result column per link end
+        # The face of each result column; -1 for a boundary-only end.
+        at = [-1] * (3 * m + 3 * nd)
         # Result columns of the boundary ends, in the order the totals
         # accumulate them.
         origin_ends: list[int] = []
@@ -365,7 +369,7 @@ class Simulation:
             if a.link is None:
                 approach_ends.append(col)
                 return sender(a.demand, 0.0)
-            outflow[row[a.link]] = col
+            at[col] = last(a.link) + 1
             return last(a.link)
 
         # Merge group rows (approach 1, approach 2, downstream) and beta.
@@ -376,20 +380,20 @@ class Simulation:
         merges: list[tuple[int, int, int]] = []
         betas: list[float] = []
         for o in network.origins:
-            inflow[row[o.link]] = 2 * m + len(merges)
+            at[2 * m + len(merges)] = first(o.link)
             origin_ends.append(len(merges))
             merges.append((sender(o.demand, o.fraction), empty,
                            first(o.link)))
             betas.append(0.5)
         for mg in network.merges:
             j = len(merges)
-            inflow[row[mg.downstream]] = 2 * m + j
+            at[2 * m + j] = first(mg.downstream)
             merges.append((approach(mg.approach1, j),
                            approach(mg.approach2, m + j),
                            first(mg.downstream)))
             betas.append(mg.beta)
         for d in network.destinations:
-            outflow[row[d.link]] = len(merges)
+            at[len(merges)] = last(d.link) + 1
             dest_ends.append(2 * m + len(merges))
             merges.append((last(d.link), empty, receiver(d.supply)))
             betas.append(0.5)
@@ -405,7 +409,7 @@ class Simulation:
         diverges: list[tuple[int, ...]] = []
         for j, dv in enumerate(network.diverges):
             up = last(dv.upstream)
-            outflow[row[dv.upstream]] = 3 * m + j
+            at[3 * m + j] = up + 1
             branches = []
             for i, b in enumerate((dv.branch1, dv.branch2)):
                 col = 3 * m + (1 + i) * nd + j
@@ -413,7 +417,7 @@ class Simulation:
                     branch_ends.append(col)
                     branches.append(receiver(b.supply))
                 else:
-                    inflow[row[b.link]] = col
+                    at[col] = first(b.link)
                     branches.append(first(b.link))
             if dv.xi is None:
                 # Commodity-driven: branch 1 carries all of commodity 1.
@@ -424,24 +428,24 @@ class Simulation:
         self._mg_beta = np.array([betas, [1.0 - b for b in betas]])
         self._room = np.empty((2,) + self._mg_beta.shape)
 
-        # Demand, fraction and supply side by side in one buffer, so that
+        # Supply, demand and fraction side by side in one buffer, so that
         # a step gathers the operands of every row in one `take`.
-        f0 = size + len(demand)
-        s0 = f0 + size + len(fraction)
-        buf = self._buf = np.concatenate([np.zeros(size), demand,
+        f0 = 2 * size + len(demand)
+        buf = self._buf = np.concatenate([np.zeros(2 * size), demand,
                                           np.zeros(size), fraction,
-                                          np.zeros(size), supply])
-        dem, fr, sup = buf[:f0], buf[f0:s0], buf[s0:]
-        self._d = dem[:size].reshape(n, cells)
-        self._s = sup[:size].reshape(n, cells)
-        self._frac = fr[:size].reshape(n, cells)
-        rows = ([(a1, a2, s0 + down, f0 + a1, f0 + a2)
+                                          supply[::-1]])
+        self._sd = buf[:2 * size]
+        self._s, self._d = self._sd.reshape(2, size)
+        self._frac = buf[f0:f0 + size]
+        # Demands follow the supplies of the cells.
+        rows = ([(size + a1, size + a2, down, f0 + a1, f0 + a2)
                  for a1, a2, down in merges],
-                [(f0 + xi, up, s0 + b1, s0 + b2, f0 + up, f0 + m1, f0 + m2)
+                [(f0 + xi, size + up, b1, b2, f0 + up, f0 + m1, f0 + m2)
                  for up, xi, b1, b2, m1, m2 in diverges])
-        # Operand by operand: d1 of every merge row, then d2, and so on.
-        self._program = _ints(i for group in rows for column in zip(*group)
-                              for i in column)
+        # Operand by operand: d1 of every merge row, then d2, and so on;
+        # the negative index of a boundary supply wraps to the buffer's end.
+        self._program = np.array([i for group in rows for column in zip(
+            *group) for i in column], dtype=np.intp) % len(buf)
         ops = self._ops = np.empty(5 * m + 7 * nd)
         mg, dv = ops[:5 * m].reshape(5, m), ops[5 * m:].reshape(7, nd)
         self._mg_rows, self._dv_rows = mg.T, dv.T
@@ -450,29 +454,45 @@ class Simulation:
         self._f0, self._m12 = dv[4], dv[5:]
         self._shares = tuple(zip(betas, self._mg_beta[1].tolist()))
         self._scalar = m + nd <= _SCALAR_ROWS
-        # One more column, never written, starts both boundary totals.
-        res = self._res = np.zeros((2, 3 * m + 3 * nd + 1))
-        zero = 3 * m + 3 * nd
-        self._live = res[:, :zero]
+        live = 3 * m + 3 * nd
+        res = self._res = np.zeros((2, live))
         self._q_app = res[0, :2 * m].reshape(2, m)
         self._phi_app = res[1, :2 * m].reshape(2, m)
         self._q_down, self._phi_down = res[:, 2 * m:3 * m]
         self._q_up, self._phi_up = res[:, 3 * m:3 * m + nd]
-        self._q_br = res[0, 3 * m + nd:zero].reshape(2, nd)
-        self._phi_br = res[1, 3 * m + nd:zero].reshape(2, nd)
+        self._q_br = res[0, 3 * m + nd:].reshape(2, nd)
+        self._phi_br = res[1, 3 * m + nd:].reshape(2, nd)
         self._split = np.empty((2, nd))         # (xi, 1 - xi)
         self._open = np.ones((3, nd), dtype=bool)
-        self._ends = _ints(zip(inflow, outflow))
-        # Fixed views the step reads and writes through.
-        flux = self._flux
-        self._d_out, self._s_in = self._d[:, :-1], self._s[:, 1:]
-        self._frac_out = self._frac[:, :-1]
-        self._q_inner, self._phi_inner = flux[:, :, 1:-1]
-        self._flux_ends = flux[:, :, ::cells]
-        self._flux_up, self._flux_down = flux[:, :, :-1], flux[:, :, 1:]
-        self._bnd = _ints([zero, *origin_ends, *approach_ends,
-                           zero, *dest_ends, *branch_ends])
+
+        # The face vector: q then phi of every cell's upstream face, then a
+        # zero and q of the boundary-only ends, a zero and their phi.
+        zero = 2 * size
+        q_at = np.array(at + [zero])
+        bound = np.flatnonzero(q_at < 0)
+        q_at[bound] = zero + 1 + np.arange(len(bound))
+        ends = np.array([q_at, q_at + np.where(q_at < size, size,
+                                               len(bound) + 1)])
+        faces = self._faces = np.zeros(zero + 2 + 2 * len(bound))
+        self._flux = faces[:zero].reshape(2, n, cells + 1)
+        self.q = self._flux[0]
+        # Where the groups' result columns and the loop's [q, phi] of each
+        # row's three ends go.
+        self._scatter = np.ascontiguousarray(ends[:, :live])
+        self._targets = np.concatenate([
+            ends[:, j:j + 3 * g].reshape(2, 3, g).transpose(2, 0, 1).ravel()
+            for j, g in ((0, m), (3 * m, nd))])
+        self._bnd = ends[:, [live, *origin_ends, *approach_ends,
+                             live, *dest_ends, *branch_ends]]
         self._n_src = 1 + len(origin_ends) + len(approach_ends)
+        out = np.arange(cells, size, cells + 1)
+        # Per step of `run`: the out-fluxes and the boundary ends.
+        self._record = np.concatenate([[out, out + size], self._bnd], 1)
+        # Fixed views the step reads and writes through.
+        self._d_out, self._s_in = self._d[:-1], self._s[1:]
+        self._frac_out = self._frac[:-1]
+        self._q_inner, self._phi_inner = faces[1:size], faces[size + 1:zero]
+        self._faces_up, self._faces_down = faces[:zero], faces[1:zero + 1]
 
     def step(self) -> None:
         """Advance one dt.
@@ -481,20 +501,20 @@ class Simulation:
         link, column -1 the flux leaving it); `boundary_totals` reads the
         step's boundary fluxes.
         """
-        k, d, s, frac = self.k, self._d, self._s, self._frac
-        vf, cap, kj = self._vf, self._cap, self._kj
+        k, kj, frac, faces = self._flat_k, self._kj, self._frac, self._faces
         if self._triangular:
-            # min(vf*k, cap) and min(cap, w*(kj - k)).
-            np.multiply(vf, k, out=d)
-            np.minimum(d, cap, out=d)
-            np.subtract(kj, k, out=s)
-            np.multiply(self._w, s, out=s)
-            np.minimum(cap, s, out=s)
+            # [s | d] = min([w | vf] * [kj - k | k], cap): the supply
+            # min(cap, w*(kj - k)) and the demand min(vf*k, cap), bit for
+            # bit, since cap is positive.
+            np.subtract(kj, k, out=self._gap)
+            np.multiply(self._wvf, self._gap_k, out=self._sd)
+            np.minimum(self._sd, self._cap, out=self._sd)
         else:
             # (vf*lo)*(1 - lo/kj) with lo = min(k, kc); hi = max(k, kc)
             # likewise.
-            side, fill = self._side, self._fill
-            for extreme, out in ((np.minimum, d), (np.maximum, s)):
+            side, fill, vf = self._side, self._fill, self._vf
+            for extreme, out in ((np.minimum, self._d),
+                                 (np.maximum, self._s)):
                 extreme(k, self._kc, out=side)
                 np.divide(side, kj, out=fill)
                 np.subtract(1.0, fill, out=fill)
@@ -502,21 +522,21 @@ class Simulation:
                 np.multiply(out, fill, out=out)
         frac.fill(0.0)
         occupied = np.greater(k, 0.0, out=self._occupied)
-        np.divide(self.k1, k, out=frac, where=occupied)
+        np.divide(self._flat_k1, k, out=frac, where=occupied)
         # Every index is in range; 'clip' writes into `out` directly, where
         # the default mode would buffer it.
         self._buf.take(self._program, None, self._ops, "clip")
+        # Every face from its upstream cell's demand and fraction and its
+        # downstream cell's supply; the junctions overwrite the link ends.
+        np.minimum(self._d_out, self._s_in, out=self._q_inner)
+        np.multiply(self._frac_out, self._q_inner, out=self._phi_inner)
 
         if self._scalar:
             # The rows of both groups on Python floats, each operation with
             # the operands, in the order, of the groups below.  np.minimum
             # (a, b) is `a if a < b or a != a else b`, np.maximum likewise.
-            # [q, phi] of each row's three ends go into lists row by row;
-            # the result array takes them end by end.
-            q_mg: list[float] = []
-            phi_mg: list[float] = []
-            q_dv: list[float] = []
-            phi_dv: list[float] = []
+            # Each row's three ends give q then phi, in row order.
+            out: list[float] = []
             for (b1, b2), (d1, d2, s3, f1, f2) in zip(
                     self._shares, self._mg_rows.tolist()):
                 r, t = s3 - d2, b1 * s3
@@ -527,8 +547,7 @@ class Simulation:
                 q2 = d2 if d2 < r or d2 != d2 else r
                 p1, p2 = f1 * q1, f2 * q2
                 # Both sums start from 0.0, as np.add.reduce does.
-                q_mg += (q1, q2, (0.0 + q1) + q2)
-                phi_mg += (p1, p2, (0.0 + p1) + p2)
+                out += (q1, q2, (0.0 + q1) + q2, p1, p2, (0.0 + p1) + p2)
             for xi, d0, s1, s2, f0, f1, f2 in self._dv_rows.tolist():
                 if not 0.0 <= xi <= 1.0:
                     raise _split_error(self._xi)
@@ -541,13 +560,8 @@ class Simulation:
                     t = s2 / xi2
                     q0 = q0 if q0 < t or q0 != q0 else t
                 q1, q2 = xi * q0, xi2 * q0
-                q_dv += (q0, q1, q2)
-                phi_dv += (f0 * q0, f1 * q1, f2 * q2)
-            self._live[...] = (
-                q_mg[::3] + q_mg[1::3] + q_mg[2::3]
-                + q_dv[::3] + q_dv[1::3] + q_dv[2::3],
-                phi_mg[::3] + phi_mg[1::3] + phi_mg[2::3]
-                + phi_dv[::3] + phi_dv[1::3] + phi_dv[2::3])
+                out += (q0, q1, q2, f0 * q0, f1 * q1, f2 * q2)
+            faces[self._targets] = out
         else:
             # The reductions pass (axis, dtype, out, keepdims, initial,
             # where) by position: on arrays this small, parsing keywords
@@ -583,20 +597,17 @@ class Simulation:
             np.add.reduce(q12, 0, None, self._q_down)
             np.add.reduce(self._phi_app, 0, None, self._phi_down, False,
                           0.0)
+            faces[self._scatter] = self._res
 
-        q_in = self._q_inner
-        np.minimum(self._d_out, self._s_in, out=q_in)
-        np.multiply(self._frac_out, q_in, out=self._phi_inner)
-        self._flux_ends[...] = self._res.take(self._ends, axis=1)
-        delta = np.subtract(self._flux_up, self._flux_down, out=self._delta)
+        delta = np.subtract(self._faces_up, self._faces_down, out=self._delta)
         np.multiply(self._r, delta, out=delta)
-        np.add(self._state, delta, out=self._state)
+        np.add(self._flat, delta, out=self._flat)
         self.t += self.dt
 
     def boundary_totals(self) -> tuple[float, float, float, float]:
         """Boundary totals (source q, source phi, sink q, sink phi) of the
         last step."""
-        src, snk = self._boundary_sums(self._res[:, self._bnd])
+        src, snk = self._boundary_sums(self._faces[self._bnd])
         return (*src.tolist(), *snk.tolist())
 
     def _boundary_sums(self, ends: np.ndarray,
@@ -616,17 +627,10 @@ class Simulation:
     def run(self, horizon: float | None = None) -> RunRecord:
         """Step until the horizon, recording boundary fluxes and totals.
 
-        The loop records the per-link vehicle sums and the boundary-end
-        fluxes of each step.  Every `_BLOCK` steps, and at the end, the
-        network totals and conservation errors of the block are derived
-        from them as arrays, in the order of float operations of a
-        step-by-step account.
-
-        A step reads only the state and constants, never `t`.  So when
-        the last step of a block leaves the state bit for bit unchanged,
-        every later step would repeat it: the rest of the run is filled
-        in without stepping, with that step's fluxes and sums, and times
-        that go on adding dt one step at a time.
+        Every `_BLOCK` steps, and at the end, the block's totals and
+        conservation errors are derived as arrays (Bookkeeping, above).
+        Once the last step of a block leaves the state bit for bit
+        unchanged, the rest is filled in without stepping (Settled runs).
         """
         horizon = self.config.horizon if horizon is None else horizon
         _check_horizon(horizon)
@@ -640,30 +644,32 @@ class Simulation:
             raise ConfigurationError(
                 f"horizon {horizon!r} needs {n_steps} steps of dt = "
                 f"{self.dt!r}; their records do not fit in memory") from None
-        state, res, bnd, add = self._state, self._res, self._bnd, np.add
+        state, flat, faces, add = self._state, self._flat, self._faces, np.add
+        record, n = self._record, self._n
         block = min(n_steps, _BLOCK)
-        sums = np.empty((block, 2, self._n))
-        ends = np.empty((block, 2, len(bnd)))
+        sums = np.empty((block, 2, n))
+        # Each step's out-fluxes, then its boundary ends.
+        ends = np.empty((block,) + record.shape)
         # The state before the last step of a block, compared bitwise
         # (-0.0 differs from 0.0, equal NaN payloads match).
-        before = np.empty_like(state)
-        bits, before_bits = state.view(np.int64), before.view(np.int64)
-        q_out = self.q[:, -1]
+        before = np.empty_like(flat)
+        bits, before_bits = flat.view(np.int64), before.view(np.int64)
         settled = False
         totals[0] = self._vehicles(add.reduce(state, 2))
         for start in range(0, n_steps, _BLOCK):
             stop = min(start + _BLOCK, n_steps)
             for i in range(0 if settled else stop - start):
                 if start + i == stop - 1:
-                    before[...] = state
+                    before[...] = flat
                 self.step()
                 times[start + i] = self.t
-                outflux[start + i] = q_out
                 add.reduce(state, 2, None, sums[i])
-                res.take(bnd, 1, ends[i])
+                faces.take(record, None, ends[i], "clip")
+            rows = ends[:stop - start]
+            outflux[start:stop] = rows[:, 0, :n]
             now = totals[start + 1:stop + 1]
             now[...] = self._vehicles(sums[:stop - start])
-            src, snk = self._boundary_sums(ends[:stop - start])
+            src, snk = self._boundary_sums(rows[..., n:])
             np.abs(now - totals[start:stop] - self.dt * (src - snk),
                    out=errors[start:stop])
             logger.debug("run: %d of %d steps, t = %g", stop, n_steps,
@@ -674,7 +680,6 @@ class Simulation:
                 # full, so its last rows are that step's; times go on by
                 # t += dt, which accumulate reproduces: it adds in order.
                 settled = True
-                outflux[stop:] = q_out
                 sums[:] = sums[-1]
                 ends[:] = ends[-1]
                 rest = times[stop - 1:]

@@ -214,6 +214,31 @@ def test_kernel_invariants_and_junction_reference(case):
     assert np.array_equal(first.vehicles, again.vehicles)
 
 
+def ghosts(sim) -> np.ndarray:
+    """The ghost slot behind each link's cells, in both rows of the flat
+    state."""
+    return sim._flat.reshape(2, len(sim.links), -1)[..., -1]
+
+
+# The overflow is the subnormal-xi case of the kernel test above.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(cases(), st.booleans())
+def test_ghost_cells_stay_zero_and_the_views_reach_the_step(case, scalar):
+    # The ghost's dt/dx is 0, so whatever faces it sits between it keeps
+    # +0.0; the public views are windows on the arrays the step updates.
+    network, config, seed = case
+    sim = loaded(network, config, seed, scalar)
+    assert sim._scalar is scalar
+    cells = [sim.k, sim.k1, *(v for ls in sim.links.values()
+                              for v in (ls.k, ls.k1))]
+    assert all(np.shares_memory(view, sim._flat) for view in cells)
+    assert np.shares_memory(sim.q, sim._faces)
+    for _ in range(STEPS):
+        sim.step()
+        assert ghosts(sim).tobytes() == bytes(ghosts(sim).nbytes)
+
+
 def reference_bookkeeping(sim, n_steps):
     """Vehicles after each step and the largest per-step conservation
     errors (all, commodity 1), accounted step by step in Python floats."""
@@ -315,7 +340,7 @@ def test_step_does_not_read_the_time(case, t):
     sim.step()
     later.step()
     for got, want in ((later._state, sim._state), (later._flux, sim._flux),
-                      (later._res, sim._res)):
+                      (later._faces, sim._faces)):
         assert got.tobytes() == want.tobytes()
 
 
@@ -427,7 +452,7 @@ def test_scalar_and_vector_junctions_agree_bit_for_bit(case):
         scalar, vector = sims
         for got, want in ((scalar._state, vector._state),
                           (scalar._flux, vector._flux),
-                          (scalar._res, vector._res)):
+                          (scalar._faces, vector._faces)):
             assert got.tobytes() == want.tobytes()
         if errors[0] is not None:
             assert fault not in (None, "nan")
