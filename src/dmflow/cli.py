@@ -19,8 +19,8 @@ import numpy as np
 from . import io
 from .bifurcation import regime_boundaries, sweep_xi
 from .errors import ConfigurationError, DmflowError
-from .extended import (BeltwaySpec, beltway_classify, beltway_factor,
-                       beltway_half_life, dmn_classify)
+from .extended import (beltway_classify, beltway_factor, beltway_half_life,
+                       dmn_classify)
 from .poincare import Regime, build_map, classify_stability, cobweb
 from .scenario import Scenario, load_scenario
 from .validation import validate_spec
@@ -50,9 +50,10 @@ def _format(args, scenario: Scenario) -> str:
 
 def cmd_analyze(args) -> int:
     scenario = load_scenario(args.scenario, args.xi)
+    spec = scenario.spec
     out = _outdir(args, scenario)
     if scenario.kind == "dm":
-        report = classify_stability(scenario.require_dm())
+        report = classify_stability(spec)
         payload = {
             "regime": report.regime.value,
             "stability": report.stability.value,
@@ -62,7 +63,7 @@ def cmd_analyze(args) -> int:
             "lyapunov_verdict": report.lyapunov_verdict,
             "boundaries": [
                 {"xi": t.xi, "transition": t.describe()}
-                for t in regime_boundaries(scenario.require_dm())],
+                for t in regime_boundaries(spec)],
         }
         if report.regime in (Regime.UPSTREAM_BOTTLENECK,
                              Regime.MIDDLE_BOTTLENECK):
@@ -79,8 +80,7 @@ def cmd_analyze(args) -> int:
                 kind = "continuum endpoints" if p.continuum else "two-cycle"
                 print(f"{kind}: ({p.v_minus!r}, {p.v_plus!r})")
     elif scenario.kind == "dmn":
-        p = scenario.params
-        cls = dmn_classify(p["n"], p["xi"], p["scale"])
+        cls = dmn_classify(spec)
         payload = {
             "pattern": cls.pattern.value,
             "analyzed_band": cls.analyzed,
@@ -89,12 +89,10 @@ def cmd_analyze(args) -> int:
             "asymmetric_points": [list(p) for p in cls.asymmetric_points],
             "cycle": list(cls.cycle) if cls.cycle else None,
         }
-        print(f"ring of {p['n']} stage(s): {cls.pattern.value}"
+        print(f"ring of {spec.n} stage(s): {cls.pattern.value}"
               + ("" if cls.analyzed else " (outside analyzed band)"))
         print(f"perturbation growth per lap: {cls.growth_factor!r}")
     else:
-        p = scenario.params
-        spec = BeltwaySpec(p["beta"], p["xi"], p["pairs"])
         factor = beltway_factor(spec)
         cls = beltway_classify(spec)
         payload = {
@@ -102,7 +100,7 @@ def cmd_analyze(args) -> int:
             "per_pair_ratio": factor.per_pair,
             "per_lap_ratio": factor.per_lap,
         }
-        print(f"beltway with {p['pairs']} ramp pair(s): {cls.value}")
+        print(f"beltway with {spec.n_pairs} ramp pair(s): {cls.value}")
         print(f"per-pair flux ratio: {factor.per_pair!r}")
         if factor.per_pair < 1.0:
             hl = beltway_half_life(spec)

@@ -173,6 +173,10 @@ class SimConfig:
             raise ConfigurationError(
                 f"cells_per_link must be a positive integer, got {cells!r}")
         object.__setattr__(self, "cells_per_link", int(cells))
+        for name in ("horizon", "free_flow_speed", "congested_wave_speed"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if self.dt is not None:
+            object.__setattr__(self, "dt", float(self.dt))
         for name in ("free_flow_speed", "congested_wave_speed"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ConfigurationError(f"{name} must be positive and "

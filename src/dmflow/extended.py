@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError
-from .network import DMN_DEST_SUPPLY, DMN_NARROW_CAPACITY
+from .network import (DMN_DEST_SUPPLY, DMN_NARROW_CAPACITY, BeltwaySpec,
+                      DmnSpec)
 
 __all__ = [
     "DMN_XI_BAND",
@@ -40,7 +41,6 @@ __all__ = [
     "dmn_perturbation_factor",
     "dmn_fixed_points",
     "dmn_classify",
-    "BeltwaySpec",
     "BeltwayFactor",
     "GridlockClass",
     "beltway_factor",
@@ -123,7 +123,7 @@ class DmnPattern(Enum):
 @dataclass(frozen=True)
 class DmnClassification:
     pattern: DmnPattern
-    analyzed: bool                       # xi inside the derivation band
+    analyzed: bool                       # inside the derivation band
     symmetric_point: tuple[float, ...]
     asymmetric_points: tuple[tuple[float, ...], ...]
     cycle: tuple[float, float] | None    # oscillation extrema when PPO
@@ -144,17 +144,19 @@ def dmn_fixed_points(n: int, xi: float, scale: float = 1.0,
     return (sym, alt1, alt2)
 
 
-def dmn_classify(n: int, xi: float, scale: float = 1.0) -> DmnClassification:
+def dmn_classify(spec: DmnSpec) -> DmnClassification:
     """Asymptotic pattern of the symmetric ring at the given split.
 
-    Only 1/3 < xi < 1/2 is covered by the derivation; outside that band
-    the same formulas are evaluated but flagged unanalyzed.  A growth
-    magnitude of exactly one (xi = 1/2) is neutral and reported as stable
-    only in the weak sense that perturbations do not grow.
+    Only 1/3 < xi < 1/2 with merge priority 0 is covered by the
+    derivation; outside that band, or for beta > 0, the same formulas are
+    evaluated but flagged unanalyzed.  A growth magnitude of exactly one
+    (xi = 1/2) is neutral and reported as stable only in the weak sense
+    that perturbations do not grow.
     """
+    n, xi, scale = spec.n, spec.xi, spec.scale
     factor = dmn_perturbation_factor(n, xi)
     lam = _check_xi(xi)
-    analyzed = DMN_XI_BAND[0] < xi < DMN_XI_BAND[1]
+    analyzed = DMN_XI_BAND[0] < xi < DMN_XI_BAND[1] and spec.beta == 0.0
     fps = dmn_fixed_points(n, xi, scale)
     if abs(factor) <= 1.0:
         return DmnClassification(DmnPattern.STABLE, analyzed, fps[0], (),
@@ -164,33 +166,6 @@ def dmn_classify(n: int, xi: float, scale: float = 1.0) -> DmnClassification:
                                  _starved_and_saturated(lam, scale), factor)
     return DmnClassification(DmnPattern.BISTABLE, analyzed, fps[0],
                              fps[1:], None, factor)
-
-
-@dataclass(frozen=True)
-class BeltwaySpec:
-    """Ring road with n_pairs alternating off-ramp / on-ramp pairs."""
-
-    beta: float
-    xi: float
-    n_pairs: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.beta < 1.0:
-            raise DomainError(f"beta must lie in [0, 1), got {self.beta}")
-        if not 0.0 <= self.xi < 1.0:
-            raise DomainError(f"xi must lie in [0, 1), got {self.xi}")
-        if self.n_pairs < 1:
-            raise DomainError("n_pairs must be a positive integer")
-
-    @property
-    def alpha(self) -> float:
-        """On-ramp odds form beta/(1-beta)."""
-        return self.beta / (1.0 - self.beta)
-
-    @property
-    def mu(self) -> float:
-        """Off-ramp odds form xi/(1-xi)."""
-        return self.xi / (1.0 - self.xi)
 
 
 @dataclass(frozen=True)

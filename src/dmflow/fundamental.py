@@ -94,7 +94,7 @@ class FundamentalDiagram:
     def state(self, k: float) -> TrafficState:
         return TrafficState(self.demand(k), self.supply(k))
 
-    def state_to_density(self, u: TrafficState, rel_tol: float = 1e-9) -> float:
+    def state_to_density(self, u: TrafficState) -> float:
         """Recover the density of a demand-supply pair.
 
         Under-critical states (d <= s) sit on the rising branch with flow d;
@@ -102,7 +102,7 @@ class FundamentalDiagram:
         only meaningful when max(d, s) equals the capacity.
         """
         top = max(u.demand, u.supply)
-        if not math.isclose(top, self.capacity, rel_tol=rel_tol, abs_tol=1e-12):
+        if not math.isclose(top, self.capacity, rel_tol=1e-9, abs_tol=1e-12):
             raise DomainError(
                 f"inconsistent state {u}: max(d, s)={top} != capacity {self.capacity}")
         if u.demand <= u.supply:

@@ -38,6 +38,8 @@ from .fundamental import FundamentalDiagram, TrafficState, _make_diagram
 
 __all__ = [
     "DmSpec",
+    "DmnSpec",
+    "BeltwaySpec",
     "LinkRegime",
     "StationaryState",
     "stationary_states",
@@ -61,6 +63,30 @@ __all__ = [
 ]
 
 
+def _cast(spec, cast, *names: str) -> None:
+    for name in names:
+        object.__setattr__(spec, name, cast(getattr(spec, name)))
+
+
+def _count(spec, name: str) -> None:
+    """Check that field `name` is a positive whole number; store it as int."""
+    value = getattr(spec, name)
+    if not (1 <= value < math.inf and float(value).is_integer()):
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+    object.__setattr__(spec, name, int(value))
+
+
+def _positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
+def _share(name: str, value: float, top: str = "]") -> None:
+    """Check value in [0, 1], or in [0, 1) when top is ")"."""
+    if not (0.0 <= value <= 1.0 and (top == "]" or value < 1.0)):
+        raise DomainError(f"{name} must lie in [0, 1{top}, got {value}")
+
+
 @dataclass(frozen=True)
 class DmSpec:
     """Capacities, merge priority and route split of one diverge-merge unit.
@@ -79,19 +105,12 @@ class DmSpec:
     lengths: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        for name in ("c0", "c1", "c2", "c3", "beta", "xi"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        _cast(self, float, "c0", "c1", "c2", "c3", "beta", "xi")
         for name in ("c0", "c1", "c2", "c3"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise DomainError(f"capacity {name} must be positive and "
-                                  f"finite, got {value}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise DomainError(f"beta must lie in [0, 1], got {self.beta}")
-        if not 0.0 <= self.xi <= 1.0:
-            raise DomainError(f"xi must lie in [0, 1], got {self.xi}")
-        object.__setattr__(self, "lengths",
-                           tuple(float(x) for x in self.lengths))
+            _positive(f"capacity {name}", getattr(self, name))
+        _share("beta", self.beta)
+        _share("xi", self.xi)
+        _cast(self, lambda xs: tuple(float(x) for x in xs), "lengths")
         if len(self.lengths) != 4 or not all(0.0 < x < math.inf
                                              for x in self.lengths):
             raise DomainError(
@@ -100,6 +119,57 @@ class DmSpec:
 
     def with_xi(self, xi: float) -> "DmSpec":
         return replace(self, xi=xi)
+
+
+@dataclass(frozen=True)
+class DmnSpec:
+    """Ring of n diverge-merge stages (see `build_dmn`): the stage count,
+    the split xi onto the narrow links, a factor on every capacity, and
+    the merge priority of the narrow links, for which the ring map of
+    `dmflow.extended` assumes 0."""
+
+    n: int
+    xi: float
+    scale: float = 1.0
+    beta: float = 0.0
+
+    def __post_init__(self):
+        _count(self, "n")
+        _cast(self, float, "xi", "scale", "beta")
+        _share("xi", self.xi)
+        _positive("scale", self.scale)
+        _share("beta", self.beta)
+
+
+@dataclass(frozen=True)
+class BeltwaySpec:
+    """Ring road with n_pairs alternating off-ramp / on-ramp pairs (see
+    `build_beltway`): on-ramp priority beta, off-ramp turning proportion
+    xi, and the capacity and length of each ring segment."""
+
+    beta: float
+    xi: float
+    n_pairs: int
+    ring_capacity: float = 1.0
+    segment_length: float = 1.0
+
+    def __post_init__(self):
+        _cast(self, float, "beta", "xi", "ring_capacity", "segment_length")
+        _share("beta", self.beta, ")")
+        _share("xi", self.xi, ")")
+        _count(self, "n_pairs")
+        _positive("ring_capacity", self.ring_capacity)
+        _positive("segment_length", self.segment_length)
+
+    @property
+    def alpha(self) -> float:
+        """On-ramp odds form beta/(1-beta)."""
+        return self.beta / (1.0 - self.beta)
+
+    @property
+    def mu(self) -> float:
+        """Off-ramp odds form xi/(1-xi)."""
+        return self.xi / (1.0 - self.xi)
 
 
 class LinkRegime(Enum):
@@ -391,7 +461,6 @@ class Network:
     destinations: tuple[Destination, ...] = ()
     diverges: tuple[Diverge, ...] = ()
     merges: tuple[Merge, ...] = ()
-    kind: str = "custom"
 
     def validate(self) -> None:
         """Every link has a positive finite capacity and length, and is fed
@@ -417,21 +486,17 @@ class Network:
                 raise ConfigurationError(f"{what} at link {link!r} must be "
                                          f"nonnegative, got {value}")
 
-        def share(name: str, value: float) -> None:
-            if not 0.0 <= value <= 1.0:
-                raise DomainError(f"{name} must lie in [0, 1], got {value}")
-
         for o in self.origins:
             count(fed, o.link)
             nonnegative("origin demand", o.link, o.demand)
-            share("origin fraction", o.fraction)
+            _share("origin fraction", o.fraction)
         for d in self.destinations:
             count(drained, d.link)
             nonnegative("destination supply", d.link, d.supply)
         for dv in self.diverges:
             count(drained, dv.upstream)
             if dv.xi is not None:
-                share("xi", dv.xi)
+                _share("xi", dv.xi)
             for b in (dv.branch1, dv.branch2):
                 if b.link is None:
                     nonnegative("branch supply", dv.upstream, b.supply)
@@ -439,7 +504,7 @@ class Network:
                     count(fed, b.link)
         for mg in self.merges:
             count(fed, mg.downstream)
-            share("beta", mg.beta)
+            _share("beta", mg.beta)
             for a in (mg.approach1, mg.approach2):
                 if a.link is None:
                     nonnegative("approach demand", mg.downstream, a.demand)
@@ -470,7 +535,6 @@ def build_dm(spec: DmSpec, origin_demand: float | None = None,
                           Branch(link="link2")),),
         merges=(Merge(Approach(link="link1"), Approach(link="link2"),
                       "link3", spec.beta),),
-        kind="dm",
     )
     net.validate()
     return net
@@ -486,8 +550,7 @@ DMN_NARROW_CAPACITY = 1.0
 DMN_WIDE_CAPACITY = 2.0
 
 
-def build_dmn(n: int, xi: float, scale: float = 1.0, beta: float = 0.0,
-              link_length: float = 1.0) -> Network:
+def build_dmn(spec: DmnSpec) -> Network:
     """Ring of n diverge-merge stages with alternating capacities 1 and 2.
 
     Stage k: origin -> o_k -> diverge -> {c_k (narrow, proportion xi),
@@ -497,12 +560,7 @@ def build_dmn(n: int, xi: float, scale: float = 1.0, beta: float = 0.0,
     out-flux is governed purely by the wide link's arrivals, matching the
     ring return map min(1, 2 - ((1-xi)/xi) v).
     """
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
-    if not 0.0 <= xi <= 1.0:
-        raise DomainError(f"xi must lie in [0, 1], got {xi}")
-    if scale <= 0:
-        raise DomainError("scale must be positive")
+    n, scale = spec.n, spec.scale
     links: list[Link] = []
     origins: list[Origin] = []
     destinations: list[Destination] = []
@@ -510,53 +568,47 @@ def build_dmn(n: int, xi: float, scale: float = 1.0, beta: float = 0.0,
     merges: list[Merge] = []
     for k in range(1, n + 1):
         links += [
-            Link(f"o{k}", DMN_ORIGIN_DEMAND * scale, link_length),
-            Link(f"c{k}", DMN_NARROW_CAPACITY * scale, link_length),
-            Link(f"u{k}", DMN_WIDE_CAPACITY * scale, link_length),
-            Link(f"e{k}", DMN_DEST_SUPPLY * scale, link_length),
+            Link(f"o{k}", DMN_ORIGIN_DEMAND * scale),
+            Link(f"c{k}", DMN_NARROW_CAPACITY * scale),
+            Link(f"u{k}", DMN_WIDE_CAPACITY * scale),
+            Link(f"e{k}", DMN_DEST_SUPPLY * scale),
         ]
-        origins.append(Origin(f"o{k}", DMN_ORIGIN_DEMAND * scale, xi))
+        origins.append(Origin(f"o{k}", DMN_ORIGIN_DEMAND * scale, spec.xi))
         destinations.append(Destination(f"e{k}", DMN_DEST_SUPPLY * scale))
         diverges.append(Diverge(f"o{k}", Branch(link=f"c{k}"),
                                 Branch(link=f"u{k}")))
         prev = k - 1 if k > 1 else n
         merges.append(Merge(Approach(link=f"c{k}"),
-                            Approach(link=f"u{prev}"), f"e{k}", beta))
+                            Approach(link=f"u{prev}"), f"e{k}", spec.beta))
     net = Network(tuple(links), tuple(origins), tuple(destinations),
-                  tuple(diverges), tuple(merges), kind="dmn")
+                  tuple(diverges), tuple(merges))
     net.validate()
     return net
 
 
-def build_beltway(n_pairs: int, beta: float, xi: float,
-                  ring_capacity: float = 1.0, segment_length: float = 1.0,
-                  ramp_demand: float | None = None,
+def build_beltway(spec: BeltwaySpec, ramp_demand: float | None = None,
                   offramp_supply: float | None = None) -> Network:
     """Ring road with n alternating off-ramp / on-ramp pairs.
 
     Going with the traffic: merge k -> a_k -> off-ramp diverge (fixed
     turning proportion xi) -> b_k -> merge k+1.  On-ramps are constant
     demand sources with priority beta; off-ramps are sinks with ample
-    supply so they never constrain the diverge.
+    supply so they never constrain the diverge.  Boundary data default to
+    0.6 and 10 times the ring capacity.
     """
-    if n_pairs < 1:
-        raise DomainError(f"n_pairs must be a positive integer, got {n_pairs}")
-    if not 0.0 <= beta < 1.0 or not 0.0 <= xi < 1.0:
-        raise DomainError("beta and xi must lie in [0, 1)")
-    d_on = 0.6 * ring_capacity if ramp_demand is None else ramp_demand
-    s_off = 10.0 * ring_capacity if offramp_supply is None else offramp_supply
+    n, cap, length = spec.n_pairs, spec.ring_capacity, spec.segment_length
+    d_on = 0.6 * cap if ramp_demand is None else ramp_demand
+    s_off = 10.0 * cap if offramp_supply is None else offramp_supply
     links: list[Link] = []
     diverges: list[Diverge] = []
     merges: list[Merge] = []
-    for k in range(1, n_pairs + 1):
-        links += [Link(f"a{k}", ring_capacity, segment_length),
-                  Link(f"b{k}", ring_capacity, segment_length)]
+    for k in range(1, n + 1):
+        links += [Link(f"a{k}", cap, length), Link(f"b{k}", cap, length)]
         diverges.append(Diverge(f"a{k}", Branch(supply=s_off),
-                                Branch(link=f"b{k}"), xi=xi))
-        prev = k - 1 if k > 1 else n_pairs
+                                Branch(link=f"b{k}"), xi=spec.xi))
+        prev = k - 1 if k > 1 else n
         merges.append(Merge(Approach(demand=d_on),
-                            Approach(link=f"b{prev}"), f"a{k}", beta))
-    net = Network(tuple(links), (), (), tuple(diverges), tuple(merges),
-                  kind="beltway")
+                            Approach(link=f"b{prev}"), f"a{k}", spec.beta))
+    net = Network(tuple(links), (), (), tuple(diverges), tuple(merges))
     net.validate()
     return net

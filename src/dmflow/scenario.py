@@ -21,7 +21,8 @@ import yaml
 
 from .ctm import SimConfig, Simulation, initialize_beltway_congested
 from .errors import ConfigurationError
-from .network import DmSpec, Network, build_beltway, build_dm, build_dmn
+from .network import (BeltwaySpec, DmnSpec, DmSpec, Network, build_beltway,
+                      build_dm, build_dmn)
 
 __all__ = ["Scenario", "load_scenario", "SCENARIO_SCHEMA"]
 
@@ -104,33 +105,47 @@ SCENARIO_SCHEMA: dict = {
 }
 
 
+# The keys each kind takes besides `kind`, per section: (required,
+# optional).  A key of another kind is a configuration error; an optional
+# key left out takes the default of the spec or builder that reads it.
+_KEYS = {
+    "network": {
+        "dm": (("capacities", "beta", "xi"),
+               ("lengths", "origin_demand", "destination_supply")),
+        "dmn": (("n", "xi"), ("scale", "beta")),
+        "beltway": (("pairs", "xi", "beta"),
+                    ("ring_capacity", "segment_length", "ramp_demand",
+                     "offramp_supply")),
+    },
+    "initial": {"empty": ((), ()), "ring_flow": (("flow",), ())},
+}
+# Network keys that go to the builder, not the spec.
+_BOUNDARY = ("origin_demand", "destination_supply", "ramp_demand",
+             "offramp_supply")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Parsed scenario: network description plus simulation settings."""
 
-    params: dict            # `network:` section, typed, defaults filled
+    kind: str
+    spec: DmSpec | DmnSpec | BeltwaySpec    # the `network:` section
     network: Network
     sim: SimConfig
-    dm_spec: DmSpec | None          # set for kind == "dm"
-    initial_kind: str
-    initial_flow: float | None
+    initial_flow: float | None      # ring flow of a congested start
     out_dir: str
     out_format: str
 
-    @property
-    def kind(self) -> str:
-        return self.network.kind
-
     def require_dm(self) -> DmSpec:
-        if self.dm_spec is None:
+        if self.kind != "dm":
             raise ConfigurationError(
                 f"this command needs a 'dm' network, scenario has "
                 f"{self.kind!r}")
-        return self.dm_spec
+        return self.spec
 
     def simulation(self) -> Simulation:
         sim = Simulation(self.network, self.sim)
-        if self.initial_kind == "ring_flow":
+        if self.initial_flow is not None:
             initialize_beltway_congested(sim, self.initial_flow)
         return sim
 
@@ -257,6 +272,22 @@ def _validate(doc: dict, source: str) -> None:
         raise ConfigurationError("\n".join(lines))
 
 
+def _section(cfg: dict, section: str, path: Path) -> dict:
+    """The keys of a kind-tagged section other than `kind`, after checking
+    them against that kind's row of _KEYS."""
+    kind = cfg["kind"]
+    required, optional = _KEYS[section][kind]
+    for key in required:
+        if key not in cfg:
+            raise ConfigurationError(
+                f"{path}: {section}.{key} is required for kind {kind!r}")
+    for key in cfg:
+        if key != "kind" and key not in required + optional:
+            raise ConfigurationError(
+                f"{path}: {section}.{key} does not apply to kind {kind!r}")
+    return {key: value for key, value in cfg.items() if key != "kind"}
+
+
 def load_scenario(path: str | Path, xi: float | None = None) -> Scenario:
     """Parse and validate a scenario file; xi overrides a 'dm' route split."""
     path = Path(path)
@@ -274,76 +305,35 @@ def load_scenario(path: str | Path, xi: float | None = None) -> Scenario:
         raise ConfigurationError(f"{path}: scenario must be a mapping")
     _validate(doc, str(path))
 
-    net_cfg = dict(doc["network"])
-    kind = net_cfg["kind"]
+    kind = doc["network"]["kind"]
     if xi is not None:
         if kind != "dm":
             raise ConfigurationError("--xi override only applies to 'dm' "
                                      "scenarios")
-        net_cfg["xi"] = xi
-    dia = doc.get("diagram", {})
-    sim_cfg = doc.get("simulation", {})
-    dt = sim_cfg.get("dt")
-    sim = SimConfig(
-        cells_per_link=sim_cfg.get("cells_per_link", 20),
-        dt=None if dt in (None, "auto") else float(dt),
-        horizon=float(sim_cfg.get("horizon", 400.0)),
-        free_flow_speed=float(dia.get("free_flow_speed", 1.0)),
-        congested_wave_speed=float(dia.get("congested_wave_speed", 0.5)),
-        shape=dia.get("shape", "triangular"),
-    )
+        doc["network"]["xi"] = xi
+    sim_cfg = {**doc.get("diagram", {}), **doc.get("simulation", {})}
+    if sim_cfg.get("dt") == "auto":
+        del sim_cfg["dt"]
+    sim = SimConfig(**sim_cfg)
 
-    def _need(key, cast):
-        if key not in net_cfg:
-            raise ConfigurationError(
-                f"{path}: network.{key} is required for kind {kind!r}")
-        net_cfg[key] = cast(net_cfg[key])
-
-    def _default(key, value):
-        net_cfg[key] = float(net_cfg.get(key, value))
-
-    dm_spec = None
+    net_cfg = _section(doc["network"], "network", path)
+    boundary = {key: net_cfg.pop(key) for key in _BOUNDARY if key in net_cfg}
     if kind == "dm":
-        _need("capacities", list)
-        _need("beta", float)
-        _need("xi", float)
-        dm_spec = DmSpec(*net_cfg["capacities"], beta=net_cfg["beta"],
-                         xi=net_cfg["xi"],
-                         lengths=tuple(net_cfg.get("lengths",
-                                                   (1.0, 1.0, 1.0, 1.0))))
-        network = build_dm(dm_spec, net_cfg.get("origin_demand"),
-                           net_cfg.get("destination_supply"))
+        spec = DmSpec(*net_cfg.pop("capacities"), **net_cfg)
+        network = build_dm(spec, **boundary)
     elif kind == "dmn":
-        _need("n", int)
-        _need("xi", float)
-        _default("beta", 0.0)
-        _default("scale", 1.0)
-        network = build_dmn(net_cfg["n"], net_cfg["xi"],
-                            scale=net_cfg["scale"], beta=net_cfg["beta"])
+        spec = DmnSpec(**net_cfg)
+        network = build_dmn(spec)
     else:
-        _need("pairs", int)
-        _need("xi", float)
-        _need("beta", float)
-        _default("ring_capacity", 1.0)
-        _default("segment_length", 1.0)
-        network = build_beltway(
-            net_cfg["pairs"], net_cfg["beta"], net_cfg["xi"],
-            ring_capacity=net_cfg["ring_capacity"],
-            segment_length=net_cfg["segment_length"],
-            ramp_demand=net_cfg.get("ramp_demand"),
-            offramp_supply=net_cfg.get("offramp_supply"))
+        spec = BeltwaySpec(n_pairs=net_cfg.pop("pairs"), **net_cfg)
+        network = build_beltway(spec, **boundary)
 
     init = doc.get("initial", {"kind": "empty"})
-    if init["kind"] == "ring_flow":
-        if kind != "beltway":
-            raise ConfigurationError(
-                f"{path}: initial kind 'ring_flow' needs a beltway network")
-        if "flow" not in init:
-            raise ConfigurationError(
-                f"{path}: initial.flow is required for kind 'ring_flow'")
+    if init["kind"] == "ring_flow" and kind != "beltway":
+        raise ConfigurationError(
+            f"{path}: initial kind 'ring_flow' needs a beltway network")
+    flow = _section(init, "initial", path).get("flow")
     out = doc.get("output", {})
-    return Scenario(
-        params=net_cfg, network=network, sim=sim, dm_spec=dm_spec,
-        initial_kind=init["kind"], initial_flow=init.get("flow"),
-        out_dir=out.get("directory", "out"),
-        out_format=out.get("format", "csv"))
+    return Scenario(kind, spec, network, sim, flow,
+                    out_dir=out.get("directory", "out"),
+                    out_format=out.get("format", "csv"))

@@ -46,6 +46,8 @@ _HALF_DRIFT_FRAC = 0.05
 _WARMUP_FRAC = 0.5
 _WINDOW_FRAC = 0.25
 _FLAT_TOL = 1e-3
+# scan_period_roots bisects each sign change to this bracket width.
+_REFINE_TOL = 1e-10
 
 
 class Verdict(Enum):
@@ -186,8 +188,8 @@ def brute_force_period_roots(fmap: PoincareMap, order: int,
     return fmap.as_piecewise().iterate(order).fixed_points()
 
 
-def scan_period_roots(fmap: PoincareMap, order: int, n_grid: int = 100_001,
-                      refine_tol: float = 1e-10) -> list[float]:
+def scan_period_roots(fmap: PoincareMap, order: int,
+                      n_grid: int = 100_001) -> list[float]:
     """Grid scan of F^order(v) - v with bisection refinement.
 
     Independent of the piecewise-linear enumeration; used as a second
@@ -210,7 +212,7 @@ def scan_period_roots(fmap: PoincareMap, order: int, n_grid: int = 100_001,
     for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
         a, b = float(xs[i]), float(xs[i + 1])
         fa = vals[i]
-        while b - a > refine_tol:
+        while b - a > _REFINE_TOL:
             m = 0.5 * (a + b)
             fm = g(m)
             if fm == 0.0:

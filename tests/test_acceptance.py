@@ -14,11 +14,11 @@ from dmflow import (DmSpec, SimConfig, Simulation, build_dm, build_map,
 from dmflow.cli import main as cli_main
 from dmflow.ctm import (initialize_beltway_congested, initialize_dm_stationary,
                         initialize_dmn_stationary)
-from dmflow.extended import (BeltwaySpec, DmnPattern, beltway_factor,
-                             beltway_half_life, dmn_classify, dmn_fixed_points,
-                             dmn_orbit, dmn_step)
-from dmflow.network import (LinkRegime, build_beltway, build_dmn,
-                            stationary_states)
+from dmflow.extended import (DmnPattern, beltway_factor, beltway_half_life,
+                             dmn_classify, dmn_fixed_points, dmn_orbit,
+                             dmn_step)
+from dmflow.network import (BeltwaySpec, DmnSpec, LinkRegime, build_beltway,
+                            build_dmn, stationary_states)
 from dmflow.poincare import StabilityClass, fixed_point
 from dmflow.validation import (Verdict, brute_force_period_roots,
                                detect_oscillation, measure_decay_ratio)
@@ -232,9 +232,9 @@ def test_criterion_08_simulation_matches_map():
 
 
 def test_criterion_09_ring_of_stages_classification():
-    assert dmn_classify(1, 0.4).pattern is DmnPattern.PPO
-    assert dmn_classify(2, 0.4).pattern is DmnPattern.BISTABLE
-    assert dmn_classify(3, 0.4).pattern is DmnPattern.PPO
+    assert dmn_classify(DmnSpec(1, 0.4)).pattern is DmnPattern.PPO
+    assert dmn_classify(DmnSpec(2, 0.4)).pattern is DmnPattern.BISTABLE
+    assert dmn_classify(DmnSpec(3, 0.4)).pattern is DmnPattern.PPO
 
     # Exact fixed points of the ring map, reached from +-1e-3.
     sym, up, down = dmn_fixed_points(2, 0.4)
@@ -251,7 +251,8 @@ def test_criterion_09_ring_of_stages_classification():
     # Simulation verdicts: odd rings oscillate from empty, the even ring
     # settles into either mirrored state depending on the perturbation.
     for n in (1, 3):
-        sim = Simulation(build_dmn(n, xi=0.4), SimConfig(horizon=400.0))
+        sim = Simulation(build_dmn(DmnSpec(n, xi=0.4)),
+                         SimConfig(horizon=400.0))
         rec = sim.run()
         osc = detect_oscillation(*rec.series("c1"), warmup=200.0,
                                  window=100.0)
@@ -259,7 +260,8 @@ def test_criterion_09_ring_of_stages_classification():
 
     finals = []
     for eps in (+0.01, -0.01):
-        sim = Simulation(build_dmn(2, xi=0.4), SimConfig(horizon=300.0))
+        sim = Simulation(build_dmn(DmnSpec(2, xi=0.4)),
+                         SimConfig(horizon=300.0))
         initialize_dmn_stationary(sim, 0.4, perturb={"c1": eps})
         rec = sim.run()
         pair = []
@@ -290,7 +292,7 @@ def test_criterion_10_beltway_gridlock():
     assert abs(hl.pairs - np.log(0.5) / np.log(0.875)) < 1e-12
     assert abs(hl.pairs - 5.1906) < 1e-3
 
-    sim = Simulation(build_beltway(4, beta=0.3, xi=0.2),
+    sim = Simulation(build_beltway(BeltwaySpec(beta=0.3, xi=0.2, n_pairs=4)),
                      SimConfig(horizon=200.0))
     initialize_beltway_congested(sim, 0.8)
     rec = sim.run()

@@ -11,6 +11,7 @@ from dmflow import (ConfigurationError, DmSpec, SimConfig, Simulation,
                     build_dm, cli)
 from dmflow.cli import main
 from dmflow.extended import dmn_classify
+from dmflow.network import DmnSpec
 from dmflow.io import validation_payload
 from dmflow.scenario import load_scenario
 from dmflow.validation import validate_spec
@@ -198,6 +199,24 @@ class TestScenarioErrors:
             "initial:\n  kind: ring_flow\n  flow: 0.5\n")
         with pytest.raises(ConfigurationError, match="beltway"):
             load_scenario(scn)
+
+    @pytest.mark.parametrize("command, snippet, message", [
+        ("simulate", "network:\n  kind: dmn\n  n: 2\n  xi: 0.4\n"
+         "  capacities: [1, 2, 3, 4]\n  pairs: 3\n",
+         "network.capacities does not apply to kind 'dmn'"),
+        ("analyze", "network:\n  kind: dm\n  capacities: [3, 1, 2, 2]\n"
+         "  beta: 0.3\n  xi: 0.45\n  n: 4\n  ring_capacity: 9\n",
+         "network.n does not apply to kind 'dm'"),
+        ("simulate", BELTWAY_NETWORK + "initial:\n  kind: empty\n"
+         "  flow: 0.5\n", "initial.flow does not apply to kind 'empty'"),
+    ], ids=["dm-keys-on-dmn", "ring-keys-on-dm", "flow-on-empty"])
+    def test_key_of_another_kind_is_config_error(self, command, snippet,
+                                                 message, tmp_path, capsys):
+        scn = tmp_path / "foreign.yaml"
+        scn.write_text(snippet)
+        assert main([command, str(scn), "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [scn]
 
     @pytest.mark.parametrize("snippet,where,value", [
         ("network:\n  kind: dm\n  capacities: [3.0, 1.0, 2.0, .nan]\n"
@@ -448,7 +467,7 @@ class TestRingScenarios:
                        "  scale: 2.0\n")
         assert main(["analyze", str(scn), "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "analysis.json").read_text())
-        cls = dmn_classify(3, 0.4, 2.0)
+        cls = dmn_classify(DmnSpec(3, 0.4, 2.0))
         assert payload == {
             "pattern": cls.pattern.value,
             "analyzed_band": cls.analyzed,
@@ -457,6 +476,19 @@ class TestRingScenarios:
             "asymmetric_points": [list(p) for p in cls.asymmetric_points],
             "cycle": list(cls.cycle) if cls.cycle else None,
         }
+
+    def test_dmn_analysis_flags_merge_priority_outside_the_derivation(
+            self, tmp_path, capsys):
+        # The ring map assumes beta = 0; at beta = 0.6 the CTM's c1 and c2
+        # both converge to 0.8 instead of settling into a mirrored state.
+        scn = tmp_path / "ring.yaml"
+        scn.write_text("network:\n  kind: dmn\n  n: 2\n  xi: 0.4\n"
+                       "  beta: 0.6\n")
+        assert main(["analyze", str(scn), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "ring of 2 stage(s): bistable (outside analyzed band)")
+        payload = json.loads((tmp_path / "analysis.json").read_text())
+        assert payload["analyzed_band"] is False
 
     def test_dmn_scenario_simulates(self, tmp_path):
         scn = tmp_path / "ring.yaml"

@@ -11,10 +11,11 @@ from dmflow import (ConfigurationError, DmSpec, DomainError, SimConfig,
                     Simulation, build_dm)
 from dmflow.ctm import diverge_flux, initialize_dm_stationary, merge_flux
 from dmflow.network import (Destination, Link, LinkRegime, Network, Origin,
-                            StationaryState, build_beltway, build_dmn,
-                            stationary_states)
+                            BeltwaySpec, DmnSpec, StationaryState,
+                            build_beltway, build_dmn, stationary_states)
 
 CLASSIC = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.45)
+BELTWAY4 = BeltwaySpec(beta=0.3, xi=0.2, n_pairs=4)
 
 
 def interior_face_flux(k, k1):
@@ -189,7 +190,7 @@ class TestStep:
 
     @pytest.mark.parametrize("value", [-0.5, math.nan])
     def test_bad_approach_demand_or_branch_supply_rejected(self, value):
-        net = build_beltway(2, beta=0.3, xi=0.2)
+        net = build_beltway(BeltwaySpec(beta=0.3, xi=0.2, n_pairs=2))
         mg, dv = net.merges[1], net.diverges[0]
         bad_demand = replace(net, merges=(
             net.merges[0],
@@ -204,7 +205,7 @@ class TestStep:
 
     @pytest.mark.parametrize("share", [-0.5, 1.5, math.nan])
     def test_share_outside_unit_interval_rejected(self, share):
-        net = build_beltway(1, beta=0.3, xi=0.2)
+        net = build_beltway(BeltwaySpec(beta=0.3, xi=0.2, n_pairs=1))
         bad_split = replace(net, diverges=(replace(net.diverges[0],
                                                    xi=share),))
         bad_beta = replace(net, merges=(replace(net.merges[0], beta=share),))
@@ -234,6 +235,14 @@ class TestStep:
         assert config.cells_per_link == 20
         assert isinstance(config.cells_per_link, int)
         Simulation(single_link_network(), config)
+
+    def test_times_and_speeds_are_cast_to_float(self):
+        config = SimConfig(dt=1, horizon=30, free_flow_speed=2,
+                           congested_wave_speed=1)
+        assert config == SimConfig(dt=1.0, horizon=30.0, free_flow_speed=2.0,
+                                   congested_wave_speed=1.0)
+        assert all(type(getattr(config, name)) is float for name in (
+            "dt", "horizon", "free_flow_speed", "congested_wave_speed"))
 
     def test_explicit_dt_below_limit_accepted(self):
         sim = Simulation(single_link_network(), SimConfig(dt=0.04))
@@ -359,16 +368,14 @@ class TestGreenshields:
 class TestRingNetworkBookkeeping:
     def test_beltway_conservation_includes_ramps(self):
         from dmflow.ctm import initialize_beltway_congested
-        from dmflow.network import build_beltway
-        sim = Simulation(build_beltway(4, beta=0.3, xi=0.2),
-                         SimConfig(horizon=100.0))
+        sim = Simulation(build_beltway(BELTWAY4), SimConfig(horizon=100.0))
         initialize_beltway_congested(sim, 0.8)
         record = sim.run()
         assert record.conservation_error < 1e-10
 
     def test_ring_of_stages_conservation(self):
-        from dmflow.network import build_dmn
-        sim = Simulation(build_dmn(3, xi=0.4), SimConfig(horizon=60.0))
+        sim = Simulation(build_dmn(DmnSpec(3, xi=0.4)),
+                         SimConfig(horizon=60.0))
         record = sim.run()
         assert record.conservation_error < 1e-10
         assert record.conservation_error_c1 < 1e-10
@@ -397,18 +404,19 @@ def python_calls_per_step(sim, steps=50):
 
 class TestKernelCost:
     def test_python_calls_per_step_do_not_grow_with_links(self):
-        assert (python_calls_per_step(Simulation(build_dmn(1, xi=0.4)))
-                == python_calls_per_step(Simulation(build_dmn(20, xi=0.4))))
+        one, twenty = (Simulation(build_dmn(DmnSpec(n, xi=0.4)))
+                       for n in (1, 20))
+        assert python_calls_per_step(one) == python_calls_per_step(twenty)
 
     def test_small_networks_take_the_float_evaluator(self):
         # 4 and 8 junction rows step on Python floats, 80 on numpy groups.
         assert Simulation(build_dm(CLASSIC))._scalar
-        assert Simulation(build_beltway(4, beta=0.3, xi=0.2))._scalar
-        assert not Simulation(build_dmn(20, xi=0.4))._scalar
+        assert Simulation(build_beltway(BELTWAY4))._scalar
+        assert not Simulation(build_dmn(DmnSpec(20, xi=0.4)))._scalar
 
     @pytest.mark.parametrize("network", [
-        build_dm(CLASSIC), build_dmn(3, xi=0.4),
-        build_beltway(4, beta=0.3, xi=0.2)], ids=["dm", "dmn3", "beltway"])
+        build_dm(CLASSIC), build_dmn(DmnSpec(3, xi=0.4)),
+        build_beltway(BELTWAY4)], ids=["dm", "dmn3", "beltway"])
     def test_python_call_budget_per_step(self, network):
         # The step is whole-array numpy work or one inline loop over
         # Python floats: a Python-level helper called per step (or per
@@ -451,14 +459,14 @@ class TestNumpyMinMaxRule:
 
 class TestCompiledJunctions:
     def test_merge_priority_outside_unit_interval_rejected(self):
-        net = build_beltway(2, beta=0.3, xi=0.2)
+        net = build_beltway(BeltwaySpec(beta=0.3, xi=0.2, n_pairs=2))
         bad = replace(net, merges=(replace(net.merges[0], beta=1.5),)
                       + net.merges[1:])
         with pytest.raises(DomainError, match="beta"):
             Simulation(bad)
 
     def test_fixed_split_outside_unit_interval_rejected(self):
-        net = build_beltway(2, beta=0.3, xi=0.2)
+        net = build_beltway(BeltwaySpec(beta=0.3, xi=0.2, n_pairs=2))
         bad = replace(net, diverges=(replace(net.diverges[0], xi=-0.1),)
                       + net.diverges[1:])
         with pytest.raises(DomainError, match="xi"):

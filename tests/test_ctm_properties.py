@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from dmflow import DmSpec, DomainError, SimConfig, Simulation, build_dm
 from dmflow import ctm
 from dmflow.ctm import _BLOCK, diverge_flux, merge_flux
-from dmflow.network import build_beltway, build_dmn
+from dmflow.network import BeltwaySpec, DmnSpec, build_beltway, build_dmn
 from dmflow.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,12 +41,13 @@ def networks(draw):
                       lengths=tuple(lengths))
         return build_dm(spec)
     if kind == "dmn":
-        return build_dmn(draw(st.integers(1, 5)), xi=draw(unit),
-                         scale=draw(st.floats(0.5, 2.0)), beta=draw(unit))
-    return build_beltway(draw(st.integers(1, 4)),
-                         beta=draw(st.floats(0.0, 0.95)),
-                         xi=draw(st.floats(0.0, 0.95)),
-                         segment_length=draw(st.floats(0.5, 2.0)))
+        return build_dmn(DmnSpec(draw(st.integers(1, 5)), xi=draw(unit),
+                                 scale=draw(st.floats(0.5, 2.0)),
+                                 beta=draw(unit)))
+    return build_beltway(BeltwaySpec(n_pairs=draw(st.integers(1, 4)),
+                                     beta=draw(st.floats(0.0, 0.95)),
+                                     xi=draw(st.floats(0.0, 0.95)),
+                                     segment_length=draw(st.floats(0.5, 2.0))))
 
 
 @st.composite
@@ -275,7 +276,8 @@ def test_run_bookkeeping_matches_step_by_step_reference(case):
 
 @pytest.mark.parametrize("network", [
     build_dm(DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.45)),
-    build_beltway(3, beta=0.3, xi=0.2)], ids=["dm", "beltway"])
+    build_beltway(BeltwaySpec(beta=0.3, xi=0.2, n_pairs=3))],
+    ids=["dm", "beltway"])
 def test_run_bookkeeping_across_blocks(network):
     # Totals are folded in every _BLOCK steps; end in a partial block.
     config = SimConfig(cells_per_link=4)
@@ -394,8 +396,9 @@ def evaluator_cases(draw):
     if draw(st.booleans()):
         network = draw(networks())
     else:
-        network = build_dmn(draw(st.integers(1, ctm._SCALAR_ROWS // 4 + 2)),
-                            xi=draw(unit), beta=draw(unit))
+        network = build_dmn(DmnSpec(
+            draw(st.integers(1, ctm._SCALAR_ROWS // 4 + 2)), xi=draw(unit),
+            beta=draw(unit)))
     network = edged(network, draw)
     shape = draw(st.sampled_from(["triangular", "greenshields"]))
     config = SimConfig(cells_per_link=draw(st.integers(1, 6)), shape=shape)

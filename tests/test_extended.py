@@ -7,10 +7,11 @@ import random
 import pytest
 
 from dmflow import DmSpec, DomainError, build_map
-from dmflow.extended import (BeltwaySpec, DmnPattern, GridlockClass,
-                             beltway_classify, beltway_factor,
-                             beltway_half_life, dmn_classify, dmn_fixed_points,
-                             dmn_orbit, dmn_perturbation_factor, dmn_step)
+from dmflow.extended import (DmnPattern, GridlockClass, beltway_classify,
+                             beltway_factor, beltway_half_life, dmn_classify,
+                             dmn_fixed_points, dmn_orbit,
+                             dmn_perturbation_factor, dmn_step)
+from dmflow.network import BeltwaySpec, DmnSpec
 
 
 class TestRingStep:
@@ -28,7 +29,7 @@ class TestRingStep:
     def test_odd_ring_cycle_low_is_the_image_of_a_saturated_link(self):
         for n, scale in itertools.product((1, 3, 5), (0.5, 1.0, 3.0)):
             for xi in (1 / 3 + 1e-9, 0.34, 0.38, 0.4, 0.42, 0.45, 0.49):
-                low, cap = dmn_classify(n, xi, scale).cycle
+                low, cap = dmn_classify(DmnSpec(n, xi, scale)).cycle
                 assert dmn_step(n, xi, (cap,) * n, scale) == (low,) * n
 
     def test_single_stage_matches_dm_map_orbit(self):
@@ -85,26 +86,33 @@ class TestPerturbationFactor:
 class TestRingClassification:
     def test_odd_rings_oscillate(self):
         for n in (1, 3, 5):
-            cls = dmn_classify(n, 0.4)
+            cls = dmn_classify(DmnSpec(n, 0.4))
             assert cls.pattern is DmnPattern.PPO
             assert cls.analyzed
 
     def test_single_stage_cycle_golden(self):
-        cls = dmn_classify(1, 0.45)
+        cls = dmn_classify(DmnSpec(1, 0.45))
         assert cls.cycle == (pytest.approx(7 / 9, abs=1e-12),
                              pytest.approx(1.0, abs=1e-12))
 
     def test_two_stage_bistable_points(self):
-        cls = dmn_classify(2, 0.4)
+        cls = dmn_classify(DmnSpec(2, 0.4))
         assert cls.pattern is DmnPattern.BISTABLE
         assert cls.asymmetric_points == (
             (pytest.approx(1.0), pytest.approx(0.5, abs=1e-12)),
             (pytest.approx(0.5, abs=1e-12), pytest.approx(1.0)))
 
     def test_outside_band_flagged(self):
-        cls = dmn_classify(2, 0.6)
+        cls = dmn_classify(DmnSpec(2, 0.6))
         assert not cls.analyzed
         assert cls.pattern is DmnPattern.STABLE
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_merge_priority_other_than_zero_flagged(self, n):
+        # The map is derived for beta = 0; at beta = 0.6 the simulated
+        # rings converge instead (c1 settles at 0.8).
+        assert dmn_classify(DmnSpec(n, 0.4)).analyzed
+        assert not dmn_classify(DmnSpec(n, 0.4, beta=0.6)).analyzed
 
     def test_bistability_reached_from_tiny_perturbations(self):
         # Perturb along the growing antisymmetric mode; a one-component
@@ -169,8 +177,8 @@ class TestBeltway:
         assert hl.pairs == pytest.approx(1.0, abs=1e-12)
 
     def test_half_life_diverges_toward_neutral(self):
-        lives = [beltway_half_life(BeltwaySpec(beta=b, xi=0.2, n_pairs=1)).pairs
-                 for b in (0.4, 0.3, 0.25, 0.22, 0.21)]
+        lives = [beltway_half_life(BeltwaySpec(beta=b, xi=0.2, n_pairs=1))
+                 .pairs for b in (0.4, 0.3, 0.25, 0.22, 0.21)]
         assert all(b > a for a, b in zip(lives, lives[1:]))
         assert lives[-1] > 50.0
 

@@ -162,6 +162,12 @@ GOLDEN = [
      "conservation error: 3.810e-13\n",
      {"run.json":
       "5515a00ad38f383e8cd09b75352c59ded2d8ef5a6eb005b71c4d7c7d1e4e5e6a"}),
+    # The only row through the `dmn` branch of `analyze`.
+    (["analyze", "perfbench/scenarios/ring20.yaml"],
+     "ring of 20 stage(s): bistable\n"
+     "perturbation growth per lap: 3325.256730079641\n",
+     {"analysis.json":
+      "26ef5b25c9b92affb9f7d1b0e3bd53377937957b135b8904d7b2bd462977c332"}),
 ]
 
 

@@ -1,14 +1,16 @@
 """Stationary-state catalog, density profiles, and network builders."""
 
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
 from dmflow import ConfigurationError, DmSpec, DomainError, build_dm
-from dmflow.network import (LinkRegime, StationaryState, build_beltway,
-                            build_dmn, stationary_profile, stationary_states)
+from dmflow.network import (BeltwaySpec, DmnSpec, LinkRegime, StationaryState,
+                            build_beltway, build_dmn, stationary_profile,
+                            stationary_states)
 
 CLASSIC = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.45)
 
@@ -174,36 +176,36 @@ class TestBuilders:
         assert net.destinations[0].supply == 2.0
 
     def test_dmn_base_case_matches_dm_shape(self):
-        net = build_dmn(1, xi=0.45)
+        net = build_dmn(DmnSpec(1, xi=0.45))
         assert len(net.links) == 4
         assert len(net.diverges) == len(net.merges) == 1
 
     def test_dmn_two_stages(self):
-        net = build_dmn(2, xi=0.4)
+        net = build_dmn(DmnSpec(2, xi=0.4))
         intermediate = [l for l in net.links
                         if l.name[0] in "cu"]
         assert len(intermediate) == 4
         assert len(net.diverges) == 2 and len(net.merges) == 2
 
     def test_dmn_three_stages(self):
-        net = build_dmn(3, xi=0.4)
+        net = build_dmn(DmnSpec(3, xi=0.4))
         assert len([l for l in net.links if l.name[0] in "cu"]) == 6
 
     def test_dmn_rejects_bad_n(self):
         with pytest.raises(DomainError):
-            build_dmn(0, xi=0.4)
+            build_dmn(DmnSpec(0, xi=0.4))
 
     def test_beltway_topology(self):
-        net = build_beltway(4, beta=0.3, xi=0.2)
+        net = build_beltway(BeltwaySpec(beta=0.3, xi=0.2, n_pairs=4))
         assert len(net.links) == 8
         assert len(net.diverges) == len(net.merges) == 4
 
     def test_beltway_single_pair(self):
-        net = build_beltway(1, beta=0.3, xi=0.2)
+        net = build_beltway(BeltwaySpec(beta=0.3, xi=0.2, n_pairs=1))
         assert len(net.diverges) == len(net.merges) == 1
 
     def test_beltway_zero_turning_allowed(self):
-        build_beltway(2, beta=0.3, xi=0.0)
+        build_beltway(BeltwaySpec(beta=0.3, xi=0.0, n_pairs=2))
 
     def test_validate_catches_dangling_link(self):
         from dmflow.network import Link, Network, Origin
@@ -220,6 +222,44 @@ class TestBuilders:
     def test_spec_rejects_length_not_positive_and_finite(self, length):
         with pytest.raises(DomainError, match="four positive finite"):
             DmSpec(3, 1, 2, 2, beta=0.5, xi=0.5, lengths=(1, length, 1, 1))
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"n": 2.5}, "n must be a positive integer"),
+        ({"n": math.nan}, "n must be a positive integer"),
+        ({"xi": 1.5}, "xi must lie in"),
+        ({"scale": 0.0}, "scale must be positive"),
+        ({"scale": math.nan}, "scale must be positive"),
+        ({"beta": -0.1}, "beta must lie in")])
+    def test_ring_spec_rejects_values_outside_its_domain(self, fields, match):
+        with pytest.raises(DomainError, match=match):
+            DmnSpec(**{"n": 2, "xi": 0.4, **fields})
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"beta": 1.0}, "beta must lie in \\[0, 1\\)"),
+        ({"xi": math.nan}, "xi must lie in \\[0, 1\\)"),
+        ({"n_pairs": 0}, "n_pairs must be a positive integer"),
+        ({"ring_capacity": math.inf}, "ring_capacity must be positive"),
+        ({"segment_length": 0.0}, "segment_length must be positive")])
+    def test_beltway_spec_rejects_values_outside_its_domain(self, fields,
+                                                            match):
+        with pytest.raises(DomainError, match=match):
+            BeltwaySpec(**{"beta": 0.3, "xi": 0.2, "n_pairs": 2, **fields})
+
+    def test_specs_cast_their_fields(self):
+        # A scenario's 20.0 is an integer to the schema, its 1 a number.
+        ring = DmnSpec(20.0, 1, scale=2)
+        assert (ring, type(ring.n), type(ring.xi)) == (
+            DmnSpec(20, 1.0, 2.0), int, float)
+        belt = BeltwaySpec(0, 0, 3.0, ring_capacity=2, segment_length=1)
+        assert type(belt.n_pairs) is int
+        assert all(type(getattr(belt, name)) is float for name in (
+            "beta", "xi", "ring_capacity", "segment_length"))
+
+    def test_beltway_links_take_the_spec_capacity_and_length(self):
+        net = build_beltway(BeltwaySpec(0.3, 0.2, 2, ring_capacity=2.0,
+                                        segment_length=0.5))
+        assert {(ln.capacity, ln.length) for ln in net.links} == {(2.0, 0.5)}
+        assert net.merges[0].approach1.demand == 0.6 * 2.0
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):
