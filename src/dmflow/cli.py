@@ -196,6 +196,9 @@ def _validate_one(scenario: Scenario, args) -> tuple[bool, dict]:
 
 
 def cmd_validate(args) -> int:
+    if args.family and args.xi is not None:
+        raise ConfigurationError("--xi does not combine with --family, "
+                                 "which validates the grid of --xi-step")
     scenario = load_scenario(args.scenario, args.xi)
     scenario.require_dm()
     if args.family and not 0.0 < args.xi_step < 1.0:

@@ -113,8 +113,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .fundamental import FundamentalDiagram, TrafficState, _make_diagram
-from .network import (DMN_DEST_SUPPLY, DmSpec, Network, StationaryState,
-                      stationary_profile)
+from .network import LinkStart, Network
 
 logger = logging.getLogger(__name__)
 
@@ -125,9 +124,6 @@ __all__ = [
     "Simulation",
     "diverge_flux",
     "merge_flux",
-    "initialize_dm_stationary",
-    "initialize_dmn_stationary",
-    "initialize_beltway_congested",
 ]
 
 CFL_SAFETY = 0.9
@@ -498,6 +494,34 @@ class Simulation:
         self._q_inner, self._phi_inner = faces[1:size], faces[size + 1:zero]
         self._faces_up, self._faces_down = faces[:zero], faces[1:zero + 1]
 
+    def load(self, starts: dict[str, LinkStart]) -> None:
+        """Load starts given in flows into the named links, each on its own
+        diagram, and reset the clock.
+
+        A uniform link (l = 0 or 1) holds exactly the density of its
+        branch; a standing shock holds the exact cell averages of its
+        two-density profile.
+        """
+        self.t = 0.0
+        cells = self.config.cells_per_link
+        lengths = {ln.name: ln.length for ln in self.network.links}
+        for name, start in starts.items():
+            if name not in self.links:
+                raise ConfigurationError(f"unknown link {name!r}")
+            ls, q, l = self.links[name], start.q, start.l
+            under = ls.fd.state_to_density(TrafficState(q, ls.fd.capacity))
+            over = ls.fd.state_to_density(TrafficState(ls.fd.capacity, q))
+            if l in (0.0, 1.0):
+                ls.set_uniform(over if l else under, start.fraction)
+                continue
+            length = lengths[name]
+            dx = length / cells
+            edges = np.arange(cells + 1) * dx
+            uc_len = (np.clip((1.0 - l) * length, edges[:-1], edges[1:])
+                      - edges[:-1])
+            ls.set_cells((uc_len * under + (dx - uc_len) * over) / dx,
+                         start.fraction)
+
     def step(self) -> None:
         """Advance one dt.
 
@@ -699,59 +723,3 @@ class Simulation:
                           for i, name in enumerate(self.links)},
                          totals[1:, 0], cons, cons_c1)
 
-
-# ---------------------------------------------------------------------------
-# Canned initial conditions.
-# ---------------------------------------------------------------------------
-
-def initialize_dm_stationary(sim: Simulation, spec: DmSpec,
-                             state: StationaryState,
-                             l1: float | None = None,
-                             l2: float | None = None) -> None:
-    """Load a stationary profile of the four-link network into the cells."""
-    diagrams = tuple(sim.links[f"link{i}"].fd for i in range(4))
-    profiles = stationary_profile(spec, state, l1, l2, diagrams)
-    fractions = {"link0": spec.xi, "link1": 1.0, "link2": 0.0,
-                 "link3": spec.xi}
-    sim.t = 0.0
-    for name, profile in profiles.items():
-        sim.links[name].set_cells(
-            profile.cell_densities(sim.config.cells_per_link),
-            fractions[name])
-
-
-def initialize_dmn_stationary(sim: Simulation, xi: float, scale: float = 1.0,
-                              perturb: dict[str, float] | None = None) -> None:
-    """Symmetric stationary state of the ring of stages, optionally with
-    per-link density offsets (e.g. {"c1": +0.01})."""
-    q = DMN_DEST_SUPPLY * scale          # per-stage through-flow
-    q_narrow = xi * q
-    q_wide = (1.0 - xi) * q
-    sim.t = 0.0
-    for name, ls in sim.links.items():
-        fd = ls.fd
-        if name.startswith("o"):
-            k = fd.state_to_density(TrafficState(fd.capacity, q))
-            frac = xi
-        elif name.startswith("c"):
-            k = fd.state_to_density(TrafficState(fd.capacity, q_narrow))
-            frac = 1.0
-        elif name.startswith("u"):
-            k = fd.state_to_density(TrafficState(q_wide, fd.capacity))
-            frac = 0.0
-        else:  # destination links run exactly at capacity
-            k = fd.critical_density
-            frac = xi
-        if perturb and name in perturb:
-            k += perturb[name]
-        ls.set_uniform(k, frac)
-
-
-def initialize_beltway_congested(sim: Simulation, flow: float) -> None:
-    """Uniform over-critical ring carrying the given initial flow."""
-    sim.t = 0.0
-    for ls in sim.links.values():
-        if flow >= ls.fd.capacity:
-            raise DomainError("initial ring flow must be below capacity")
-        k = ls.fd.state_to_density(TrafficState(ls.fd.capacity, flow))
-        ls.set_uniform(k, 0.0)

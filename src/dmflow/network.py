@@ -1,4 +1,4 @@
-"""Diverge-merge network specifications and their stationary states.
+"""Diverge-merge network specifications, stationary states and starts.
 
 The basic network has one origin feeding link 0, a FIFO diverge that splits
 flow onto two parallel intermediate links (proportion xi onto link 1), a
@@ -17,6 +17,9 @@ intermediate link is in one of four patterns:
 The catalog below enumerates, for every ordering of (C0, C1+C2, C3) and
 every position of xi relative to the thresholds 1 - C2/C*, C1/C*, and beta,
 which pattern pairs are stationary and what the common through-flow q is.
+Starts are stated in the same terms, per link a flow, a congested fraction
+l and a commodity-1 fraction (`LinkStart`); the simulator turns them into
+densities on its own diagrams.
 
 Ring-shaped extensions reuse the same two junction models: a chain of n
 diverge-merge stages closed into a loop (alternating small/large link
@@ -31,10 +34,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-import numpy as np
-
 from .errors import ConfigurationError, DomainError
-from .fundamental import FundamentalDiagram, TrafficState, _make_diagram
 
 __all__ = [
     "DmSpec",
@@ -43,8 +43,10 @@ __all__ = [
     "LinkRegime",
     "StationaryState",
     "stationary_states",
-    "LinkProfile",
-    "stationary_profile",
+    "LinkStart",
+    "stationary_start",
+    "dmn_start",
+    "beltway_start",
     "Link",
     "Approach",
     "Branch",
@@ -285,90 +287,57 @@ def stationary_states(spec: DmSpec) -> list[StationaryState]:
 
 
 @dataclass(frozen=True)
-class LinkProfile:
-    """Piecewise-constant stationary density profile on one link.
+class LinkStart:
+    """Stationary start of one link, in flows: the flow q, the congested
+    fraction l (0 uniformly under-critical, 1 uniformly over-critical, in
+    between a standing shock at (1 - l) * length with the same flow on
+    both sides), and the commodity-1 fraction.  `Simulation.load` turns
+    it into cell densities on the link's own diagram."""
 
-    Under-critical density on [0, split), over-critical on [split, length];
-    both carry the same flow q, so the dividing shock is standing still.
-    """
-
-    fd: FundamentalDiagram
-    length: float
     q: float
-    split: float            # boundary position (1-l) * length
-    uc_density: float
-    oc_density: float
+    l: float
+    fraction: float
 
-    def density(self, x: float) -> float:
-        if not 0.0 <= x <= self.length:
-            raise DomainError(f"position {x} outside [0, {self.length}]")
-        return self.uc_density if x < self.split else self.oc_density
-
-    def cell_densities(self, n_cells: int) -> np.ndarray:
-        """Exact cell averages of the profile on a uniform grid."""
-        dx = self.length / n_cells
-        edges = np.arange(n_cells + 1) * dx
-        uc_len = np.clip(self.split, edges[:-1], edges[1:]) - edges[:-1]
-        return (uc_len * self.uc_density
-                + (dx - uc_len) * self.oc_density) / dx
-
-    @staticmethod
-    def uniform_under_critical(fd: FundamentalDiagram, length: float,
-                               q: float) -> "LinkProfile":
-        k = fd.state_to_density(TrafficState(q, fd.capacity))
-        return LinkProfile(fd, length, q, length, k, k)
-
-    @staticmethod
-    def uniform_over_critical(fd: FundamentalDiagram, length: float,
-                              q: float) -> "LinkProfile":
-        k = fd.state_to_density(TrafficState(fd.capacity, q))
-        return LinkProfile(fd, length, q, 0.0, k, k)
+    def __post_init__(self):
+        _share("l", self.l)
+        _share("fraction", self.fraction)
 
 
-def _intermediate_profile(fd: FundamentalDiagram, length: float, q: float,
-                          regime: LinkRegime, l: float | None) -> LinkProfile:
+def _intermediate_start(regime: LinkRegime, l: float | None, q: float,
+                        capacity: float, fraction: float) -> LinkStart:
     if regime is LinkRegime.CRITICAL:
-        k = fd.critical_density
-        return LinkProfile(fd, length, q, length, k, k)
+        return LinkStart(capacity, 0.0, fraction)
     fixed = _FIXED_L.get(regime)
     if fixed is not None:
         if l is not None and l != fixed:
             raise DomainError(f"{regime.value} requires l={fixed}, got {l}")
         l = fixed
-    else:  # ZS, free parameter
-        if l is None or not 0.0 < l < 1.0:
-            raise DomainError(f"ZS requires an explicit l in (0, 1), got {l}")
-    k_uc = fd.state_to_density(TrafficState(q, fd.capacity))
-    k_oc = fd.state_to_density(TrafficState(fd.capacity, q))
-    return LinkProfile(fd, length, q, (1.0 - l) * length, k_uc, k_oc)
+    elif l is None or not 0.0 < l < 1.0:  # ZS, free parameter
+        raise DomainError(f"ZS requires an explicit l in (0, 1), got {l}")
+    return LinkStart(q, l, fraction)
 
 
-def stationary_profile(spec: DmSpec, state: StationaryState,
-                       l1: float | None = None, l2: float | None = None,
-                       diagrams: tuple[FundamentalDiagram, ...] | None = None,
-                       ) -> dict[str, LinkProfile]:
-    """Density profiles of all four links for one stationary state.
+def stationary_start(spec: DmSpec, state: StationaryState,
+                     l1: float | None = None, l2: float | None = None,
+                     ) -> dict[str, LinkStart]:
+    """Starts of all four links for one stationary state.
 
-    Link 0 is uniformly over-critical at (C0, q) and link 3 uniformly
-    under-critical at (q, C3); the intermediate links follow their pattern,
-    with explicit congested fractions where the pattern leaves them free.
-    `diagrams` defaults to the triangular diagrams with unit free-flow
-    speed and congested wave speed 1/2, scaled by each link's capacity.
+    Link 0 is uniformly over-critical and link 3 uniformly under-critical
+    at the through-flow q; the intermediate links carry xi*q and
+    (1-xi)*q in their pattern, a critical one its capacity, with explicit
+    congested fractions where the pattern leaves them free.  Commodity 1
+    is the share xi of links 0 and 3 and all of link 1.
     """
-    fds = diagrams if diagrams is not None else tuple(
-        _make_diagram(c, 1.0, 0.5, "triangular")
-        for c in (spec.c0, spec.c1, spec.c2, spec.c3))
     q = state.q
-    q1, q2 = spec.xi * q, (1.0 - spec.xi) * q
     return {
-        "link0": LinkProfile.uniform_over_critical(fds[0], spec.lengths[0], q),
-        "link1": _intermediate_profile(
-            fds[1], spec.lengths[1], q1, state.link1,
-            l1 if l1 is not None else state.l1),
-        "link2": _intermediate_profile(
-            fds[2], spec.lengths[2], q2, state.link2,
-            l2 if l2 is not None else state.l2),
-        "link3": LinkProfile.uniform_under_critical(fds[3], spec.lengths[3], q),
+        "link0": LinkStart(q, 1.0, spec.xi),
+        "link1": _intermediate_start(
+            state.link1, l1 if l1 is not None else state.l1, spec.xi * q,
+            spec.c1, 1.0),
+        "link2": _intermediate_start(
+            state.link2, l2 if l2 is not None else state.l2,
+            (1.0 - spec.xi) * q, spec.c2, 0.0),
+        "link3": LinkStart(q, 0.0, spec.xi),
     }
 
 
@@ -612,3 +581,32 @@ def build_beltway(spec: BeltwaySpec, ramp_demand: float | None = None,
     net = Network(tuple(links), (), (), tuple(diverges), tuple(merges))
     net.validate()
     return net
+
+
+def dmn_start(spec: DmnSpec) -> dict[str, LinkStart]:
+    """Symmetric stationary start of the ring of stages: every stage holds
+    the four-link network's (SOC, SUC) start at through-flow
+    DMN_DEST_SUPPLY * scale on o_k, c_k, u_k and e_k.  It exists while
+    the narrow link can carry its share, xi <= 1/2."""
+    if spec.xi * DMN_DEST_SUPPLY > DMN_NARROW_CAPACITY:
+        raise DomainError(f"the symmetric ring start needs xi <= "
+                          f"{DMN_NARROW_CAPACITY / DMN_DEST_SUPPLY}, got "
+                          f"{spec.xi}")
+    scale = spec.scale
+    stage = DmSpec(DMN_ORIGIN_DEMAND * scale, DMN_NARROW_CAPACITY * scale,
+                   DMN_WIDE_CAPACITY * scale, DMN_DEST_SUPPLY * scale,
+                   spec.beta, spec.xi)
+    start = stationary_start(stage, StationaryState.of(
+        LinkRegime.SOC, LinkRegime.SUC, DMN_DEST_SUPPLY * scale))
+    return {f"{prefix}{k}": start[f"link{i}"]
+            for k in range(1, spec.n + 1)
+            for i, prefix in enumerate("ocue")}
+
+
+def beltway_start(spec: BeltwaySpec, flow: float) -> dict[str, LinkStart]:
+    """Every ring segment uniformly over-critical, carrying `flow`."""
+    if not flow < spec.ring_capacity:
+        raise DomainError("initial ring flow must be below capacity")
+    start = LinkStart(flow, 1.0, 0.0)
+    return {f"{side}{k}": start
+            for k in range(1, spec.n_pairs + 1) for side in "ab"}

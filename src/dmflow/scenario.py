@@ -19,10 +19,10 @@ from pathlib import Path
 
 import yaml
 
-from .ctm import SimConfig, Simulation, initialize_beltway_congested
+from .ctm import SimConfig, Simulation
 from .errors import ConfigurationError
-from .network import (BeltwaySpec, DmnSpec, DmSpec, Network, build_beltway,
-                      build_dm, build_dmn)
+from .network import (BeltwaySpec, DmnSpec, DmSpec, Network, beltway_start,
+                      build_beltway, build_dm, build_dmn)
 
 __all__ = ["Scenario", "load_scenario", "SCENARIO_SCHEMA"]
 
@@ -146,7 +146,7 @@ class Scenario:
     def simulation(self) -> Simulation:
         sim = Simulation(self.network, self.sim)
         if self.initial_flow is not None:
-            initialize_beltway_congested(sim, self.initial_flow)
+            sim.load(beltway_start(self.spec, self.initial_flow))
         return sim
 
 

@@ -12,13 +12,12 @@ import numpy as np
 from dmflow import (DmSpec, SimConfig, Simulation, build_dm, build_map,
                     classify_stability, period2_points, validate_spec)
 from dmflow.cli import main as cli_main
-from dmflow.ctm import (initialize_beltway_congested, initialize_dm_stationary,
-                        initialize_dmn_stationary)
 from dmflow.extended import (DmnPattern, beltway_factor, beltway_half_life,
                              dmn_classify, dmn_fixed_points, dmn_orbit,
                              dmn_step)
-from dmflow.network import (BeltwaySpec, DmnSpec, LinkRegime, build_beltway,
-                            build_dmn, stationary_states)
+from dmflow.network import (BeltwaySpec, DmnSpec, LinkRegime, beltway_start,
+                            build_beltway, build_dmn, dmn_start,
+                            stationary_start, stationary_states)
 from dmflow.poincare import StabilityClass, fixed_point
 from dmflow.validation import (Verdict, brute_force_period_roots,
                                detect_oscillation, measure_decay_ratio)
@@ -198,7 +197,7 @@ def test_criterion_07_stationary_states_persist_in_simulation():
     assert any(LinkRegime.ZS in (s.link1, s.link2) for _, s, _, _ in cases)
     for spec, state, l1, l2 in cases:
         sim = Simulation(build_dm(spec))
-        initialize_dm_stationary(sim, spec, state, l1, l2)
+        sim.load(stationary_start(spec, state, l1, l2))
         before = {n: ls.k.copy() for n, ls in sim.links.items()}
         for _ in range(1000):
             sim.step()
@@ -260,9 +259,11 @@ def test_criterion_09_ring_of_stages_classification():
 
     finals = []
     for eps in (+0.01, -0.01):
-        sim = Simulation(build_dmn(DmnSpec(2, xi=0.4)),
-                         SimConfig(horizon=300.0))
-        initialize_dmn_stationary(sim, 0.4, perturb={"c1": eps})
+        ring = DmnSpec(2, xi=0.4)
+        sim = Simulation(build_dmn(ring), SimConfig(horizon=300.0))
+        sim.load(dmn_start(ring))
+        c1 = sim.links["c1"]
+        c1.set_uniform(c1.k[0] + eps, 1.0)
         rec = sim.run()
         pair = []
         for link in ("c1", "c2"):
@@ -292,9 +293,9 @@ def test_criterion_10_beltway_gridlock():
     assert abs(hl.pairs - np.log(0.5) / np.log(0.875)) < 1e-12
     assert abs(hl.pairs - 5.1906) < 1e-3
 
-    sim = Simulation(build_beltway(BeltwaySpec(beta=0.3, xi=0.2, n_pairs=4)),
-                     SimConfig(horizon=200.0))
-    initialize_beltway_congested(sim, 0.8)
+    spec = BeltwaySpec(beta=0.3, xi=0.2, n_pairs=4)
+    sim = Simulation(build_beltway(spec), SimConfig(horizon=200.0))
+    sim.load(beltway_start(spec, 0.8))
     rec = sim.run()
     pair_time = 2.0 / 0.5    # two unit segments at congested wave speed 1/2
     ratio = measure_decay_ratio(*rec.series("b1"), 50.0, 150.0, pair_time)

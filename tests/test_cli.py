@@ -248,6 +248,15 @@ class TestScenarioErrors:
                 in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == [scn]
 
+    def test_ring_flow_at_capacity_is_rejected(self, tmp_path, capsys):
+        scn = tmp_path / "full.yaml"
+        scn.write_text(BELTWAY_NETWORK + "  ring_capacity: 1.0\n"
+                       "initial:\n  kind: ring_flow\n  flow: 1.0\n")
+        assert main(["simulate", str(scn), "--out", str(tmp_path)]) == 2
+        assert ("error: initial ring flow must be below capacity"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run.csv").exists()
+
     def test_cfl_violation_is_config_error(self, tmp_path):
         scn = tmp_path / "cfl.yaml"
         scn.write_text(
@@ -286,6 +295,20 @@ class TestSimulateValidate:
         code = main(["validate", BIFURCATION, "--family", "--xi-step", step,
                      "--out", str(tmp_path)])
         assert code == 2
+        assert not (tmp_path / "validation.json").exists()
+
+    def test_validate_family_rejects_xi(self, tmp_path, capsys,
+                                        monkeypatch):
+        def no_simulation(*args):
+            raise AssertionError("simulated despite --xi with --family")
+
+        monkeypatch.setattr("dmflow.cli.validate_spec", no_simulation)
+        code = main(["validate", BIFURCATION, "--family", "--xi-step", "0.3",
+                     "--xi", "0.77", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "--xi " in err and "--family" in err
         assert not (tmp_path / "validation.json").exists()
 
     @pytest.mark.parametrize("options", [

@@ -9,10 +9,11 @@ import pytest
 
 from dmflow import (ConfigurationError, DmSpec, DomainError, SimConfig,
                     Simulation, build_dm)
-from dmflow.ctm import diverge_flux, initialize_dm_stationary, merge_flux
+from dmflow.ctm import diverge_flux, merge_flux
 from dmflow.network import (Destination, Link, LinkRegime, Network, Origin,
                             BeltwaySpec, DmnSpec, StationaryState,
-                            build_beltway, build_dmn, stationary_states)
+                            beltway_start, build_beltway, build_dmn,
+                            stationary_start, stationary_states)
 
 CLASSIC = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.45)
 BELTWAY4 = BeltwaySpec(beta=0.3, xi=0.2, n_pairs=4)
@@ -314,7 +315,7 @@ class TestStationaryPersistence:
         state = next(s for s in states
                      if (s.link1.value, s.link2.value) == pattern)
         sim = Simulation(build_dm(spec))
-        initialize_dm_stationary(sim, spec, state)
+        sim.load(stationary_start(spec, state))
         before = {n: ls.k.copy() for n, ls in sim.links.items()}
         for _ in range(200):
             sim.step()
@@ -329,7 +330,7 @@ class TestStationaryPersistence:
         assert (state.link1.value, state.link2.value) in {
             (s.link1.value, s.link2.value) for s in stationary_states(spec)}
         sim = Simulation(build_dm(spec))
-        initialize_dm_stationary(sim, spec, state, l1=0.5)
+        sim.load(stationary_start(spec, state, l1=0.5))
         before = sim.links["link1"].k.copy()
         assert before[9] != before[10]  # shock sits at midlink
         for _ in range(500):
@@ -367,9 +368,8 @@ class TestGreenshields:
 
 class TestRingNetworkBookkeeping:
     def test_beltway_conservation_includes_ramps(self):
-        from dmflow.ctm import initialize_beltway_congested
         sim = Simulation(build_beltway(BELTWAY4), SimConfig(horizon=100.0))
-        initialize_beltway_congested(sim, 0.8)
+        sim.load(beltway_start(BELTWAY4, 0.8))
         record = sim.run()
         assert record.conservation_error < 1e-10
 

@@ -14,13 +14,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dmflow import DmSpec, DomainError, SimConfig, Simulation, build_dm
 from dmflow import ctm
 from dmflow.ctm import _BLOCK, diverge_flux, merge_flux
-from dmflow.network import BeltwaySpec, DmnSpec, build_beltway, build_dmn
+from dmflow.network import (BeltwaySpec, DmnSpec, LinkRegime, beltway_start,
+                            build_beltway, build_dmn, dmn_start,
+                            stationary_start, stationary_states)
 from dmflow.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,23 +33,28 @@ unit = st.floats(0.0, 1.0)
 
 
 @st.composite
-def networks(draw):
+def specs(draw):
     kind = draw(st.sampled_from(["dm", "dmn", "beltway"]))
     if kind == "dm":
         caps = draw(st.lists(st.floats(0.5, 3.0), min_size=4, max_size=4))
         lengths = draw(st.lists(st.floats(0.5, 2.0), min_size=4,
                                 max_size=4))
-        spec = DmSpec(*caps, beta=draw(unit), xi=draw(unit),
+        return DmSpec(*caps, beta=draw(unit), xi=draw(unit),
                       lengths=tuple(lengths))
-        return build_dm(spec)
     if kind == "dmn":
-        return build_dmn(DmnSpec(draw(st.integers(1, 5)), xi=draw(unit),
-                                 scale=draw(st.floats(0.5, 2.0)),
-                                 beta=draw(unit)))
-    return build_beltway(BeltwaySpec(n_pairs=draw(st.integers(1, 4)),
-                                     beta=draw(st.floats(0.0, 0.95)),
-                                     xi=draw(st.floats(0.0, 0.95)),
-                                     segment_length=draw(st.floats(0.5, 2.0))))
+        return DmnSpec(draw(st.integers(1, 5)), xi=draw(unit),
+                       scale=draw(st.floats(0.5, 2.0)), beta=draw(unit))
+    return BeltwaySpec(n_pairs=draw(st.integers(1, 4)),
+                       beta=draw(st.floats(0.0, 0.95)),
+                       xi=draw(st.floats(0.0, 0.95)),
+                       segment_length=draw(st.floats(0.5, 2.0)))
+
+
+BUILDERS = {DmSpec: build_dm, DmnSpec: build_dmn, BeltwaySpec: build_beltway}
+
+
+def networks():
+    return specs().map(lambda spec: BUILDERS[type(spec)](spec))
 
 
 @st.composite
@@ -213,6 +220,48 @@ def test_kernel_invariants_and_junction_reference(case):
         assert np.array_equal(again_sim.links[name].k1, ls.k1)
         assert np.array_equal(first.outflux[name], again.outflux[name])
     assert np.array_equal(first.vehicles, again.vehicles)
+
+
+@st.composite
+def starts(draw):
+    """A drawn spec's network on either shape and a start of it: one of its
+    catalog states (ZS at a drawn l in (0, 1)) for a DM unit, the
+    symmetric start for a ring (xi <= 1/2) and a drawn flow for a
+    beltway."""
+    spec = draw(specs())
+    config = SimConfig(cells_per_link=draw(st.integers(1, 8)),
+                       shape=draw(st.sampled_from(["triangular",
+                                                   "greenshields"])))
+    if isinstance(spec, DmSpec):
+        state = draw(st.sampled_from(stationary_states(spec)))
+        inner = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        l1, l2 = (draw(inner) if regime is LinkRegime.ZS else None
+                  for regime in (state.link1, state.link2))
+        start = stationary_start(spec, state, l1, l2)
+    elif isinstance(spec, DmnSpec):
+        assume(spec.xi <= 0.5)
+        start = dmn_start(spec)
+    else:
+        start = beltway_start(spec, draw(st.floats(
+            0.0, spec.ring_capacity, exclude_max=True)))
+    return BUILDERS[type(spec)](spec), config, start
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(starts())
+def test_load_sets_each_start_on_its_own_diagram(case):
+    network, config, starts = case
+    sim = Simulation(network, config)
+    sim.t = 7.0
+    sim.load(starts)
+    assert sim.t == 0.0
+    assert set(starts) == set(sim.links)
+    for name, start in starts.items():
+        ls = sim.links[name]
+        if start.l in (0.0, 1.0):
+            assert np.all(ls.k == ls.k[0]), name
+        assert np.all(ls.k >= 0.0) and np.all(ls.k <= ls.fd.jam_density)
+        assert np.array_equal(ls.k1, start.fraction * ls.k)
 
 
 def ghosts(sim) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Stationary-state catalog, density profiles, and network builders."""
+"""Stationary-state catalog, stationary starts, and network builders."""
 
 import itertools
 import math
@@ -7,9 +7,10 @@ import random
 import numpy as np
 import pytest
 
-from dmflow import ConfigurationError, DmSpec, DomainError, build_dm
+from dmflow import (ConfigurationError, DmSpec, DomainError, SimConfig,
+                    Simulation, build_dm)
 from dmflow.network import (BeltwaySpec, DmnSpec, LinkRegime, StationaryState,
-                            build_beltway, build_dmn, stationary_profile,
+                            build_beltway, build_dmn, stationary_start,
                             stationary_states)
 
 CLASSIC = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.45)
@@ -113,32 +114,37 @@ class TestCatalogProperties:
         assert found > 50
 
 
-class TestProfiles:
-    def test_suc_profile_is_uniform(self):
-        state = StationaryState.of(LinkRegime.SOC, LinkRegime.SUC, 2.0)
-        prof = stationary_profile(CLASSIC, state)["link2"]
-        assert prof.split == prof.length
-        assert np.allclose(prof.cell_densities(20), prof.uc_density)
-        assert prof.uc_density == pytest.approx(1.1, abs=1e-12)
+def loaded(spec, state, l1=None, cells=20):
+    sim = Simulation(build_dm(spec), SimConfig(cells_per_link=cells))
+    sim.load(stationary_start(spec, state, l1))
+    return sim
 
-    def test_soc_profile_is_uniform_over_critical(self):
+
+class TestStarts:
+    def test_suc_start_is_uniform(self):
         state = StationaryState.of(LinkRegime.SOC, LinkRegime.SUC, 2.0)
-        prof = stationary_profile(CLASSIC, state)["link1"]
+        assert stationary_start(CLASSIC, state)["link2"].l == 0.0
+        k = loaded(CLASSIC, state).links["link2"].k
+        assert np.all(k == k[0])
+        assert k[0] == pytest.approx(1.1, abs=1e-12)
+
+    def test_soc_start_is_uniform_over_critical(self):
+        state = StationaryState.of(LinkRegime.SOC, LinkRegime.SUC, 2.0)
+        assert stationary_start(CLASSIC, state)["link1"].l == 1.0
+        k = loaded(CLASSIC, state).links["link1"].k
         # capacity 1, flow 0.9: over-critical density 3 - 0.9/0.5
-        assert prof.oc_density == pytest.approx(3.0 - 0.45 * 2 / 0.5 * 1,
-                                                abs=1e-12)
-        assert prof.split == 0.0
+        assert np.all(k == k[0])
+        assert k[0] == pytest.approx(3.0 - 0.45 * 2 / 0.5 * 1, abs=1e-12)
 
-    def test_zs_profile_golden(self):
+    def test_zs_start_golden(self):
         # Narrow link alone: capacity 1 (vf=1, w=1/2, kj=3), flow 0.5,
         # standing shock at midlink: 0.5 upstream, 2.0 downstream.
         spec = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.25)
         state = StationaryState(LinkRegime.ZS, LinkRegime.SOC, 2.0,
                                 None, 1.0)
-        prof = stationary_profile(spec, state, l1=0.5)["link1"]
-        assert prof.density(0.2) == pytest.approx(0.5, abs=1e-12)
-        assert prof.density(0.8) == pytest.approx(2.0, abs=1e-12)
-        cells = prof.cell_densities(20)
+        start = stationary_start(spec, state, l1=0.5)["link1"]
+        assert (start.q, start.l, start.fraction) == (0.5, 0.5, 1.0)
+        cells = loaded(spec, state, l1=0.5).links["link1"].k
         assert np.allclose(cells[:10], 0.5) and np.allclose(cells[10:], 2.0)
 
     def test_zs_requires_interior_l(self):
@@ -146,15 +152,15 @@ class TestProfiles:
                                 None, 1.0)
         spec = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.25)
         with pytest.raises(DomainError):
-            stationary_profile(spec, state, l1=0.0)
+            stationary_start(spec, state, l1=0.0)
         with pytest.raises(DomainError):
-            stationary_profile(spec, state)
+            stationary_start(spec, state)
 
     def test_l_inconsistent_with_fixed_regime_rejected(self):
         state = StationaryState.of(LinkRegime.SUC, LinkRegime.SOC, 2.0)
         spec = DmSpec(3, 1.5, 2, 2.5, beta=0.3, xi=0.25)
         with pytest.raises(DomainError):
-            stationary_profile(spec, state, l1=0.7)
+            stationary_start(spec, state, l1=0.7)
 
     def test_zs_mass_interpolates_between_suc_and_soc(self):
         spec = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.45)
@@ -162,8 +168,8 @@ class TestProfiles:
                                 None, 0.0)
         masses = []
         for l in np.linspace(0.05, 0.95, 10):
-            prof = stationary_profile(spec, state, l1=float(l))["link1"]
-            masses.append(prof.cell_densities(40).mean() * prof.length)
+            sim = loaded(spec, state, l1=float(l), cells=40)
+            masses.append(sim.links["link1"].k.mean() * spec.lengths[1])
         assert all(b > a for a, b in zip(masses, masses[1:]))
 
 
