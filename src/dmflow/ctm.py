@@ -506,8 +506,6 @@ class Simulation:
         cells = self.config.cells_per_link
         lengths = {ln.name: ln.length for ln in self.network.links}
         for name, start in starts.items():
-            if name not in self.links:
-                raise ConfigurationError(f"unknown link {name!r}")
             ls, q, l = self.links[name], start.q, start.l
             under = ls.fd.state_to_density(TrafficState(q, ls.fd.capacity))
             over = ls.fd.state_to_density(TrafficState(ls.fd.capacity, q))

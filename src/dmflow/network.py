@@ -588,10 +588,6 @@ def dmn_start(spec: DmnSpec) -> dict[str, LinkStart]:
     the four-link network's (SOC, SUC) start at through-flow
     DMN_DEST_SUPPLY * scale on o_k, c_k, u_k and e_k.  It exists while
     the narrow link can carry its share, xi <= 1/2."""
-    if spec.xi * DMN_DEST_SUPPLY > DMN_NARROW_CAPACITY:
-        raise DomainError(f"the symmetric ring start needs xi <= "
-                          f"{DMN_NARROW_CAPACITY / DMN_DEST_SUPPLY}, got "
-                          f"{spec.xi}")
     scale = spec.scale
     stage = DmSpec(DMN_ORIGIN_DEMAND * scale, DMN_NARROW_CAPACITY * scale,
                    DMN_WIDE_CAPACITY * scale, DMN_DEST_SUPPLY * scale,

@@ -115,20 +115,23 @@ class TestCatalogProperties:
 
 
 def loaded(spec, state, l1=None, cells=20):
+    """The network of `spec` holding the start of `state`."""
     sim = Simulation(build_dm(spec), SimConfig(cells_per_link=cells))
     sim.load(stationary_start(spec, state, l1))
     return sim
 
 
-class TestStarts:
-    def test_suc_start_is_uniform(self):
+class TestProfiles:
+    """The density profiles that stationary starts load."""
+
+    def test_suc_profile_is_uniform(self):
         state = StationaryState.of(LinkRegime.SOC, LinkRegime.SUC, 2.0)
         assert stationary_start(CLASSIC, state)["link2"].l == 0.0
         k = loaded(CLASSIC, state).links["link2"].k
         assert np.all(k == k[0])
         assert k[0] == pytest.approx(1.1, abs=1e-12)
 
-    def test_soc_start_is_uniform_over_critical(self):
+    def test_soc_profile_is_uniform_over_critical(self):
         state = StationaryState.of(LinkRegime.SOC, LinkRegime.SUC, 2.0)
         assert stationary_start(CLASSIC, state)["link1"].l == 1.0
         k = loaded(CLASSIC, state).links["link1"].k
@@ -136,7 +139,7 @@ class TestStarts:
         assert np.all(k == k[0])
         assert k[0] == pytest.approx(3.0 - 0.45 * 2 / 0.5 * 1, abs=1e-12)
 
-    def test_zs_start_golden(self):
+    def test_zs_profile_golden(self):
         # Narrow link alone: capacity 1 (vf=1, w=1/2, kj=3), flow 0.5,
         # standing shock at midlink: 0.5 upstream, 2.0 downstream.
         spec = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.25)
