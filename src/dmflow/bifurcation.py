@@ -60,14 +60,19 @@ class Transition:
         return f"{left} -> [{self.at.value}] -> {right}"
 
 
+def _dedupe(xs: Iterable[float]) -> list[float]:
+    """xs sorted, dropping each value within _DEDUPE_TOL of the last kept."""
+    kept: list[float] = []
+    for x in sorted(xs):
+        if not kept or x - kept[-1] > _DEDUPE_TOL:
+            kept.append(x)
+    return kept
+
+
 def boundary_values(template: DmSpec) -> list[float]:
     """Candidate transition points within [0, 1], sorted and deduplicated."""
     cands = [*_thresholds(template), template.beta, 0.5]
-    vals: list[float] = []
-    for x in sorted(c for c in cands if 0.0 <= c <= 1.0):
-        if not vals or x - vals[-1] > _DEDUPE_TOL:
-            vals.append(x)
-    return vals
+    return _dedupe(c for c in cands if 0.0 <= c <= 1.0)
 
 
 def sweep_xi(template: DmSpec, grid: Iterable[float]) -> SweepTable:
@@ -82,12 +87,11 @@ def sweep_xi(template: DmSpec, grid: Iterable[float]) -> SweepTable:
     if xs:
         lo, hi = xs[0], xs[-1]
         xs.extend(b for b in boundary_values(template) if lo <= b <= hi)
-        xs.sort()
-    merged: list[float] = []
-    for x in xs:
-        if not merged or x - merged[-1] > _DEDUPE_TOL:
-            merged.append(x)
-    return SweepTable(merged, *_classify_grid(template, np.array(merged)))
+    merged = _dedupe(xs)
+    *_, v_star, stability, v_minus, v_plus = _classify_grid(
+        template, np.array(merged))
+    return SweepTable(merged, v_star.tolist(), stability.tolist(),
+                      v_minus.tolist(), v_plus.tolist())
 
 
 def regime_boundaries(template: DmSpec) -> list[Transition]:

@@ -588,6 +588,11 @@ def dmn_start(spec: DmnSpec) -> dict[str, LinkStart]:
     the four-link network's (SOC, SUC) start at through-flow
     DMN_DEST_SUPPLY * scale on o_k, c_k, u_k and e_k.  It exists while
     the narrow link can carry its share, xi <= 1/2."""
+    bound = DMN_NARROW_CAPACITY / DMN_DEST_SUPPLY
+    if not spec.xi <= bound:
+        raise DomainError(
+            f"the symmetric ring start needs xi <= {bound}, got "
+            f"xi = {spec.xi}")
     scale = spec.scale
     stage = DmSpec(DMN_ORIGIN_DEMAND * scale, DMN_NARROW_CAPACITY * scale,
                    DMN_WIDE_CAPACITY * scale, DMN_DEST_SUPPLY * scale,

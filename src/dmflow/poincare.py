@@ -23,6 +23,11 @@ with ratio (1-xi)/xi (counterclockwise) or xi/(1-xi) (clockwise), giving
 damped oscillation on one side of 1/2 and, on the other, a unique
 attracting two-cycle (v-, v+) that bounds the flow oscillation amplitude.
 At slope exactly one every off-fixed-point state is two-periodic.
+
+The regime, the circulation, the slope and clamps, and the fixed point,
+class and two-cycle are defined once, by one array pass over a grid of xi
+(_classify_grid, which bifurcation.sweep_xi runs); classify_regime,
+build_map and classify_stability are its one-point case.
 """
 
 from __future__ import annotations
@@ -107,27 +112,6 @@ class StabilityReport:
     # continuum never decays, so first-method analysis calls it unstable.
 
 
-def classify_regime(spec: DmSpec) -> Regime:
-    """Structural regime of the network at the given route split."""
-    c0, c1, c2, c3 = spec.c0, spec.c1, spec.c2, spec.c3
-    if c0 < min(c1 + c2, c3):
-        return Regime.UPSTREAM_BOTTLENECK
-    if c1 + c2 <= min(c0, c3):
-        return Regime.MIDDLE_BOTTLENECK
-    # Downstream bottleneck: c3 <= c0 and c3 < c1 + c2.
-    xi, beta = spec.xi, spec.beta
-    lo, hi = _thresholds(spec)
-    if xi >= hi:
-        return Regime.CCW_FINITE_TIME
-    if xi <= lo:
-        return Regime.CW_FINITE_TIME
-    if xi == beta:
-        return Regime.CCW_CW_OVERLAP
-    if xi > beta:
-        return Regime.CCW_FINITE_TIME if c3 == c0 else Regime.SOC_SUC
-    return Regime.CW_FINITE_TIME if c3 == c0 else Regime.SUC_SOC
-
-
 @dataclass(frozen=True)
 class PoincareMap:
     """Unified return map: nonincreasing, piecewise linear on [0, C3]."""
@@ -182,52 +166,35 @@ class PoincareMap:
         return PiecewiseLinear(xs, tuple(map(f, xs)))
 
 
-def _a1(spec: DmSpec) -> float:
-    return max(spec.c3 - (1.0 - spec.xi) * spec.c0,
-               spec.c3 - spec.c2,
-               spec.beta * spec.c3)
+def _point(spec: DmSpec) -> tuple:
+    """The grid's row at spec.xi as Python values: regime, map (None in a
+    bottleneck regime), v*, stability, v- and v+."""
+    regime, ccw, fields, *columns = _classify_grid(spec, np.array([spec.xi]))
+    fmap = None
+    if regime.item().supports_map:
+        branch = (Circulation.COUNTERCLOCKWISE if ccw.item()
+                  else Circulation.CLOCKWISE)
+        fmap = PoincareMap(branch, *fields[:, 0].tolist(), spec.c3)
+    return (regime.item(), fmap, *(column.item() for column in columns))
 
 
-def _a2p(spec: DmSpec) -> float:
-    return min(spec.xi * spec.c0, spec.c1, spec.beta * spec.c3)
+def classify_regime(spec: DmSpec) -> Regime:
+    """Structural regime of the network at the given route split."""
+    return _point(spec)[0]
 
 
-def _branch_for(spec: DmSpec, regime: Regime,
-                prefer: Circulation | None) -> Circulation:
-    if regime in (Regime.CCW_FINITE_TIME, Regime.SOC_SUC):
-        return Circulation.COUNTERCLOCKWISE
-    if regime in (Regime.CW_FINITE_TIME, Regime.SUC_SOC):
-        return Circulation.CLOCKWISE
-    # Overlap: both constructions share the fixed point xi*C3.  Default to
-    # counterclockwise unless that slope degenerates (xi == 0).
-    if prefer is not None:
-        return prefer
-    return (Circulation.CLOCKWISE if spec.xi == 0.0
-            else Circulation.COUNTERCLOCKWISE)
-
-
-def build_map(spec: DmSpec,
-              branch: Circulation | None = None) -> PoincareMap:
+def build_map(spec: DmSpec) -> PoincareMap:
     """Construct the return map for a downstream-bottleneck network.
 
-    branch only matters in the overlap regime (xi == beta inside the open
-    band), where either circulation direction yields a valid map.
+    In the overlap regime (xi == beta inside the open band) either
+    circulation direction yields a valid map with the same fixed point;
+    this one is counterclockwise unless that slope degenerates (xi == 0).
     """
-    regime = classify_regime(spec)
-    if not regime.supports_map:
+    regime, fmap, *_ = _point(spec)
+    if fmap is None:
         raise UnsupportedRegimeError(
             f"no circulating return map in regime {regime.value}")
-    chosen = _branch_for(spec, regime, branch)
-    if chosen is Circulation.COUNTERCLOCKWISE:
-        if spec.xi == 0.0:
-            raise DomainError(
-                "counterclockwise slope degenerates at xi = 0")
-        return PoincareMap(chosen, (1.0 - spec.xi) / spec.xi,
-                           _a1(spec), spec.c1, spec.c3)
-    if spec.xi == 1.0:
-        raise DomainError("clockwise slope degenerates at xi = 1")
-    return PoincareMap(chosen, spec.xi / (1.0 - spec.xi),
-                       spec.c3 - spec.c2, _a2p(spec), spec.c3)
+    return fmap
 
 
 def fixed_point(spec: DmSpec) -> float:
@@ -262,12 +229,6 @@ def period2_points(spec: DmSpec) -> PeriodTwoPoints | None:
     return report.period2
 
 
-def _finite_time_steps(spec: DmSpec, v_star: float) -> int:
-    """1 when the map is constant, else 2 (the general clamp bound)."""
-    fmap = build_map(spec)
-    return 1 if fmap(0.0) == v_star and fmap(spec.c3) == v_star else 2
-
-
 def classify_stability(spec: DmSpec) -> StabilityReport:
     """Regime, fixed point, stability class and periodic points.
 
@@ -275,12 +236,12 @@ def classify_stability(spec: DmSpec) -> StabilityReport:
     initial profile and carry no return map; they are reported finite-time
     with no fixed-point value.
     """
-    regime = classify_regime(spec)
-    (v_star,), (stability,), (v_minus,), (v_plus,) = _classify_grid(
-        spec, np.array([spec.xi]))
-    max_steps = (_finite_time_steps(spec, v_star)
-                 if stability is StabilityClass.FINITE_TIME
-                 and regime.supports_map else None)
+    regime, fmap, v_star, stability, v_minus, v_plus = _point(spec)
+    max_steps = None
+    if stability is StabilityClass.FINITE_TIME and fmap is not None:
+        # 1 when the map is constant, else 2 (the general clamp bound).
+        max_steps = (1 if fmap(0.0) == v_star and fmap(spec.c3) == v_star
+                     else 2)
     neutral = stability is StabilityClass.NEUTRAL_TWO_CYCLE_CONTINUUM
     cycle = (None if v_minus is None
              else PeriodTwoPoints(v_minus, v_plus, continuum=neutral))
@@ -301,64 +262,91 @@ def _min(a, b):
 
 
 def _classify_grid(template: DmSpec, xi: np.ndarray,
-                   ) -> tuple[list, list, list, list]:
+                   ) -> tuple[np.ndarray, ...]:
     """Classify the return map of template.with_xi(x) for every x in xi.
 
-    Returns the lists (v*, stability, v-, v+) of Python values, None where
-    the class has no value.  This is the one implementation of the fixed
-    point, slope and two-cycle closed forms; classify_stability is its
-    one-point case.  The regime tests are those of classify_regime and the
-    slopes and clamps those of build_map, and v+ is evaluated as the image
-    of v-, so the cycle closes bitwise under the map.  As in Python float
-    arithmetic, a subnormal xi may overflow the counterclockwise slope to
-    inf, and inf * 0 gives a NaN that the clamps then drop.
+    This is the one definition of the regime, the circulation, the map's
+    slope and clamps, and the fixed point, class and two-cycle they give;
+    classify_regime, build_map and classify_stability read its row at a
+    single xi.  Returns the arrays (regime, ccw, fields, v*, stability,
+    v-, v+): ccw is True where the map circulates counterclockwise, the
+    rows of fields are the slope, lower and upper (NaN where there is no
+    map), and v*, v- and v+ hold None where the class has no value.  v+ is
+    evaluated as the image of v-, so the cycle closes bitwise under the
+    map.  As in Python float arithmetic, a subnormal xi may overflow the
+    counterclockwise slope to inf, and inf * 0 gives a NaN that the clamps
+    then drop.
     """
     n = len(xi)
-    if not classify_regime(template).supports_map:
-        # Bottleneck regimes depend on the capacities alone.
-        return [None] * n, [StabilityClass.FINITE_TIME] * n, [None] * n, \
-            [None] * n
     c0, c1, c2, c3 = template.c0, template.c1, template.c2, template.c3
     beta = template.beta
     lo, hi = _thresholds(template)
-    v_star = np.where(xi >= hi, c1, np.where(xi <= lo, c3 - c2, xi * c3))
+    # The case split in order, each case with its regime, whether the map
+    # circulates counterclockwise, and whether it circulates off the
+    # clamps.  Past the two bottleneck cases, c3 <= c0 and c3 < c1 + c2;
+    # with c3 == c0 there is no strict upstream surplus, and the open band
+    # settles in finite time.
+    bottleneck = [c0 < min(c1 + c2, c3), c1 + c2 <= min(c0, c3)]
+    strict = c3 != c0
+    cases, regimes, ccws, circulates = zip(
+        (bottleneck[0], Regime.UPSTREAM_BOTTLENECK, False, False),
+        (bottleneck[1], Regime.MIDDLE_BOTTLENECK, False, False),
+        (xi >= hi, Regime.CCW_FINITE_TIME, True, False),
+        (xi <= lo, Regime.CW_FINITE_TIME, False, False),
+        (xi == beta, Regime.CCW_CW_OVERLAP, True, False),
+        (xi > beta, Regime.SOC_SUC if strict else Regime.CCW_FINITE_TIME,
+         True, strict),
+        (True, Regime.SUC_SOC if strict else Regime.CW_FINITE_TIME,
+         False, strict))
+    case = np.select(cases, range(len(cases)))
+    regime = np.array(regimes, dtype=object)[case]
+    # The overlap may circulate either way.  It is the one counterclockwise
+    # case that admits xi = 0, where that slope degenerates.
+    ccw = np.array(ccws)[case] & (xi != 0.0)
+    circulating = np.array(circulates)[case]
+    fields = np.full((3, n), np.nan)
     stability = np.full(n, StabilityClass.FINITE_TIME, dtype=object)
     v_minus = np.full(n, None, dtype=object)
-    v_plus = np.full(n, None, dtype=object)
-    band = (lo < xi) & (xi < hi)
-    if c3 != c0:
-        # Off the overlap xi == beta, the open band circulates.  Indexing
-        # the branch first keeps xi = 0 and xi = 1 out of the divisions.
-        for ccw in (True, False):
-            idx = np.flatnonzero(band & ((xi > beta) if ccw else (xi < beta)))
-            x = xi[idx]
-            with np.errstate(over="ignore", invalid="ignore"):
-                if ccw:
-                    slope = (1.0 - x) / x
-                    lower = _max(_max(c3 - (1.0 - x) * c0, c3 - c2),
-                                 beta * c3)
-                    vm = _max(lower, c3 - slope * c1)
-                    vp = _min(c1, _max(lower, c3 - slope * vm))
-                else:
-                    slope = x / (1.0 - x)
-                    lower = c3 - c2
-                    upper = _min(_min(x * c0, c1), beta * c3)
-                    vm = _max(lower, slope * (c3 - upper))
-                    vp = _max(lower, _min(upper, slope * (c3 - vm)))
-            stability[idx] = np.where(
-                slope < 1.0, StabilityClass.ASYMPTOTIC,
-                np.where(slope == 1.0,
-                         StabilityClass.NEUTRAL_TWO_CYCLE_CONTINUUM,
-                         StabilityClass.UNSTABLE))
-            cycle = slope >= 1.0
-            bad = cycle & ~((0.0 <= vm) & (vm <= c3))
-            if bad.any():
-                # The map is defined on [0, C3] only.
-                raise DomainError(f"v={vm[bad][0]} outside [0, {c3}]")
-            v_minus[idx[cycle]] = vm[cycle]
-            v_plus[idx[cycle]] = vp[cycle]
-    return (v_star.tolist(), stability.tolist(), v_minus.tolist(),
-            v_plus.tolist())
+    v_plus = v_minus.copy()
+    if any(bottleneck):
+        # Bottleneck regimes depend on the capacities alone and carry no
+        # map, so no v* either.
+        return (regime, ccw, fields, v_minus.copy(), stability, v_minus,
+                v_plus)
+    v_star = np.where(xi >= hi, c1, np.where(xi <= lo, c3 - c2, xi * c3))
+    for branch in (True, False):
+        # Indexing the branch first keeps xi = 0 and xi = 1 out of the
+        # divisions.
+        idx = np.flatnonzero(ccw == branch)
+        x = xi[idx]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if branch:
+                slope = (1.0 - x) / x
+                lower = _max(_max(c3 - (1.0 - x) * c0, c3 - c2), beta * c3)
+                upper = c1
+                vm = _max(lower, c3 - slope * upper)
+                vp = _min(upper, _max(lower, c3 - slope * vm))
+            else:
+                slope = x / (1.0 - x)
+                lower = c3 - c2
+                upper = _min(_min(x * c0, c1), beta * c3)
+                vm = _max(lower, slope * (c3 - upper))
+                vp = _max(lower, _min(upper, slope * (c3 - vm)))
+        fields[0, idx], fields[1, idx], fields[2, idx] = slope, lower, upper
+        circ = circulating[idx]
+        stability[idx[circ]] = np.where(
+            slope[circ] < 1.0, StabilityClass.ASYMPTOTIC,
+            np.where(slope[circ] == 1.0,
+                     StabilityClass.NEUTRAL_TWO_CYCLE_CONTINUUM,
+                     StabilityClass.UNSTABLE))
+        cycle = circ & (slope >= 1.0)
+        bad = cycle & ~((0.0 <= vm) & (vm <= c3))
+        if bad.any():
+            # The map is defined on [0, C3] only.
+            raise DomainError(f"v={vm[bad][0]} outside [0, {c3}]")
+        v_minus[idx[cycle]] = vm[cycle]
+        v_plus[idx[cycle]] = vp[cycle]
+    return regime, ccw, fields, v_star, stability, v_minus, v_plus
 
 
 def cobweb(fmap: PoincareMap, v0: float, n: int,

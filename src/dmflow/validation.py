@@ -82,12 +82,11 @@ def _period_from_maxima(times: np.ndarray, values: np.ndarray,
 
 
 def detect_oscillation(times: np.ndarray, values: np.ndarray,
-                       warmup: float, window: float,
-                       tol: float = _FLAT_TOL) -> OscillationReport:
+                       warmup: float, window: float) -> OscillationReport:
     """Classify the tail of a flux series.
 
     The last `window` of time is examined (the series must extend past
-    warmup + window).  Range below tol means converged; otherwise the
+    warmup + window).  Range below _FLAT_TOL means converged; otherwise the
     window is split in half and the extrema of the halves must agree to
     within a small fraction of the range for the oscillation to count as
     stationary, which rules out trends and still-decaying transients.
@@ -104,14 +103,14 @@ def detect_oscillation(times: np.ndarray, values: np.ndarray,
     sel = times >= times[-1] - window
     t_w, v_w = times[sel], values[sel]
     lo, hi = float(v_w.min()), float(v_w.max())
-    if hi - lo < tol:
+    if hi - lo < _FLAT_TOL:
         return OscillationReport(Verdict.CONVERGED, float(v_w.mean()),
                                  None, None, None, warmup, window)
     mid = len(v_w) // 2
     a, b = v_w[:mid], v_w[mid:]
     drift = max(abs(float(a.max()) - float(b.max())),
                 abs(float(a.min()) - float(b.min())))
-    if drift > _HALF_DRIFT_FRAC * (hi - lo) + tol:
+    if drift > _HALF_DRIFT_FRAC * (hi - lo) + _FLAT_TOL:
         return OscillationReport(Verdict.UNDETERMINED, None, None, None,
                                  None, warmup, window)
     period = _period_from_maxima(t_w, v_w, lo, hi)

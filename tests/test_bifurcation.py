@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from dmflow import DmSpec, classify_stability, sweep_xi
 from dmflow.bifurcation import boundary_values, regime_boundaries
 from dmflow.errors import DomainError
-from dmflow.poincare import (Regime, StabilityClass, _classify_grid,
-                             build_map, classify_regime)
+from dmflow.network import LinkRegime, stationary_states
+from dmflow.poincare import (Circulation, Regime, StabilityClass,
+                             _classify_grid, build_map, classify_regime)
 from dmflow.validation import brute_force_period_roots
 
 WIDE = DmSpec(3, 1.5, 2, 2.5, beta=0.3, xi=0.4)
@@ -152,7 +153,10 @@ def assert_matches_the_map_oracles(template, grid) -> None:
     """`_classify_grid` on `grid` agrees with `classify_stability` point by
     point, and each point's class, v* and two-cycle with the map itself
     and the exact piecewise root oracle."""
-    columns = _classify_grid(template, np.array(grid))
+    *_, v_star, stability, v_minus, v_plus = _classify_grid(
+        template, np.array(grid))
+    columns = (v_star.tolist(), stability.tolist(), v_minus.tolist(),
+               v_plus.tolist())
     # A few roundings of values of the capacities' size.
     ulp = math.ulp(max(template.c0, template.c1, template.c2, template.c3))
     residual = 16 * ulp
@@ -222,6 +226,36 @@ class TestGridClassifier:
     def test_classification_matches_the_map_oracles(self, data):
         template = data.draw(templates())
         assert_matches_the_map_oracles(template, data.draw(grids(template)))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_regime_and_fixed_point_match_the_stationary_catalog(self, data):
+        # The catalog is code separate from the grid: the map circulates
+        # off its clamps exactly where the catalog lists one strict pair,
+        # and v* is link 1's flow xi*q (counterclockwise) or C3 minus link
+        # 2's flow (clockwise).
+        template = data.draw(templates())
+        soc, suc = LinkRegime.SOC, LinkRegime.SUC
+        circulating = {Regime.SOC_SUC: [(soc, suc)],
+                       Regime.SUC_SOC: [(suc, soc)]}
+        ulp = math.ulp(max(template.c0, template.c1, template.c2,
+                           template.c3))
+        for xi in data.draw(grids(template)):
+            spec = template.with_xi(xi)
+            states = stationary_states(spec)
+            pairs = [(s.link1, s.link2) for s in states]
+            regime = classify_regime(spec)
+            if regime in circulating:
+                assert pairs == circulating[regime], xi
+            else:
+                assert pairs not in circulating.values(), xi
+            if not regime.supports_map:
+                continue
+            (q,) = {s.q for s in states}
+            flow = (xi * q
+                    if build_map(spec).branch is Circulation.COUNTERCLOCKWISE
+                    else spec.c3 - (1.0 - xi) * q)
+            assert abs(classify_stability(spec).fixed_point - flow) <= ulp, xi
 
     def test_steep_template_matches_the_map_oracles(self):
         # Slope 1e8 at the unstable points, which the derandomized search

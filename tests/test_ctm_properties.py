@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmflow import DmSpec, DomainError, SimConfig, Simulation, build_dm
@@ -226,7 +226,8 @@ def test_kernel_invariants_and_junction_reference(case):
 def starts(draw):
     """A drawn spec's network on either shape and a start of it: one of its
     catalog states (ZS at a drawn l in (0, 1)) for a DM unit, the
-    symmetric start for a ring (xi <= 1/2) and a drawn flow for a
+    symmetric start for a ring (which exists for xi <= 1/2 only, so a
+    drawn xi above that is mirrored to 1 - xi) and a drawn flow for a
     beltway."""
     spec = draw(specs())
     config = SimConfig(cells_per_link=draw(st.integers(1, 8)),
@@ -239,7 +240,10 @@ def starts(draw):
                   for regime in (state.link1, state.link2))
         start = stationary_start(spec, state, l1, l2)
     elif isinstance(spec, DmnSpec):
-        assume(spec.xi <= 0.5)
+        if spec.xi > 0.5:
+            with pytest.raises(DomainError, match="xi <= 0.5"):
+                dmn_start(spec)
+            spec = replace(spec, xi=1.0 - spec.xi)
         start = dmn_start(spec)
     else:
         start = beltway_start(spec, draw(st.floats(

@@ -63,6 +63,25 @@ GOLDEN = [
       "ccbd710d08bf4c0921e4f39d65d2a92a43d6f6992838f4af646ef760756df956",
       "orbit.csv":
       "bf8c3e451f90d4a6acbf4f5d138887dbb391b451b43d1ac7f98c0dd29601cf87"}),
+    # Clockwise, overlap and finite-time `max_steps` reports of the map.
+    (["analyze", "dm_bifurcation", "--xi", "0.1"],
+     "regime: cw_finite_time\n"
+     "stability: finite_time (converges in <= 1 steps)\n"
+     "fixed point: v* = 0.5\n",
+     {"analysis.json":
+      "4286fa57a199f74adbde667f27034d1ffcf74dba33548c899fe613666a500db4"}),
+    (["analyze", "dm_bifurcation", "--xi", "0.3"],
+     "regime: ccw_cw_overlap\n"
+     "stability: finite_time (converges in <= 2 steps)\n"
+     "fixed point: v* = 0.75\n",
+     {"analysis.json":
+      "a12264c3458fbf937b34de940e95006ba48f82cefe49b48a09e256f7c63411bf"}),
+    (["orbit", "dm_bifurcation", "--xi", "0.25", "--v0", "1.1"],
+     "orbit of 60 step(s) from v0=1.1: final v = 0.625\n",
+     {"cobweb.csv":
+      "91c9c84702fb4dc54518aa93febb11d662bc018e865620b3b11f0abd97dec0a5",
+      "orbit.csv":
+      "5f09f9b4415fcede0d4aafc8bea430b9dbdfb0a62233461b173750543561a967"}),
     (["sweep", "dm_bifurcation"],
      "swept 1001 xi value(s); boundaries:\n"
      "  xi = 0.2: finite_time -> [finite_time] -> asymptotic\n"

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from dmflow import (DmSpec, DomainError, UnsupportedRegimeError, build_map,
                     classify_stability, period2_points)
 from dmflow.network import stationary_states
-from dmflow.poincare import (Circulation, Regime, StabilityClass,
-                             classify_regime, cobweb, fixed_point)
+from dmflow.poincare import (Circulation, PoincareMap, Regime,
+                             StabilityClass, classify_regime, cobweb,
+                             fixed_point)
 
 CLASSIC = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.45)      # narrow link 1
 WIDE = DmSpec(3, 1.5, 2, 2.5, beta=0.3, xi=0.4)        # sweep showcase
@@ -71,8 +72,12 @@ class TestBuildMap:
 
     def test_overlap_branches_share_fixed_point(self):
         spec = WIDE.with_xi(0.3)
-        ccw = build_map(spec, Circulation.COUNTERCLOCKWISE)
-        cw = build_map(spec, Circulation.CLOCKWISE)
+        ccw = build_map(spec)
+        assert ccw.branch is Circulation.COUNTERCLOCKWISE
+        # The clockwise construction of the module docstring.
+        xi, c0, c1, c2, c3 = spec.xi, spec.c0, spec.c1, spec.c2, spec.c3
+        cw = PoincareMap(Circulation.CLOCKWISE, xi / (1.0 - xi), c3 - c2,
+                         min(xi * c0, c1, spec.beta * c3), c3)
         v_star = fixed_point(spec)
         assert ccw(v_star) == pytest.approx(v_star, abs=1e-12)
         assert cw(v_star) == pytest.approx(v_star, abs=1e-12)
@@ -86,11 +91,9 @@ class TestBuildMap:
     def test_degenerate_slope_rejected(self):
         # Overlap regime at xi = beta = 0 (open band dips below zero when
         # C2 > C3): the counterclockwise slope would divide by zero, and
-        # the default construction falls back to the clockwise branch.
+        # the construction falls back to the clockwise branch.
         spec = DmSpec(3, 1, 2.5, 2, beta=0.0, xi=0.0)
         assert classify_regime(spec) is Regime.CCW_CW_OVERLAP
-        with pytest.raises(DomainError):
-            build_map(spec, Circulation.COUNTERCLOCKWISE)
         fmap = build_map(spec)
         assert fmap.branch is Circulation.CLOCKWISE
         assert fmap(0.5) == fixed_point(spec) == 0.0

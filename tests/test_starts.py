@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from dmflow import DmSpec, SimConfig, Simulation, build_dm
+from dmflow import DmSpec, DomainError, SimConfig, Simulation, build_dm
 from dmflow.fundamental import TrafficState
 from dmflow.network import (BeltwaySpec, DmnSpec, LinkRegime, beltway_start,
                             build_beltway, build_dmn, dmn_start,
@@ -40,6 +40,14 @@ def ring_loaded(spec: DmnSpec, config: SimConfig) -> Simulation:
     sim = Simulation(build_dmn(spec), config)
     sim.load(dmn_start(spec))
     return sim
+
+
+def test_ring_start_exists_up_to_half():
+    ring_loaded(DmnSpec(1, 0.5), SimConfig())
+    with pytest.raises(DomainError,
+                       match=r"symmetric ring start needs xi <= 0\.5, "
+                             r"got xi = 0\.6"):
+        dmn_start(DmnSpec(1, 0.6))
 
 
 def beltway_loaded(spec: BeltwaySpec, flow: float,
