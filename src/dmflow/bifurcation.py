@@ -27,19 +27,21 @@ __all__ = ["SweepTable", "Transition", "sweep_xi", "regime_boundaries",
 _DEDUPE_TOL = 1e-15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepTable:
     """A sweep by column: row i is the classification at xi[i].
 
-    Columns are lists of Python floats, StabilityClass members and None
-    (no fixed point in a bottleneck regime; no two-cycle when stable).
+    Columns are numpy arrays of one length: xi, v_star, v_minus and v_plus
+    are float64, with NaN where the row has no value (no fixed point in a
+    bottleneck regime; no two-cycle when stable), and stability is an
+    object array of StabilityClass members.
     """
 
-    xi: list[float]
-    v_star: list[float | None]
-    stability: list[StabilityClass]
-    v_minus: list[float | None]
-    v_plus: list[float | None]
+    xi: np.ndarray
+    v_star: np.ndarray
+    stability: np.ndarray
+    v_minus: np.ndarray
+    v_plus: np.ndarray
 
     def __len__(self) -> int:
         return len(self.xi)
@@ -60,38 +62,48 @@ class Transition:
         return f"{left} -> [{self.at.value}] -> {right}"
 
 
-def _dedupe(xs: Iterable[float]) -> list[float]:
-    """xs sorted, dropping each value within _DEDUPE_TOL of the last kept."""
-    kept: list[float] = []
-    for x in sorted(xs):
-        if not kept or x - kept[-1] > _DEDUPE_TOL:
-            kept.append(x)
-    return kept
+def _dedupe(xs: np.ndarray) -> np.ndarray:
+    """xs sorted stably, dropping each value within _DEDUPE_TOL of the
+    last kept."""
+    xs = np.sort(xs, kind="stable")
+    keep = np.ones(len(xs), dtype=bool)
+    keep[1:] = np.diff(xs) > _DEDUPE_TOL
+    # A value more than the tolerance above its predecessor is more than
+    # that above the last kept one too.  Within a run of closer steps the
+    # distance to the last kept value decides, one value at a time.
+    last = None
+    for i in np.flatnonzero(~keep).tolist():
+        if keep[i - 1]:
+            last = xs[i - 1]
+        keep[i] = xs[i] - last > _DEDUPE_TOL
+    return xs[keep]
 
 
 def boundary_values(template: DmSpec) -> list[float]:
     """Candidate transition points within [0, 1], sorted and deduplicated."""
     cands = [*_thresholds(template), template.beta, 0.5]
-    return _dedupe(c for c in cands if 0.0 <= c <= 1.0)
+    return _dedupe(np.array([c for c in cands if 0.0 <= c <= 1.0],
+                            dtype=np.float64)).tolist()
 
 
 def sweep_xi(template: DmSpec, grid: Iterable[float]) -> SweepTable:
     """Classify every xi on the grid, with boundary values always included.
 
-    The grid is merged with the in-range boundary values, sorted ascending
-    and deduplicated, so regime changes land on exact grid points.
+    The grid, a 1-D array or any iterable of floats, is merged with the
+    in-range boundary values, sorted ascending and deduplicated, so regime
+    changes land on exact grid points.
     """
-    xs = sorted(map(float, grid))
-    if any(not 0.0 <= x <= 1.0 for x in xs):
+    xs = np.asarray(grid if isinstance(grid, np.ndarray) else list(grid),
+                    dtype=np.float64)
+    if not ((0.0 <= xs) & (xs <= 1.0)).all():
         raise DomainError("grid values must lie in [0, 1]")
-    if xs:
-        lo, hi = xs[0], xs[-1]
-        xs.extend(b for b in boundary_values(template) if lo <= b <= hi)
+    if xs.size:
+        lo, hi = xs.min(), xs.max()
+        xs = np.concatenate(
+            [xs, [b for b in boundary_values(template) if lo <= b <= hi]])
     merged = _dedupe(xs)
-    *_, v_star, stability, v_minus, v_plus = _classify_grid(
-        template, np.array(merged))
-    return SweepTable(merged, v_star.tolist(), stability.tolist(),
-                      v_minus.tolist(), v_plus.tolist())
+    *_, v_star, stability, v_minus, v_plus = _classify_grid(template, merged)
+    return SweepTable(merged, v_star, stability, v_minus, v_plus)
 
 
 def regime_boundaries(template: DmSpec) -> list[Transition]:

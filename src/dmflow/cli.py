@@ -150,16 +150,19 @@ def cmd_sweep(args) -> int:
             f"{args.xi_min!r} to {args.xi_max!r}; they do not fit in memory"
         ) from None
     out = _outdir(args, scenario)
-    table = sweep_xi(spec, grid[grid <= args.xi_max + 1e-15].tolist())
+    table = sweep_xi(spec, grid[grid <= args.xi_max + 1e-15])
     if _format(args, scenario) == "csv":
         io.write_csv(out / "sweep.csv", *io.sweep_rows(table))
     else:
+        def values(column):     # Python floats, None for NaN (no value)
+            return np.where(np.isnan(column), None, column).tolist()
+
         io.write_json(out / "sweep.json", [
             {"xi": xi, "v_star": v_star, "stability": stability.value,
              "v_minus": v_minus, "v_plus": v_plus}
             for xi, v_star, stability, v_minus, v_plus in zip(
-                table.xi, table.v_star, table.stability, table.v_minus,
-                table.v_plus)])
+                table.xi.tolist(), values(table.v_star), table.stability,
+                values(table.v_minus), values(table.v_plus))])
     print(f"swept {len(table)} xi value(s); boundaries:")
     for t in regime_boundaries(spec):
         print(f"  xi = {t.xi!r}: {t.describe()}")

@@ -5,10 +5,13 @@ comma separators, dot decimals, a header row and LF line endings, and no
 output carries timestamps, so identical inputs produce byte-identical
 files.
 
-The flux column of `run.csv` formats each distinct bit pattern once and
-repeats its text: an 80-link ring's 80 000 out-fluxes hold only a few
-thousand distinct values.  Bits, not float values, pick the text, because
-0.0 == -0.0 prints two ways and a NaN equals nothing.
+The flux column of `run.csv` and every float column of `sweep.csv` are
+formatted once per distinct bit pattern, the text repeated: an 80-link
+ring's 80 000 out-fluxes hold only a few thousand distinct values, and a
+sweep's v* takes one value on each side of the open band.  Bits, not
+float values, pick the text, because 0.0 == -0.0 prints two ways and a
+NaN equals nothing.  A NaN prints as `nan` in `run.csv`; in `sweep.csv`
+it marks a cell with no value and is left blank.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 
 from .bifurcation import SweepTable
 from .ctm import RunRecord
+from .poincare import StabilityClass
 from .validation import ValidationResult
 
 __all__ = [
@@ -37,18 +41,18 @@ __all__ = [
 
 
 def _column(values: Iterable) -> list[str]:
-    """CSV cells of one column: repr for floats, "" for None, else str."""
-    return ["" if x is None else repr(x) if isinstance(x, float) else str(x)
-            for x in values]
+    """CSV cells of one column: repr for floats, else str."""
+    return [repr(x) if isinstance(x, float) else str(x) for x in values]
 
 
-def _reprs(values: np.ndarray) -> list[str]:
+def _reprs(values: np.ndarray, nan: str = "nan") -> list[str]:
     """repr of each float64 of a 1-D array, formatted once per distinct
-    bit pattern."""
+    bit pattern; a NaN reads `nan`."""
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
     distinct, inverse = np.unique(bits, return_inverse=True)
-    text = np.array([repr(x) for x in distinct.view(np.float64).tolist()],
-                    dtype=object)
+    floats = distinct.view(np.float64)
+    text = np.array([repr(x) for x in floats.tolist()], dtype=object)
+    text[np.isnan(floats)] = nan
     return text.take(inverse).tolist()
 
 
@@ -81,10 +85,16 @@ def cobweb_rows(segments) -> tuple[list[str], list[list[str]]]:
 
 
 def sweep_rows(table: SweepTable) -> tuple[list[str], list[list[str]]]:
+    """Sweep cells, blank where the table holds NaN (no value)."""
     header = ["xi", "v_star", "stability", "v_minus", "v_plus"]
-    return header, [_column(table.xi), _column(table.v_star),
-                    [s.value for s in table.stability],
-                    _column(table.v_minus), _column(table.v_plus)]
+    labels = np.empty(len(table), dtype=object)
+    for member in StabilityClass:
+        # Members compare by identity, so this calls no Python per row.
+        labels[table.stability == member] = member.value
+    xi, v_star, v_minus, v_plus = (
+        _reprs(column, nan="") for column in
+        (table.xi, table.v_star, table.v_minus, table.v_plus))
+    return header, [xi, v_star, labels.tolist(), v_minus, v_plus]
 
 
 def run_rows(record: RunRecord) -> tuple[list[str], list[list[str]]]:

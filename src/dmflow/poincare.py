@@ -32,6 +32,7 @@ build_map and classify_stability are its one-point case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -169,13 +170,16 @@ class PoincareMap:
 def _point(spec: DmSpec) -> tuple:
     """The grid's row at spec.xi as Python values: regime, map (None in a
     bottleneck regime), v*, stability, v- and v+."""
-    regime, ccw, fields, *columns = _classify_grid(spec, np.array([spec.xi]))
+    regime, ccw, fields, v_star, stability, v_minus, v_plus = \
+        _classify_grid(spec, np.array([spec.xi]))
     fmap = None
     if regime.item().supports_map:
         branch = (Circulation.COUNTERCLOCKWISE if ccw.item()
                   else Circulation.CLOCKWISE)
         fmap = PoincareMap(branch, *fields[:, 0].tolist(), spec.c3)
-    return (regime.item(), fmap, *(column.item() for column in columns))
+    v_star, v_minus, v_plus = (None if math.isnan(v) else v for v in
+                               (v_star.item(), v_minus.item(), v_plus.item()))
+    return regime.item(), fmap, v_star, stability.item(), v_minus, v_plus
 
 
 def classify_regime(spec: DmSpec) -> Regime:
@@ -270,8 +274,9 @@ def _classify_grid(template: DmSpec, xi: np.ndarray,
     classify_regime, build_map and classify_stability read its row at a
     single xi.  Returns the arrays (regime, ccw, fields, v*, stability,
     v-, v+): ccw is True where the map circulates counterclockwise, the
-    rows of fields are the slope, lower and upper (NaN where there is no
-    map), and v*, v- and v+ hold None where the class has no value.  v+ is
+    rows of fields are the slope, lower and upper, and v*, v- and v+ are
+    float64; each holds NaN where there is no map or the class no value.
+    A circulating map of slope 0 is constant, so finite-time.  v+ is
     evaluated as the image of v-, so the cycle closes bitwise under the
     map.  As in Python float arithmetic, a subnormal xi may overflow the
     counterclockwise slope to inf, and inf * 0 gives a NaN that the clamps
@@ -306,13 +311,12 @@ def _classify_grid(template: DmSpec, xi: np.ndarray,
     circulating = np.array(circulates)[case]
     fields = np.full((3, n), np.nan)
     stability = np.full(n, StabilityClass.FINITE_TIME, dtype=object)
-    v_minus = np.full(n, None, dtype=object)
-    v_plus = v_minus.copy()
+    v_minus, v_plus = np.full((2, n), np.nan)
     if any(bottleneck):
         # Bottleneck regimes depend on the capacities alone and carry no
         # map, so no v* either.
-        return (regime, ccw, fields, v_minus.copy(), stability, v_minus,
-                v_plus)
+        return regime, ccw, fields, np.full(n, np.nan), stability, \
+            v_minus, v_plus
     v_star = np.where(xi >= hi, c1, np.where(xi <= lo, c3 - c2, xi * c3))
     for branch in (True, False):
         # Indexing the branch first keeps xi = 0 and xi = 1 out of the
@@ -333,7 +337,8 @@ def _classify_grid(template: DmSpec, xi: np.ndarray,
                 vm = _max(lower, slope * (c3 - upper))
                 vp = _max(lower, _min(upper, slope * (c3 - vm)))
         fields[0, idx], fields[1, idx], fields[2, idx] = slope, lower, upper
-        circ = circulating[idx]
+        # A map of slope 0 is constant, so it stays finite-time.
+        circ = circulating[idx] & (slope != 0.0)
         stability[idx[circ]] = np.where(
             slope[circ] < 1.0, StabilityClass.ASYMPTOTIC,
             np.where(slope[circ] == 1.0,

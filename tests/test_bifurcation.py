@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmflow import DmSpec, classify_stability, sweep_xi
-from dmflow.bifurcation import boundary_values, regime_boundaries
+from dmflow import io
+from dmflow.bifurcation import (_DEDUPE_TOL, _dedupe, boundary_values,
+                                regime_boundaries)
 from dmflow.errors import DomainError
 from dmflow.network import LinkRegime, stationary_states
 from dmflow.poincare import (Circulation, Regime, StabilityClass,
@@ -155,8 +157,10 @@ def assert_matches_the_map_oracles(template, grid) -> None:
     and the exact piecewise root oracle."""
     *_, v_star, stability, v_minus, v_plus = _classify_grid(
         template, np.array(grid))
-    columns = (v_star.tolist(), stability.tolist(), v_minus.tolist(),
-               v_plus.tolist())
+    # The float columns hold NaN where the report holds None.
+    columns = [[None if isinstance(x, float) and math.isnan(x) else x
+                for x in column.tolist()]
+               for column in (v_star, stability, v_minus, v_plus)]
     # A few roundings of values of the capacities' size.
     ulp = math.ulp(max(template.c0, template.c1, template.c2, template.c3))
     residual = 16 * ulp
@@ -181,7 +185,9 @@ def assert_matches_the_map_oracles(template, grid) -> None:
                       Regime.CCW_CW_OVERLAP):
             expected = FT
         else:
-            expected = (ASY if fmap.slope < 1.0 else
+            # Slope 0 (xi = 0 or 1 inside the open band): F is constant.
+            expected = (FT if fmap.slope == 0.0 else
+                        ASY if fmap.slope < 1.0 else
                         NEU if fmap.slope == 1.0 else UNS)
         assert report.stability is expected, xi
         v_star = report.fixed_point
@@ -264,21 +270,83 @@ class TestGridClassifier:
         assert_matches_the_map_oracles(template, fixed_grid(template))
 
     def test_scalar_calls_do_not_grow_with_the_grid(self):
-        def classify_calls(n_points):
-            calls = 0
+        # Every Python-level call of the sweep and its CSV cells, and those
+        # of classify_stability among them: a per-row helper, or a per-row
+        # Enum .value or __hash__, would make the counts differ.
+        def calls(n_points):
+            counts = {"all": 0, "classify_stability": 0}
 
             def profile(frame, event, arg):
-                nonlocal calls
-                if event == "call" and \
-                        frame.f_code is classify_stability.__code__:
-                    calls += 1
+                if event == "call":
+                    counts["all"] += 1
+                    if frame.f_code is classify_stability.__code__:
+                        counts["classify_stability"] += 1
 
             grid = [i / (n_points - 1) for i in range(n_points)]
             sys.setprofile(profile)
             try:
-                sweep_xi(WIDE, grid)
+                io.sweep_rows(sweep_xi(WIDE, grid))
             finally:
                 sys.setprofile(None)
-            return calls
+            return counts
 
-        assert classify_calls(10) == classify_calls(10_000)
+        assert calls(1_000) == calls(100_000)
+
+
+def reference_dedupe(xs) -> list[float]:
+    """The sequential rule: xs sorted, dropping each value within
+    _DEDUPE_TOL of the last kept."""
+    kept: list[float] = []
+    for x in sorted(xs):
+        if not kept or x - kept[-1] > _DEDUPE_TOL:
+            kept.append(x)
+    return kept
+
+
+@st.composite
+def clustered(draw):
+    """Floats in [0, 1] in clusters whose steps are near _DEDUPE_TOL, so a
+    value may lie within it of its predecessor but not of the last kept
+    one; with repeats and both zeros."""
+    xs = []
+    for start in draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0])
+                               | st.floats(0.0, 1.0), max_size=6)):
+        x = start
+        for step in draw(st.lists(st.sampled_from([0.0, 0.4, 0.5, 1.0])
+                                  | st.floats(0.0, 2.0), max_size=6)):
+            x = min(x + step * _DEDUPE_TOL, 1.0)
+            xs.append(x)
+        xs.append(start)
+    return draw(st.permutations(xs))
+
+
+class TestArraySweep:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(clustered())
+    def test_dedupe_matches_the_sequential_rule(self, xs):
+        got = _dedupe(np.array(xs, dtype=np.float64)).tolist()
+        assert list(map(repr, got)) == list(map(repr, reference_dedupe(xs)))
+
+    def test_dedupe_keeps_the_third_of_a_close_run(self):
+        # Each step is within the tolerance, the third value is not
+        # within it of the first.
+        xs = [0.5, 0.5 + 0.6 * _DEDUPE_TOL, 0.5 + 1.2 * _DEDUPE_TOL]
+        assert _dedupe(np.array(xs)).tolist() == [xs[0], xs[2]]
+        assert reference_dedupe(xs) == [xs[0], xs[2]]
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_grid_as_list_generator_or_array(self, data):
+        template = data.draw(templates())
+        grid = data.draw(grids(template)) + data.draw(clustered())
+        tables = [sweep_xi(template, grid),
+                  sweep_xi(template, (x for x in grid)),
+                  sweep_xi(template, np.array(grid))]
+        columns = [[list(map(repr, getattr(table, name).tolist()))
+                    for name in ("xi", "v_star", "stability", "v_minus",
+                                 "v_plus")]
+                   for table in tables]
+        assert columns[0] == columns[1] == columns[2]
+        assert list(map(repr, tables[0].xi.tolist())) == list(map(
+            repr, reference_dedupe(grid + [b for b in boundary_values(
+                template) if min(grid) <= b <= max(grid)])))

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, emitted files, determinism."""
 
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -125,6 +126,37 @@ class TestSweep:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0] == "xi,v_star,stability,v_minus,v_plus"
         assert [l.split(",")[0] for l in lines[1:]] == ["0.4"]
+
+    @pytest.mark.parametrize("fmt,digest", [
+        ("csv",
+         "133562db92295c931a06066769f48e6dc044409133dc4c973204db60edef2c10"),
+        ("json",
+         "216b6edb86b58abf4aa29aab7082f963c2ddeb371d81016b4cef95b19312af6a"),
+    ])
+    def test_bottleneck_cells_are_blank_or_null(self, fmt, digest, tmp_path,
+                                                capsys):
+        # An upstream bottleneck has no fixed point and no two-cycle at any
+        # xi: v_star, v_minus and v_plus are empty CSV cells and JSON
+        # nulls.  The digests were recorded before the sweep held NaN for
+        # no value.
+        scenario = tmp_path / "bottleneck.yaml"
+        scenario.write_text("network:\n  kind: dm\n"
+                            "  capacities: [1.0, 1.5, 2.0, 2.5]\n"
+                            "  beta: 0.3\n  xi: 0.4\n")
+        out = tmp_path / "out"
+        assert main(["sweep", str(scenario), "--step", "0.125", "--format",
+                     fmt, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == \
+            "swept 12 xi value(s); boundaries:\n"
+        emitted = (out / f"sweep.{fmt}").read_bytes()
+        assert hashlib.sha256(emitted).hexdigest() == digest
+        if fmt == "csv":
+            rows = emitted.decode().splitlines()[1:]
+            assert {row.split(",", 1)[1] for row in rows} == {
+                ",finite_time,,"}
+        else:
+            assert {(row["v_star"], row["v_minus"], row["v_plus"])
+                    for row in json.loads(emitted)} == {(None, None, None)}
 
     def test_rejects_bad_step(self, tmp_path):
         assert main(["sweep", BIFURCATION, "--step", "0",

@@ -1,9 +1,10 @@
-"""The run emitters against their per-element definition.
+"""The run and sweep emitters against their per-element definition.
 
-`run_rows` formats each distinct bit pattern of the flux column once;
-every cell must still be the `repr` of its own float, including the values
-where formatting by float value would go wrong (0.0 == -0.0, NaN equals
-nothing) and those where `repr` switches notation (1e16 and 1e-4).
+`run_rows` and `sweep_rows` format each distinct bit pattern of a float
+column once; every cell must still be the `repr` of its own float,
+including the values where formatting by float value would go wrong
+(0.0 == -0.0, NaN equals nothing) and those where `repr` switches notation
+(1e16 and 1e-4).  A sweep cell that holds NaN, no value, is blank.
 """
 
 import json
@@ -15,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmflow import io
+from dmflow.bifurcation import SweepTable
 from dmflow.ctm import RunRecord
+from dmflow.poincare import StabilityClass
 
 
 def from_bits(bits: int) -> float:
@@ -63,6 +66,45 @@ def test_run_rows_match_per_element_repr(record):
     header, columns = io.run_rows(record)
     assert header == ["t", "section", "flux"]
     assert columns == reference_rows(record)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_reprs_match_per_element_repr(data):
+    pool = data.draw(st.lists(values, min_size=1, max_size=8))
+    floats = data.draw(st.lists(st.sampled_from(pool), max_size=30))
+    column = np.array(floats, dtype=np.float64)
+    assert io._reprs(column) == [repr(x) for x in column.tolist()]
+    assert io._reprs(column, nan="") == [
+        "" if math.isnan(x) else repr(x) for x in column.tolist()]
+
+
+@st.composite
+def tables(draw):
+    """Sweep tables whose float columns repeat a small pool, NaN among it."""
+    n = draw(st.integers(0, 20))
+    pool = draw(st.lists(values, min_size=1, max_size=6)) + [math.nan]
+    column = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+    classes = st.lists(st.sampled_from(StabilityClass), min_size=n,
+                       max_size=n)
+    stability = np.empty(n, dtype=object)
+    stability[:] = draw(classes)
+    return SweepTable(np.array(draw(column)), np.array(draw(column)),
+                      stability, np.array(draw(column)),
+                      np.array(draw(column)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tables())
+def test_sweep_rows_match_per_element_cells(table):
+    def cells(column):
+        return ["" if math.isnan(x) else repr(x) for x in column.tolist()]
+
+    header, columns = io.sweep_rows(table)
+    assert header == ["xi", "v_star", "stability", "v_minus", "v_plus"]
+    assert columns == [cells(table.xi), cells(table.v_star),
+                       [s.value for s in table.stability],
+                       cells(table.v_minus), cells(table.v_plus)]
 
 
 def test_distinct_bit_patterns_keep_their_own_text():

@@ -351,3 +351,20 @@ def test_constant_map_converges_in_one_step():
     assert report.max_steps == 1
     report = classify_stability(WIDE.with_xi(0.65))
     assert report.max_steps == 2
+
+
+@pytest.mark.parametrize("spec,regime,v_star", [
+    # xi = 0 with C2 > C3: clockwise, slope 0 / 1.
+    (DmSpec(3, 1, 2.5, 2, beta=0.5, xi=0.0), Regime.SUC_SOC, 0.0),
+    # The mirror: xi = 1 with C1 > C3, counterclockwise, slope 0 / 1.
+    (DmSpec(3, 2.5, 1, 2, beta=0.5, xi=1.0), Regime.SOC_SUC, 2.0)])
+def test_slope_zero_map_is_finite_time(spec, regime, v_star):
+    fmap = build_map(spec)
+    assert fmap.slope == 0.0
+    assert [fmap(v) for v in (0.0, 1.0, spec.c3)] == [v_star] * 3
+    report = classify_stability(spec)
+    assert report.regime is regime
+    assert report.stability is StabilityClass.FINITE_TIME
+    assert report.fixed_point == v_star
+    assert report.max_steps == 1
+    assert report.period2 is None
