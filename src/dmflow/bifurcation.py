@@ -95,6 +95,9 @@ def sweep_xi(template: DmSpec, grid: Iterable[float]) -> SweepTable:
     """
     xs = np.asarray(grid if isinstance(grid, np.ndarray) else list(grid),
                     dtype=np.float64)
+    if xs.ndim != 1:
+        raise DomainError(f"the grid must be one-dimensional, got shape "
+                          f"{xs.shape}")
     if not ((0.0 <= xs) & (xs <= 1.0)).all():
         raise DomainError("grid values must lie in [0, 1]")
     if xs.size:

@@ -74,6 +74,12 @@ class TestSweep:
         with pytest.raises(Exception):
             sweep_xi(WIDE, [-0.1])
 
+    @pytest.mark.parametrize("grid", [[[0.1, 0.2]], np.array([[0.1, 0.2]]),
+                                      np.array(0.3)])
+    def test_grid_must_be_flat(self, grid):
+        with pytest.raises(DomainError, match="one-dimensional"):
+            sweep_xi(WIDE, grid)
+
     def test_duplicates_removed(self):
         xs = sweep_xi(WIDE, [0.2, 0.2, 0.5]).xi
         assert len(xs) == len(set(xs))
