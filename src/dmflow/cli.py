@@ -103,9 +103,8 @@ def cmd_analyze(args) -> int:
         print(f"beltway with {spec.n_pairs} ramp pair(s): {cls.value}")
         print(f"per-pair flux ratio: {factor.per_pair!r}")
         if factor.per_pair < 1.0:
-            hl = beltway_half_life(spec)
-            payload["half_life_pairs"] = hl.pairs
-            print(f"flow half-life: {hl.pairs!r} pairs")
+            payload["half_life_pairs"] = half_life = beltway_half_life(spec)
+            print(f"flow half-life: {half_life!r} pairs")
     io.write_json(out / "analysis.json", payload)
     return EXIT_OK
 

@@ -1,18 +1,20 @@
 """Return maps for ring-structured networks.
 
 Two ring families support circulating disturbances.  In a ring of n
-diverge-merge stages (symmetric setup: origin demands 3, destination
-supplies 2, link capacities alternating 1 and 2, split xi onto the narrow
-links) the out-fluxes v_1..v_n of the narrow links obey, per loop time T,
+diverge-merge stages (symmetric setup: every stage is `DmnSpec.stage`,
+origin demand C0 = 3, destination supply C3 = 2, narrow link C1 = 1 with
+the split xi onto it, wide link C2 = 2, all times scale) the out-fluxes
+v_1..v_n of the narrow links obey, per loop time T,
 
-    v_i(t+T) = min(1, 2 - ((1-xi)/xi) * v_{i-1}(t))   (cyclic),
+    v_i(t+T) = min(C1, C3 - ((1-xi)/xi) * v_{i-1}(t))   (cyclic),
 
-valid in the band 1/3 < xi < 1/2 where narrow links run congested and wide
-links do not.  A perturbation of the symmetric state 2*xi returns after n
-steps multiplied by (-(1-xi)/xi)^n: growing for xi < 1/2, sign-alternating
-only for odd n.  Odd rings therefore sustain periodic oscillation, while
-even rings break symmetry and settle into one of two mirrored stationary
-states alternating saturated (1) and starved (2 - (1-xi)/xi) links.
+the stage's own DM map at beta = 0, valid in the band 1/3 < xi < 1/2
+where narrow links run congested and wide links do not.  A perturbation
+of the symmetric state xi * C3 returns after n steps multiplied by
+(-(1-xi)/xi)^n: growing for xi < 1/2, sign-alternating only for odd n.
+Odd rings therefore sustain periodic oscillation, while even rings break
+symmetry and settle into one of two mirrored stationary states
+alternating saturated (C1) and starved (C3 - ((1-xi)/xi) C1) links.
 
 On a fully congested ring road with n alternating off-ramp (turning
 proportion xi) / on-ramp (merge share beta) pairs, the mainline flux
@@ -29,8 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError
-from .network import (DMN_DEST_SUPPLY, DMN_NARROW_CAPACITY, BeltwaySpec,
-                      DmnSpec)
+from .network import BeltwaySpec, DmnSpec
 
 __all__ = [
     "DMN_XI_BAND",
@@ -38,7 +39,6 @@ __all__ = [
     "DmnClassification",
     "dmn_step",
     "dmn_orbit",
-    "dmn_perturbation_factor",
     "dmn_fixed_points",
     "dmn_classify",
     "BeltwayFactor",
@@ -49,69 +49,56 @@ __all__ = [
 ]
 
 # Open xi band in which the ring map derivation holds (narrow links
-# congested, wide links not, iterates remain in [0, 1]).
+# congested, wide links not, iterates remain in [0, C1]).
 DMN_XI_BAND = (1.0 / 3.0, 0.5)
 
 
-def _check_xi(xi: float) -> float:
-    if not 0.0 < xi < 1.0:
-        raise DomainError(f"xi must lie in (0, 1), got {xi}")
-    return (1.0 - xi) / xi
+def _slope(spec: DmnSpec) -> float:
+    """The ring map's slope magnitude (1-xi)/xi, for 0 < xi < 1."""
+    if not 0.0 < spec.xi < 1.0:
+        raise DomainError(f"xi must lie in (0, 1), got {spec.xi}")
+    return (1.0 - spec.xi) / spec.xi
 
 
-def _starved_and_saturated(lam: float, scale: float) -> tuple[float, float]:
+def _starved_and_saturated(spec: DmnSpec) -> tuple[float, float]:
     """The two values of the ring's alternation: a starved link behind a
     saturated one, and the saturated narrow-link capacity.  The starved
     value is written exactly as `dmn_step` computes the image of a
     saturated predecessor, so the alternations are bitwise fixed points."""
-    cap = DMN_NARROW_CAPACITY * scale
-    return DMN_DEST_SUPPLY * scale - lam * cap, cap
+    cap = spec.stage.c1
+    return spec.stage.c3 - _slope(spec) * cap, cap
 
 
-def dmn_step(n: int, xi: float, state: tuple[float, ...],
-             scale: float = 1.0) -> tuple[float, ...]:
+def dmn_step(spec: DmnSpec, state: tuple[float, ...]) -> tuple[float, ...]:
     """One loop-time update of the narrow-link out-fluxes.
 
     Each component is driven by its cyclic predecessor; the saturation cap
-    is the narrow-link capacity (1, times scale).  Inside the analysis
-    band the image stays in (0, 1]; outside it a component can turn
-    negative, which the derivation does not cover, so that raises
-    DomainError.
+    is the narrow-link capacity C1.  Inside the analysis band the image
+    stays in (0, C1]; outside it a component can turn negative, which the
+    derivation does not cover, so that raises DomainError (where the DM
+    map of `build_map(spec.stage)` would clamp).
     """
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
-    lam = _check_xi(xi)
-    if len(state) != n:
-        raise DomainError(f"state must have {n} components, got {len(state)}")
-    cap, supply = DMN_NARROW_CAPACITY * scale, DMN_DEST_SUPPLY * scale
-    out = tuple(min(cap, supply - lam * state[(i - 1) % n])
-                for i in range(n))
+    lam = _slope(spec)
+    if len(state) != spec.n:
+        raise DomainError(
+            f"state must have {spec.n} components, got {len(state)}")
+    cap, supply = spec.stage.c1, spec.stage.c3
+    out = tuple(min(cap, supply - lam * state[i - 1])
+                for i in range(spec.n))
     if any(v < 0.0 for v in out):
         raise DomainError(
             "ring map left [0, cap]; xi is outside the derivation band")
     return out
 
 
-def dmn_orbit(n: int, xi: float, state: tuple[float, ...], steps: int,
-              scale: float = 1.0) -> list[tuple[float, ...]]:
+def dmn_orbit(spec: DmnSpec, state: tuple[float, ...], steps: int,
+              ) -> list[tuple[float, ...]]:
     if steps < 0:
         raise DomainError("steps must be nonnegative")
     orbit = [tuple(state)]
     for _ in range(steps):
-        orbit.append(dmn_step(n, xi, orbit[-1], scale))
+        orbit.append(dmn_step(spec, orbit[-1]))
     return orbit
-
-
-def dmn_perturbation_factor(n: int, xi: float) -> float:
-    """Growth of a symmetric-state perturbation over one full loop.
-
-    Returns (-(1-xi)/xi)^n: magnitude above one means instability, a
-    negative sign means the perturbation alternates (odd n only).
-    """
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
-    lam = _check_xi(xi)
-    return (-lam) ** n
 
 
 class DmnPattern(Enum):
@@ -130,15 +117,14 @@ class DmnClassification:
     growth_factor: float
 
 
-def dmn_fixed_points(n: int, xi: float, scale: float = 1.0,
-                     ) -> tuple[tuple[float, ...], ...]:
+def dmn_fixed_points(spec: DmnSpec) -> tuple[tuple[float, ...], ...]:
     """Stationary states of the ring map: symmetric, plus for even n the
     two saturated/starved alternations."""
-    lam = _check_xi(xi)
-    sym = tuple(DMN_DEST_SUPPLY * xi * scale for _ in range(n))
+    low, cap = _starved_and_saturated(spec)     # also rejects xi 0 and 1
+    n = spec.n
+    sym = (spec.xi * spec.stage.c3,) * n
     if n % 2:
         return (sym,)
-    low, cap = _starved_and_saturated(lam, scale)
     alt1 = tuple((cap if i % 2 == 0 else low) for i in range(n))
     alt2 = tuple((low if i % 2 == 0 else cap) for i in range(n))
     return (sym, alt1, alt2)
@@ -147,23 +133,24 @@ def dmn_fixed_points(n: int, xi: float, scale: float = 1.0,
 def dmn_classify(spec: DmnSpec) -> DmnClassification:
     """Asymptotic pattern of the symmetric ring at the given split.
 
-    Only 1/3 < xi < 1/2 with merge priority 0 is covered by the
-    derivation; outside that band, or for beta > 0, the same formulas are
-    evaluated but flagged unanalyzed.  A growth magnitude of exactly one
-    (xi = 1/2) is neutral and reported as stable only in the weak sense
-    that perturbations do not grow.
+    The growth factor is (-(1-xi)/xi)^n, a perturbation's gain over one
+    full loop: magnitude above one means instability, a negative sign
+    that the perturbation alternates (odd n only).  Only 1/3 < xi < 1/2
+    with merge priority 0 is covered by the derivation; outside that
+    band, or for beta > 0, the same formulas are evaluated but flagged
+    unanalyzed.  A growth magnitude of exactly one (xi = 1/2) is neutral
+    and reported as stable only in the weak sense that perturbations do
+    not grow.
     """
-    n, xi, scale = spec.n, spec.xi, spec.scale
-    factor = dmn_perturbation_factor(n, xi)
-    lam = _check_xi(xi)
-    analyzed = DMN_XI_BAND[0] < xi < DMN_XI_BAND[1] and spec.beta == 0.0
-    fps = dmn_fixed_points(n, xi, scale)
+    factor = (-_slope(spec)) ** spec.n
+    analyzed = DMN_XI_BAND[0] < spec.xi < DMN_XI_BAND[1] and spec.beta == 0.0
+    fps = dmn_fixed_points(spec)
     if abs(factor) <= 1.0:
         return DmnClassification(DmnPattern.STABLE, analyzed, fps[0], (),
                                  None, factor)
-    if n % 2:
+    if spec.n % 2:
         return DmnClassification(DmnPattern.PPO, analyzed, fps[0], (),
-                                 _starved_and_saturated(lam, scale), factor)
+                                 _starved_and_saturated(spec), factor)
     return DmnClassification(DmnPattern.BISTABLE, analyzed, fps[0],
                              fps[1:], None, factor)
 
@@ -197,14 +184,8 @@ def beltway_classify(spec: BeltwaySpec) -> GridlockClass:
     return GridlockClass.NEUTRAL
 
 
-@dataclass(frozen=True)
-class BeltwayHalfLife:
-    pairs: float   # ramp pairs traversed until the flux halves
-    laps: float
-
-
-def beltway_half_life(spec: BeltwaySpec) -> BeltwayHalfLife:
-    """Ramp pairs (and laps) until the circulating flux halves.
+def beltway_half_life(spec: BeltwaySpec) -> float:
+    """Ramp pairs until the circulating flux halves.
 
     Defined only in the decaying case; pure geometric decay gives
     log(1/2) / log(per-pair ratio).
@@ -213,5 +194,4 @@ def beltway_half_life(spec: BeltwaySpec) -> BeltwayHalfLife:
     if ratio >= 1.0:
         raise DomainError(
             f"half-life undefined: per-pair ratio {ratio} is not below one")
-    pairs = math.log(0.5) / math.log(ratio)
-    return BeltwayHalfLife(pairs, pairs / spec.n_pairs)
+    return math.log(0.5) / math.log(ratio)

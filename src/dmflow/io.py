@@ -5,13 +5,13 @@ comma separators, dot decimals, a header row and LF line endings, and no
 output carries timestamps, so identical inputs produce byte-identical
 files.
 
-The flux column of `run.csv` and every float column of `sweep.csv` are
-formatted once per distinct bit pattern, the text repeated: an 80-link
-ring's 80 000 out-fluxes hold only a few thousand distinct values, and a
-sweep's v* takes one value on each side of the open band.  Bits, not
-float values, pick the text, because 0.0 == -0.0 prints two ways and a
-NaN equals nothing.  A NaN prints as `nan` in `run.csv`; in `sweep.csv`
-it marks a cell with no value and is left blank.
+Every float column is formatted once per distinct bit pattern, the text
+repeated, and every integer index with str: an 80-link ring's 80 000
+out-fluxes hold only a few thousand distinct values, and a sweep's v*
+takes one value on each side of the open band.  Bits, not float values,
+pick the text, because 0.0 == -0.0 prints two ways and a NaN equals
+nothing.  A NaN prints as `nan` in `run.csv`; in `sweep.csv` it marks a
+cell with no value and is left blank.
 """
 
 from __future__ import annotations
@@ -40,14 +40,9 @@ __all__ = [
 ]
 
 
-def _column(values: Iterable) -> list[str]:
-    """CSV cells of one column: repr for floats, else str."""
-    return [repr(x) if isinstance(x, float) else str(x) for x in values]
-
-
-def _reprs(values: np.ndarray, nan: str = "nan") -> list[str]:
-    """repr of each float64 of a 1-D array, formatted once per distinct
-    bit pattern; a NaN reads `nan`."""
+def _reprs(values: np.ndarray | list[float], nan: str = "nan") -> list[str]:
+    """repr of each float of a 1-D array or list, formatted once per
+    distinct bit pattern; a NaN reads `nan`."""
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
     distinct, inverse = np.unique(bits, return_inverse=True)
     floats = distinct.view(np.float64)
@@ -74,13 +69,14 @@ def write_json(path: str | Path, payload) -> None:
 # cells per column, ready for write_csv.
 
 def orbit_rows(orbit: list[float]) -> tuple[list[str], list[list[str]]]:
-    return ["step", "v"], [_column(range(len(orbit))), _column(orbit)]
+    return ["step", "v"], [list(map(str, range(len(orbit)))),
+                           _reprs(orbit)]
 
 
 def cobweb_rows(segments) -> tuple[list[str], list[list[str]]]:
     header = ["segment", "x0", "y0", "x1", "y1"]
-    return header, [_column(range(len(segments)))] + [
-        _column([seg[end][axis] for seg in segments])
+    return header, [list(map(str, range(len(segments))))] + [
+        _reprs([seg[end][axis] for seg in segments])
         for end in (0, 1) for axis in (0, 1)]
 
 
@@ -102,7 +98,7 @@ def run_rows(record: RunRecord) -> tuple[list[str], list[list[str]]]:
     header = ["t", "section", "flux"]
     names = sorted(record.outflux)
     flux = np.array([record.outflux[n] for n in names], dtype=np.float64)
-    times = np.array(_column(record.times.tolist()), dtype=object)
+    times = np.array(_reprs(record.times), dtype=object)
     return header, [times.repeat(len(names)).tolist(),
                     names * len(record.times),
                     _reprs(flux.T.ravel())]           # (time, link) order

@@ -22,16 +22,16 @@ l and a commodity-1 fraction (`LinkStart`); the simulator turns them into
 densities on its own diagrams.
 
 Ring-shaped extensions reuse the same two junction models: a chain of n
-diverge-merge stages closed into a loop (alternating small/large link
-capacities), and a beltway: a congested ring road with n alternating
-off-ramp / on-ramp pairs.
+diverge-merge stages closed into a loop, every stage the `DmSpec` that
+`DmnSpec.stage` derives (capacities scale x (3, 1, 2, 2)), and a beltway:
+a congested ring road with n alternating off-ramp / on-ramp pairs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .errors import ConfigurationError, DomainError
@@ -58,10 +58,6 @@ __all__ = [
     "build_dm",
     "build_dmn",
     "build_beltway",
-    "DMN_ORIGIN_DEMAND",
-    "DMN_DEST_SUPPLY",
-    "DMN_NARROW_CAPACITY",
-    "DMN_WIDE_CAPACITY",
 ]
 
 
@@ -128,12 +124,19 @@ class DmnSpec:
     """Ring of n diverge-merge stages (see `build_dmn`): the stage count,
     the split xi onto the narrow links, a factor on every capacity, and
     the merge priority of the narrow links, for which the ring map of
-    `dmflow.extended` assumes 0."""
+    `dmflow.extended` assumes 0.
+
+    `stage` is the one diverge-merge unit every stage repeats, derived
+    here and nowhere else: origin link 3, narrow link 1 (the split xi goes
+    onto it), wide link 2 (it crosses to the next stage's merge) and
+    destination link 2, each times scale; the origin demand and the
+    destination supply equal the end links' capacities."""
 
     n: int
     xi: float
     scale: float = 1.0
     beta: float = 0.0
+    stage: DmSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _count(self, "n")
@@ -141,6 +144,10 @@ class DmnSpec:
         _share("xi", self.xi)
         _positive("scale", self.scale)
         _share("beta", self.beta)
+        scale = self.scale
+        object.__setattr__(self, "stage", DmSpec(
+            3.0 * scale, 1.0 * scale, 2.0 * scale, 2.0 * scale, self.beta,
+            self.xi))
 
 
 @dataclass(frozen=True)
@@ -509,46 +516,32 @@ def build_dm(spec: DmSpec, origin_demand: float | None = None,
     return net
 
 
-# Symmetric ring-of-stages family: per stage, an origin link of capacity 3
-# splits (proportion xi) onto a narrow link of capacity 1 whose companion
-# wide link (capacity 2) crosses over to the next stage's merge; each merge
-# drains into a destination link of capacity 2.  All in scaled flow units.
-DMN_ORIGIN_DEMAND = 3.0
-DMN_DEST_SUPPLY = 2.0
-DMN_NARROW_CAPACITY = 1.0
-DMN_WIDE_CAPACITY = 2.0
-
-
 def build_dmn(spec: DmnSpec) -> Network:
-    """Ring of n diverge-merge stages with alternating capacities 1 and 2.
+    """Ring of n copies of `spec.stage`, each wide link crossing over.
 
     Stage k: origin -> o_k -> diverge -> {c_k (narrow, proportion xi),
     u_k (wide)}; merge k joins c_k with u_{k-1} and drains through e_k to a
     destination.  For n=1 this collapses to the single diverge-merge
     network.  The merge priority defaults to 0 so the narrow link's
     out-flux is governed purely by the wide link's arrivals, matching the
-    ring return map min(1, 2 - ((1-xi)/xi) v).
+    ring return map min(C1, C3 - ((1-xi)/xi) v).
     """
-    n, scale = spec.n, spec.scale
+    n, stage = spec.n, spec.stage
     links: list[Link] = []
     origins: list[Origin] = []
     destinations: list[Destination] = []
     diverges: list[Diverge] = []
     merges: list[Merge] = []
     for k in range(1, n + 1):
-        links += [
-            Link(f"o{k}", DMN_ORIGIN_DEMAND * scale),
-            Link(f"c{k}", DMN_NARROW_CAPACITY * scale),
-            Link(f"u{k}", DMN_WIDE_CAPACITY * scale),
-            Link(f"e{k}", DMN_DEST_SUPPLY * scale),
-        ]
-        origins.append(Origin(f"o{k}", DMN_ORIGIN_DEMAND * scale, spec.xi))
-        destinations.append(Destination(f"e{k}", DMN_DEST_SUPPLY * scale))
+        links += [Link(f"{prefix}{k}", c) for prefix, c in
+                  zip("ocue", (stage.c0, stage.c1, stage.c2, stage.c3))]
+        origins.append(Origin(f"o{k}", stage.c0, stage.xi))
+        destinations.append(Destination(f"e{k}", stage.c3))
         diverges.append(Diverge(f"o{k}", Branch(link=f"c{k}"),
                                 Branch(link=f"u{k}")))
         prev = k - 1 if k > 1 else n
         merges.append(Merge(Approach(link=f"c{k}"),
-                            Approach(link=f"u{prev}"), f"e{k}", spec.beta))
+                            Approach(link=f"u{prev}"), f"e{k}", stage.beta))
     net = Network(tuple(links), tuple(origins), tuple(destinations),
                   tuple(diverges), tuple(merges))
     net.validate()
@@ -585,20 +578,17 @@ def build_beltway(spec: BeltwaySpec, ramp_demand: float | None = None,
 
 def dmn_start(spec: DmnSpec) -> dict[str, LinkStart]:
     """Symmetric stationary start of the ring of stages: every stage holds
-    the four-link network's (SOC, SUC) start at through-flow
-    DMN_DEST_SUPPLY * scale on o_k, c_k, u_k and e_k.  It exists while
-    the narrow link can carry its share, xi <= 1/2."""
-    bound = DMN_NARROW_CAPACITY / DMN_DEST_SUPPLY
+    `spec.stage`'s (SOC, SUC) start at through-flow C3 on o_k, c_k, u_k
+    and e_k.  It exists while the narrow link can carry its share,
+    xi <= C1/C3 = 1/2."""
+    stage = spec.stage
+    bound = stage.c1 / stage.c3
     if not spec.xi <= bound:
         raise DomainError(
             f"the symmetric ring start needs xi <= {bound}, got "
             f"xi = {spec.xi}")
-    scale = spec.scale
-    stage = DmSpec(DMN_ORIGIN_DEMAND * scale, DMN_NARROW_CAPACITY * scale,
-                   DMN_WIDE_CAPACITY * scale, DMN_DEST_SUPPLY * scale,
-                   spec.beta, spec.xi)
     start = stationary_start(stage, StationaryState.of(
-        LinkRegime.SOC, LinkRegime.SUC, DMN_DEST_SUPPLY * scale))
+        LinkRegime.SOC, LinkRegime.SUC, stage.c3))
     return {f"{prefix}{k}": start[f"link{i}"]
             for k in range(1, spec.n + 1)
             for i, prefix in enumerate("ocue")}

@@ -5,32 +5,106 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmflow import DmSpec, DomainError, build_map
-from dmflow.extended import (DmnPattern, GridlockClass, beltway_classify,
-                             beltway_factor, beltway_half_life, dmn_classify,
-                             dmn_fixed_points, dmn_orbit,
-                             dmn_perturbation_factor, dmn_step)
-from dmflow.network import BeltwaySpec, DmnSpec
+from dmflow.extended import (DMN_XI_BAND, DmnPattern, GridlockClass,
+                             beltway_classify, beltway_factor,
+                             beltway_half_life, dmn_classify,
+                             dmn_fixed_points, dmn_orbit, dmn_step)
+from dmflow.network import BeltwaySpec, DmnSpec, build_dmn
+
+
+def hexes(values) -> tuple[str, ...]:
+    """Bit-exact images of floats: 0.0 and -0.0 differ."""
+    return tuple(float(v).hex() for v in values)
+
+
+@st.composite
+def rings_and_states(draw):
+    """A ring inside the analysed band with merge priority 0, and a state
+    of narrow-link out-fluxes in [0, C1]^n."""
+    n = draw(st.integers(1, 8))
+    xi = draw(st.floats(*DMN_XI_BAND, exclude_min=True, exclude_max=True))
+    scale = draw(st.floats(0.0, 1e307, exclude_min=True))
+    spec = DmnSpec(n, xi, scale)
+    state = draw(st.lists(st.floats(0.0, spec.stage.c1),
+                          min_size=n, max_size=n))
+    return spec, tuple(state)
+
+
+class TestRingStage:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rings_and_states())
+    def test_each_ring_stage_is_its_dm_map(self, ring):
+        spec, state = ring
+        fmap = build_map(spec.stage)
+        assert hexes(dmn_step(spec, state)) == hexes(
+            fmap(state[i - 1]) for i in range(spec.n))
+        stage = spec.stage
+        net = build_dmn(spec)
+        capacity = {ln.name: ln.capacity for ln in net.links}
+        for k in range(1, spec.n + 1):
+            assert [capacity[f"{p}{k}"] for p in "ocue"] == [
+                stage.c0, stage.c1, stage.c2, stage.c3]
+        assert {(o.demand, o.fraction) for o in net.origins} == {
+            (stage.c0, stage.xi)}
+        assert {d.supply for d in net.destinations} == {stage.c3}
+        assert {m.beta for m in net.merges} == {stage.beta}
+
+    def test_stage_capacities_are_the_scaled_unit_stage(self):
+        stage = DmnSpec(3, 0.4, scale=2.5, beta=0.2).stage
+        assert stage == DmSpec(7.5, 2.5, 5.0, 5.0, beta=0.2, xi=0.4)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_ring_values_keep_their_literal_formulas(self, n):
+        # Each value written out from xi and scale alone, independently
+        # of `DmnSpec.stage`; the ring functions must match bit for bit.
+        rng = random.Random(n)
+        xis = (0.05, 0.2, 1 / 3, 0.34, 0.4, 0.45, 0.49, 0.5, 0.6, 0.9,
+               *(rng.uniform(0.01, 0.99) for _ in range(20)))
+        scales = (0.5, 1.0, 3.0, *(rng.uniform(1e-3, 1e3) for _ in range(5)),
+                  *(math.exp(rng.uniform(-600, 600)) for _ in range(5)))
+        for xi, scale in itertools.product(xis, scales):
+            cls = dmn_classify(DmnSpec(n, xi, scale))
+            lam = (1.0 - xi) / xi
+            sym = (2.0 * xi * scale,) * n
+            low, cap = 2.0 * scale - lam * (1.0 * scale), 1.0 * scale
+            assert hexes([cls.growth_factor]) == hexes([(-lam) ** n])
+            points = dmn_fixed_points(DmnSpec(n, xi, scale))
+            expected = [sym]
+            if n % 2 == 0:
+                expected += [tuple((cap, low)[i % 2] for i in range(n)),
+                             tuple((low, cap)[i % 2] for i in range(n))]
+            assert [hexes(p) for p in points] == [hexes(p) for p in expected]
+            assert hexes(cls.symmetric_point) == hexes(sym)
+            if cls.pattern is DmnPattern.PPO:
+                assert hexes(cls.cycle) == hexes((low, cap))
+            else:
+                assert cls.cycle is None
 
 
 class TestRingStep:
     def test_symmetric_state_is_fixed(self):
         xi = 0.4
         state = (2 * xi, 2 * xi)
-        assert dmn_step(2, xi, state) == pytest.approx(state, abs=1e-12)
+        assert dmn_step(DmnSpec(2, xi), state) == pytest.approx(state,
+                                                                abs=1e-12)
 
     def test_asymmetric_fixed_points_are_exactly_fixed(self):
         for n, scale in itertools.product((2, 4, 6, 8), (0.5, 1.0, 3.0)):
             for xi in (1 / 3 + 1e-9, 0.34, 0.38, 0.4, 0.42, 0.45, 0.49):
-                for state in dmn_fixed_points(n, xi, scale)[1:]:
-                    assert dmn_step(n, xi, state, scale) == state
+                spec = DmnSpec(n, xi, scale)
+                for state in dmn_fixed_points(spec)[1:]:
+                    assert dmn_step(spec, state) == state
 
     def test_odd_ring_cycle_low_is_the_image_of_a_saturated_link(self):
         for n, scale in itertools.product((1, 3, 5), (0.5, 1.0, 3.0)):
             for xi in (1 / 3 + 1e-9, 0.34, 0.38, 0.4, 0.42, 0.45, 0.49):
-                low, cap = dmn_classify(DmnSpec(n, xi, scale)).cycle
-                assert dmn_step(n, xi, (cap,) * n, scale) == (low,) * n
+                spec = DmnSpec(n, xi, scale)
+                low, cap = dmn_classify(spec).cycle
+                assert dmn_step(spec, (cap,) * n) == (low,) * n
 
     def test_single_stage_matches_dm_map_orbit(self):
         # With beta = 0 the four-link network's map has the same middle
@@ -39,48 +113,48 @@ class TestRingStep:
         spec = DmSpec(3, 1, 2, 2, beta=0.0, xi=xi)
         fmap = build_map(spec)
         v = 0.9
-        ring = [s[0] for s in dmn_orbit(1, xi, (v,), 30)]
+        ring = [s[0] for s in dmn_orbit(DmnSpec(1, xi), (v,), 30)]
         dm = fmap.iterate(v, 30)
         assert ring == pytest.approx(dm, abs=1e-12)
 
     def test_symmetric_ring_reproduces_scalar_orbit_componentwise(self):
         xi = 0.42
-        scalar = [s[0] for s in dmn_orbit(1, xi, (0.7,), 25)]
+        scalar = [s[0] for s in dmn_orbit(DmnSpec(1, xi), (0.7,), 25)]
         for n in (2, 3, 4):
-            orbit = dmn_orbit(n, xi, tuple(0.7 for _ in range(n)), 25)
+            orbit = dmn_orbit(DmnSpec(n, xi), tuple(0.7 for _ in range(n)), 25)
             for k, state in enumerate(orbit):
                 assert state == pytest.approx(
                     tuple(scalar[k] for _ in range(n)), abs=1e-12)
 
     def test_band_guard(self):
         with pytest.raises(DomainError):
-            dmn_step(2, 0.0, (0.5, 0.5))
+            dmn_step(DmnSpec(2, 0.0), (0.5, 0.5))
         with pytest.raises(DomainError):
-            dmn_step(2, 1.0, (0.5, 0.5))
+            dmn_step(DmnSpec(2, 1.0), (0.5, 0.5))
         with pytest.raises(DomainError):
-            dmn_step(2, 0.4, (0.5,))
+            dmn_step(DmnSpec(2, 0.4), (0.5,))
 
     def test_image_leaving_unit_band_raises_domain_error(self):
         # xi = 0.2 gives lam = 4, so 2 - 4 * 0.9 < 0: the map leaves
         # [0, cap].  The guard must hold under python -O as well.
         with pytest.raises(DomainError, match="left \\[0, cap\\]"):
-            dmn_step(2, 0.2, (0.9, 0.3))
+            dmn_step(DmnSpec(2, 0.2), (0.9, 0.3))
 
 
 class TestPerturbationFactor:
     def test_single_stage_golden(self):
-        assert dmn_perturbation_factor(1, 0.45) == pytest.approx(
+        assert dmn_classify(DmnSpec(1, 0.45)).growth_factor == pytest.approx(
             -11 / 9, abs=1e-12)
 
     def test_even_ring_does_not_alternate(self):
-        factor = dmn_perturbation_factor(2, 0.4)
+        factor = dmn_classify(DmnSpec(2, 0.4)).growth_factor
         assert factor == pytest.approx(2.25, abs=1e-12)
         assert factor > 0
 
     def test_neutral_magnitude_at_half(self):
         for n in (1, 2, 3):
-            assert abs(dmn_perturbation_factor(n, 0.5)) == pytest.approx(
-                1.0, abs=1e-12)
+            assert abs(dmn_classify(DmnSpec(n, 0.5)).growth_factor) == \
+                pytest.approx(1.0, abs=1e-12)
 
 
 class TestRingClassification:
@@ -119,11 +193,12 @@ class TestRingClassification:
         # kick leaves alternate phases frozen exactly on the unstable
         # value, which is a measure-zero artifact of the alternation.
         xi = 0.4
-        sym, up, down = dmn_fixed_points(2, xi)
+        spec = DmnSpec(2, xi)
+        sym, up, down = dmn_fixed_points(spec)
         targets = {}
         for eps, key in ((+1e-3, "+"), (-1e-3, "-")):
             state = (sym[0] + eps, sym[1] - eps)
-            orbit = dmn_orbit(2, xi, state, 80)
+            orbit = dmn_orbit(spec, state, 80)
             targets[key] = orbit[-1]
             assert orbit[-1] in (up, down)
         assert targets["+"] != targets["-"]
@@ -168,17 +243,17 @@ class TestBeltway:
 
     def test_half_life_golden(self):
         hl = beltway_half_life(BeltwaySpec(beta=0.3, xi=0.2, n_pairs=1))
-        assert hl.pairs == pytest.approx(math.log(0.5) / math.log(0.875),
-                                         abs=1e-12)
-        assert hl.pairs == pytest.approx(5.1906, abs=1e-3)
+        assert hl == pytest.approx(math.log(0.5) / math.log(0.875),
+                                   abs=1e-12)
+        assert hl == pytest.approx(5.1906, abs=1e-3)
 
     def test_half_life_one_pair_when_ratio_half(self):
         hl = beltway_half_life(BeltwaySpec(beta=0.5, xi=0.0, n_pairs=1))
-        assert hl.pairs == pytest.approx(1.0, abs=1e-12)
+        assert hl == pytest.approx(1.0, abs=1e-12)
 
     def test_half_life_diverges_toward_neutral(self):
         lives = [beltway_half_life(BeltwaySpec(beta=b, xi=0.2, n_pairs=1))
-                 .pairs for b in (0.4, 0.3, 0.25, 0.22, 0.21)]
+                 for b in (0.4, 0.3, 0.25, 0.22, 0.21)]
         assert all(b > a for a, b in zip(lives, lives[1:]))
         assert lives[-1] > 50.0
 

@@ -107,6 +107,23 @@ def test_sweep_rows_match_per_element_cells(table):
                        cells(table.v_minus), cells(table.v_plus)]
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(values, max_size=12))
+def test_orbit_and_cobweb_rows_match_per_element_cells(orbit):
+    # The same float may sit at several indices, as on a settled orbit.
+    orbit = orbit + orbit[:3]
+    header, columns = io.orbit_rows(orbit)
+    assert header == ["step", "v"]
+    assert columns == [[str(i) for i in range(len(orbit))],
+                       [repr(x) for x in orbit]]
+    segments = [((a, a), (a, b)) for a, b in zip(orbit, orbit[1:])]
+    header, columns = io.cobweb_rows(segments)
+    assert header == ["segment", "x0", "y0", "x1", "y1"]
+    assert columns == [[str(i) for i in range(len(segments))]] + [
+        [repr(seg[end][axis]) for seg in segments]
+        for end in (0, 1) for axis in (0, 1)]
+
+
 def test_distinct_bit_patterns_keep_their_own_text():
     nans = [from_bits(0x7FF8000000000000), from_bits(0x7FF8000000000123)]
     flux = np.array([0.0, -0.0, *nans, 0.0, -0.0, math.inf, 1e16,

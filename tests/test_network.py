@@ -238,7 +238,9 @@ class TestBuilders:
         ({"xi": 1.5}, "xi must lie in"),
         ({"scale": 0.0}, "scale must be positive"),
         ({"scale": math.nan}, "scale must be positive"),
-        ({"beta": -0.1}, "beta must lie in")])
+        ({"beta": -0.1}, "beta must lie in"),
+        # Finite, but the stage's origin capacity 3 * scale overflows.
+        ({"scale": 1e308}, "c0 must be positive and finite, got inf")])
     def test_ring_spec_rejects_values_outside_its_domain(self, fields, match):
         with pytest.raises(DomainError, match=match):
             DmnSpec(**{"n": 2, "xi": 0.4, **fields})
