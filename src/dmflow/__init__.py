@@ -8,7 +8,7 @@ Library layers:
 * bifurcation  -- route-split sweeps and regime boundaries
 * extended     -- ring-of-stages and beltway return maps, gridlock analysis
 * ctm          -- cell-transmission simulation of the full network model
-* validation   -- simulation-versus-map cross checks and period-root oracles
+* validation   -- simulation-versus-map cross checks and the decay-ratio fit
 * cli          -- scenario-driven command line (analyze/orbit/sweep/...)
 
 The package re-exports the names of the README's library sketch and the
@@ -20,11 +20,11 @@ from .ctm import SimConfig, Simulation
 from .errors import (ConfigurationError, DmflowError, DomainError,
                      UnsupportedRegimeError)
 from .network import DmSpec, build_dm
-from .poincare import build_map, classify_stability, period2_points
+from .poincare import build_map, classify_stability
 from .validation import validate_spec
 
-__all__ = ["DmSpec", "classify_stability", "build_map", "period2_points",
-           "sweep_xi", "build_dm", "Simulation", "SimConfig", "validate_spec",
+__all__ = ["DmSpec", "classify_stability", "build_map", "sweep_xi",
+           "build_dm", "Simulation", "SimConfig", "validate_spec",
            "DmflowError", "ConfigurationError", "DomainError",
            "UnsupportedRegimeError"]
 

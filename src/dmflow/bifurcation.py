@@ -18,11 +18,9 @@ import numpy as np
 
 from .errors import DomainError
 from .network import DmSpec, _thresholds
-from .poincare import (StabilityClass, _classify_grid, classify_regime,
-                       classify_stability)
+from .poincare import StabilityClass, _classify_grid, classify_stability
 
-__all__ = ["SweepTable", "Transition", "sweep_xi", "regime_boundaries",
-           "boundary_values"]
+__all__ = ["SweepTable", "Transition", "sweep_xi", "regime_boundaries"]
 
 _DEDUPE_TOL = 1e-15
 
@@ -79,7 +77,7 @@ def _dedupe(xs: np.ndarray) -> np.ndarray:
     return xs[keep]
 
 
-def boundary_values(template: DmSpec) -> list[float]:
+def _boundary_values(template: DmSpec) -> list[float]:
     """Candidate transition points within [0, 1], sorted and deduplicated."""
     cands = [*_thresholds(template), template.beta, 0.5]
     return _dedupe(np.array([c for c in cands if 0.0 <= c <= 1.0],
@@ -103,7 +101,7 @@ def sweep_xi(template: DmSpec, grid: Iterable[float]) -> SweepTable:
     if xs.size:
         lo, hi = xs.min(), xs.max()
         xs = np.concatenate(
-            [xs, [b for b in boundary_values(template) if lo <= b <= hi]])
+            [xs, [b for b in _boundary_values(template) if lo <= b <= hi]])
     merged = _dedupe(xs)
     *_, v_star, stability, v_minus, v_plus = _classify_grid(template, merged)
     return SweepTable(merged, v_star, stability, v_minus, v_plus)
@@ -116,9 +114,9 @@ def regime_boundaries(template: DmSpec) -> list[Transition]:
     open intervals, which is exact because the class is constant between
     boundaries.  Bottleneck-regime templates have no transitions.
     """
-    if not classify_regime(template.with_xi(0.5)).supports_map:
+    if not classify_stability(template.with_xi(0.5)).regime.supports_map:
         return []
-    bounds = boundary_values(template)
+    bounds = _boundary_values(template)
     edges = [0.0] + bounds + [1.0]
     transitions = []
     for i, b in enumerate(bounds):

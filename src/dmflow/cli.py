@@ -19,8 +19,7 @@ import numpy as np
 from . import io
 from .bifurcation import regime_boundaries, sweep_xi
 from .errors import ConfigurationError, DmflowError
-from .extended import (beltway_classify, beltway_factor, beltway_half_life,
-                       dmn_classify)
+from .extended import beltway_classify, dmn_classify
 from .poincare import Regime, build_map, classify_stability, cobweb
 from .scenario import Scenario, load_scenario
 from .validation import validate_spec
@@ -93,18 +92,18 @@ def cmd_analyze(args) -> int:
               + ("" if cls.analyzed else " (outside analyzed band)"))
         print(f"perturbation growth per lap: {cls.growth_factor!r}")
     else:
-        factor = beltway_factor(spec)
         cls = beltway_classify(spec)
         payload = {
-            "classification": cls.value,
-            "per_pair_ratio": factor.per_pair,
-            "per_lap_ratio": factor.per_lap,
+            "classification": cls.gridlock.value,
+            "per_pair_ratio": cls.per_pair,
+            "per_lap_ratio": cls.per_lap,
         }
-        print(f"beltway with {spec.n_pairs} ramp pair(s): {cls.value}")
-        print(f"per-pair flux ratio: {factor.per_pair!r}")
-        if factor.per_pair < 1.0:
-            payload["half_life_pairs"] = half_life = beltway_half_life(spec)
-            print(f"flow half-life: {half_life!r} pairs")
+        print(f"beltway with {spec.n_pairs} ramp pair(s): "
+              f"{cls.gridlock.value}")
+        print(f"per-pair flux ratio: {cls.per_pair!r}")
+        if cls.half_life_pairs is not None:
+            payload["half_life_pairs"] = cls.half_life_pairs
+            print(f"flow half-life: {cls.half_life_pairs!r} pairs")
     io.write_json(out / "analysis.json", payload)
     return EXIT_OK
 

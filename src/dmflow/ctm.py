@@ -524,8 +524,7 @@ class Simulation:
         """Advance one dt.
 
         Leaves the face fluxes in `q` (column 0 the flux entering each
-        link, column -1 the flux leaving it); `boundary_totals` reads the
-        step's boundary fluxes.
+        link, column -1 the flux leaving it).
         """
         k, kj, frac, faces = self._flat_k, self._kj, self._frac, self._faces
         if self._triangular:
@@ -629,12 +628,6 @@ class Simulation:
         np.multiply(self._r, delta, out=delta)
         np.add(self._flat, delta, out=self._flat)
         self.t += self.dt
-
-    def boundary_totals(self) -> tuple[float, float, float, float]:
-        """Boundary totals (source q, source phi, sink q, sink phi) of the
-        last step."""
-        src, snk = self._boundary_sums(self._faces[self._bnd])
-        return (*src.tolist(), *snk.tolist())
 
     def _boundary_sums(self, ends: np.ndarray,
                        ) -> tuple[np.ndarray, np.ndarray]:

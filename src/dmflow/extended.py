@@ -21,7 +21,9 @@ proportion xi) / on-ramp (merge share beta) pairs, the mainline flux
 passing one pair is multiplied by (1-beta)/(1-xi); after a full lap by its
 n-th power.  A ratio below one drives the ring to gridlock (the zero-flow
 state is attracting), above one makes gridlock unstable, and at exactly
-one a continuum of stationary states exists.
+one a continuum of stationary states exists.  `beltway_classify` reports
+the class, both ratios and, while the flux decays, its half-life in ramp
+pairs.
 """
 
 from __future__ import annotations
@@ -41,11 +43,9 @@ __all__ = [
     "dmn_orbit",
     "dmn_fixed_points",
     "dmn_classify",
-    "BeltwayFactor",
     "GridlockClass",
-    "beltway_factor",
+    "BeltwayClassification",
     "beltway_classify",
-    "beltway_half_life",
 ]
 
 # Open xi band in which the ring map derivation holds (narrow links
@@ -155,43 +155,37 @@ def dmn_classify(spec: DmnSpec) -> DmnClassification:
                              fps[1:], None, factor)
 
 
-@dataclass(frozen=True)
-class BeltwayFactor:
-    per_pair: float   # (1-beta)/(1-xi)
-    per_lap: float    # per_pair ** n_pairs
-    odds_form: float  # (1+mu)/(1+alpha), algebraically equal to per_pair
-
-
-def beltway_factor(spec: BeltwaySpec) -> BeltwayFactor:
-    """Mainline flux multiplier per ramp pair and per full lap."""
-    per_pair = (1.0 - spec.beta) / (1.0 - spec.xi)
-    odds = (1.0 + spec.mu) / (1.0 + spec.alpha)
-    return BeltwayFactor(per_pair, per_pair ** spec.n_pairs, odds)
-
-
 class GridlockClass(Enum):
     GRIDLOCK_STABLE = "gridlock_stable"      # flux decays; gridlock attracts
     GRIDLOCK_UNSTABLE = "gridlock_unstable"  # gridlock stationary, repelling
     NEUTRAL = "neutral"                      # continuum of stationary states
 
 
-def beltway_classify(spec: BeltwaySpec) -> GridlockClass:
-    ratio = beltway_factor(spec).per_pair
-    if ratio < 1.0:
-        return GridlockClass.GRIDLOCK_STABLE
-    if ratio > 1.0:
-        return GridlockClass.GRIDLOCK_UNSTABLE
-    return GridlockClass.NEUTRAL
+@dataclass(frozen=True)
+class BeltwayClassification:
+    gridlock: GridlockClass
+    per_pair: float    # (1-beta)/(1-xi)
+    per_lap: float     # per_pair ** n_pairs
+    odds_form: float   # (1+mu)/(1+alpha), algebraically equal to per_pair
+    half_life_pairs: float | None   # ramp pairs until the flux halves
 
 
-def beltway_half_life(spec: BeltwaySpec) -> float:
-    """Ramp pairs until the circulating flux halves.
+def beltway_classify(spec: BeltwaySpec) -> BeltwayClassification:
+    """Gridlock class and mainline flux multipliers of a beltway.
 
-    Defined only in the decaying case; pure geometric decay gives
-    log(1/2) / log(per-pair ratio).
+    The half-life is defined only in the decaying case, where pure
+    geometric decay gives log(1/2) / log(per-pair ratio); it is None
+    otherwise.
     """
-    ratio = beltway_factor(spec).per_pair
-    if ratio >= 1.0:
-        raise DomainError(
-            f"half-life undefined: per-pair ratio {ratio} is not below one")
-    return math.log(0.5) / math.log(ratio)
+    ratio = (1.0 - spec.beta) / (1.0 - spec.xi)
+    half_life = None
+    if ratio < 1.0:
+        gridlock = GridlockClass.GRIDLOCK_STABLE
+        half_life = math.log(0.5) / math.log(ratio)
+    elif ratio > 1.0:
+        gridlock = GridlockClass.GRIDLOCK_UNSTABLE
+    else:
+        gridlock = GridlockClass.NEUTRAL
+    return BeltwayClassification(gridlock, ratio, ratio ** spec.n_pairs,
+                                 (1.0 + spec.mu) / (1.0 + spec.alpha),
+                                 half_life)

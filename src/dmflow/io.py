@@ -19,14 +19,16 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .bifurcation import SweepTable
-from .ctm import RunRecord
 from .poincare import StabilityClass
-from .validation import ValidationResult
+
+if TYPE_CHECKING:
+    from .bifurcation import SweepTable
+    from .ctm import RunRecord
+    from .validation import ValidationResult
 
 __all__ = [
     "write_csv",

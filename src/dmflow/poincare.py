@@ -26,8 +26,10 @@ At slope exactly one every off-fixed-point state is two-periodic.
 
 The regime, the circulation, the slope and clamps, and the fixed point,
 class and two-cycle are defined once, by one array pass over a grid of xi
-(_classify_grid, which bifurcation.sweep_xi runs); classify_regime,
-build_map and classify_stability are its one-point case.
+(_classify_grid, which bifurcation.sweep_xi runs).  Its one-point case has
+two readers: build_map returns the map, and classify_stability the
+StabilityReport that holds the regime, the fixed point, the class and the
+two-cycle.
 """
 
 from __future__ import annotations
@@ -50,11 +52,8 @@ __all__ = [
     "StabilityClass",
     "PeriodTwoPoints",
     "StabilityReport",
-    "classify_regime",
     "build_map",
-    "fixed_point",
     "classify_stability",
-    "period2_points",
     "cobweb",
 ]
 
@@ -103,6 +102,18 @@ class PeriodTwoPoints:
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """The verdict at one route split (see classify_stability).
+
+    fixed_point is xi*q (counterclockwise) or C3 - (1-xi)*q (clockwise),
+    q the stationary through-flow; None in a bottleneck regime.  period2
+    is the two-cycle of an unstable or neutral map, None otherwise:
+        counterclockwise, lam = (1-xi)/xi >= 1:
+            v- = max(A1, C3 - lam*C1),  v+ = min(C1, C3 - lam*v-)
+        clockwise, mu = xi/(1-xi) >= 1, by the v -> C3 - v symmetry that
+        swaps (xi, C1, beta) with (1-xi, C2, 1-beta):
+            v- = max(C3 - C2, mu*(C3 - A2p)),  v+ = min(A2p, mu*(C3 - v-))
+    """
+
     regime: Regime
     stability: StabilityClass
     fixed_point: float | None
@@ -182,11 +193,6 @@ def _point(spec: DmSpec) -> tuple:
     return regime.item(), fmap, v_star, stability.item(), v_minus, v_plus
 
 
-def classify_regime(spec: DmSpec) -> Regime:
-    """Structural regime of the network at the given route split."""
-    return _point(spec)[0]
-
-
 def build_map(spec: DmSpec) -> PoincareMap:
     """Construct the return map for a downstream-bottleneck network.
 
@@ -199,38 +205,6 @@ def build_map(spec: DmSpec) -> PoincareMap:
         raise UnsupportedRegimeError(
             f"no circulating return map in regime {regime.value}")
     return fmap
-
-
-def fixed_point(spec: DmSpec) -> float:
-    """The unique fixed point of the return map.
-
-    Equals xi*q (counterclockwise) or C3 - (1-xi)*q (clockwise) with q the
-    stationary through-flow, which collapses to C1, C3 - C2, or xi*C3
-    depending on where xi sits relative to the thresholds.
-    """
-    report = classify_stability(spec)
-    if report.fixed_point is None:
-        raise UnsupportedRegimeError(
-            f"no return-map fixed point in regime {report.regime.value}")
-    return report.fixed_point
-
-
-def period2_points(spec: DmSpec) -> PeriodTwoPoints | None:
-    """The two-cycle of an unstable or neutral map; None when stable.
-
-    Counterclockwise (slope lam = (1-xi)/xi >= 1):
-        v- = max(A1, C3 - lam*C1),  v+ = min(C1, C3 - lam*v-)
-    Clockwise (slope mu = xi/(1-xi) >= 1), by the v -> C3 - v symmetry
-    that swaps (xi, C1, beta) with (1-xi, C2, 1-beta):
-        v- = max(C3 - C2, mu*(C3 - A2p)),  v+ = min(A2p, mu*(C3 - v-))
-    v+ is evaluated as the image of v-, so the cycle closes bitwise under
-    the map.
-    """
-    report = classify_stability(spec)
-    if not report.regime.supports_map:
-        raise UnsupportedRegimeError(
-            f"no return map in regime {report.regime.value}")
-    return report.period2
 
 
 def classify_stability(spec: DmSpec) -> StabilityReport:
@@ -271,11 +245,11 @@ def _classify_grid(template: DmSpec, xi: np.ndarray,
 
     This is the one definition of the regime, the circulation, the map's
     slope and clamps, and the fixed point, class and two-cycle they give;
-    classify_regime, build_map and classify_stability read its row at a
-    single xi.  Returns the arrays (regime, ccw, fields, v*, stability,
-    v-, v+): ccw is True where the map circulates counterclockwise, the
-    rows of fields are the slope, lower and upper, and v*, v- and v+ are
-    float64; each holds NaN where there is no map or the class no value.
+    build_map and classify_stability read its row at a single xi.  Returns
+    the arrays (regime, ccw, fields, v*, stability, v-, v+): ccw is True
+    where the map circulates counterclockwise, the rows of fields are the
+    slope, lower and upper, and v*, v- and v+ are float64; each holds NaN
+    where there is no map or the class no value.
     A circulating map of slope 0 is constant, so finite-time.  v+ is
     evaluated as the image of v-, so the cycle closes bitwise under the
     map.  As in Python float arithmetic, a subnormal xi may overflow the

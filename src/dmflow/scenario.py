@@ -20,7 +20,7 @@ from pathlib import Path
 import yaml
 
 from .ctm import SimConfig, Simulation
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 from .network import (BeltwaySpec, DmnSpec, DmSpec, Network, beltway_start,
                       build_beltway, build_dm, build_dmn)
 
@@ -318,15 +318,20 @@ def load_scenario(path: str | Path, xi: float | None = None) -> Scenario:
 
     net_cfg = _section(doc["network"], "network", path)
     boundary = {key: net_cfg.pop(key) for key in _BOUNDARY if key in net_cfg}
-    if kind == "dm":
-        spec = DmSpec(*net_cfg.pop("capacities"), **net_cfg)
-        network = build_dm(spec, **boundary)
-    elif kind == "dmn":
-        spec = DmnSpec(**net_cfg)
-        network = build_dmn(spec)
-    else:
-        spec = BeltwaySpec(n_pairs=net_cfg.pop("pairs"), **net_cfg)
-        network = build_beltway(spec, **boundary)
+    # The schema cannot state every domain a spec checks, such as a
+    # beltway's xi below 1 or a ring's scaled capacities staying finite.
+    try:
+        if kind == "dm":
+            spec = DmSpec(*net_cfg.pop("capacities"), **net_cfg)
+        elif kind == "dmn":
+            spec = DmnSpec(**net_cfg)
+        else:
+            spec = BeltwaySpec(n_pairs=net_cfg.pop("pairs"), **net_cfg)
+    except DomainError as exc:
+        where = "network" if xi is None else f"network with --xi {xi!r}"
+        raise ConfigurationError(f"{path}: {where}: {exc}") from exc
+    build = {"dm": build_dm, "dmn": build_dmn, "beltway": build_beltway}
+    network = build[kind](spec, **boundary)
 
     init = doc.get("initial", {"kind": "empty"})
     if init["kind"] == "ring_flow" and kind != "beltway":

@@ -4,12 +4,8 @@ A simulated flux series is classified by looking at a late window: a flat
 window means convergence, a stationary oscillation means a persistent
 periodic pattern, and a window whose extrema still drift means the run has
 not settled.  Measured limits and oscillation extrema are then compared
-with the map's fixed point and two-cycle.
-
-Two independent period-root finders back the periodic-point formulas: an
-exact enumerator built on the piecewise-linear representation of iterated
-maps in rational arithmetic, whose roots are Fractions, and a plain
-dense-grid scan with bisection refinement.
+with the map's fixed point and two-cycle.  A draining ring road's decay
+ratio per ramp pair is fitted from its flux series.
 """
 
 from __future__ import annotations
@@ -17,15 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
 from .ctm import SimConfig, Simulation
 from .errors import DomainError
 from .network import DmSpec, Network, build_dm
-from .poincare import (PoincareMap, StabilityClass, StabilityReport,
-                       classify_stability)
+from .poincare import StabilityClass, StabilityReport, classify_stability
 
 __all__ = [
     "Verdict",
@@ -33,8 +27,6 @@ __all__ = [
     "detect_oscillation",
     "ValidationResult",
     "validate_spec",
-    "brute_force_period_roots",
-    "scan_period_roots",
     "measure_decay_ratio",
 ]
 
@@ -46,8 +38,6 @@ _HALF_DRIFT_FRAC = 0.05
 _WARMUP_FRAC = 0.5
 _WINDOW_FRAC = 0.25
 _FLAT_TOL = 1e-3
-# scan_period_roots bisects each sign change to this bracket width.
-_REFINE_TOL = 1e-10
 
 
 class Verdict(Enum):
@@ -171,62 +161,6 @@ def validate_spec(spec: DmSpec, config: SimConfig = SimConfig(),
         # Neutral continuum: any bounded tail is consistent.
         agrees = osc.verdict is not Verdict.UNDETERMINED
     return ValidationResult(spec, report, osc, agrees, v_err, ex_err)
-
-
-def brute_force_period_roots(fmap: PoincareMap, order: int,
-                             ) -> tuple[list[Fraction],
-                                        list[tuple[Fraction, Fraction]]]:
-    """All solutions of F^order(v) = v on [0, C3], exactly per segment.
-
-    Returns isolated roots plus identity intervals (the latter only occur
-    at interior slope one, where a whole band is two-periodic), as
-    Fractions: the exact roots of the map the float fields define.
-    """
-    if order < 1:
-        raise DomainError("order must be a positive integer")
-    return fmap.as_piecewise().iterate(order).fixed_points()
-
-
-def scan_period_roots(fmap: PoincareMap, order: int,
-                      n_grid: int = 100_001) -> list[float]:
-    """Grid scan of F^order(v) - v with bisection refinement.
-
-    Independent of the piecewise-linear enumeration; used as a second
-    oracle.  Returns deduplicated roots (identity plateaus show up as
-    their endpoints' grid neighborhoods and are not reported specially).
-    """
-    if order < 1:
-        raise DomainError("order must be a positive integer")
-
-    def g(v: float) -> float:
-        x = v
-        for _ in range(order):
-            x = fmap(x)
-        return x - v
-
-    xs = np.linspace(0.0, fmap.c3, n_grid)
-    vals = np.array([g(x) for x in xs])
-    roots = [float(x) for x, y in zip(xs, vals) if y == 0.0]
-    sign = np.sign(vals)
-    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
-        a, b = float(xs[i]), float(xs[i + 1])
-        fa = vals[i]
-        while b - a > _REFINE_TOL:
-            m = 0.5 * (a + b)
-            fm = g(m)
-            if fm == 0.0:
-                a = b = m
-            elif (fa > 0) != (fm > 0):
-                b = m
-            else:
-                a, fa = m, fm
-        roots.append(0.5 * (a + b))
-    roots.sort()
-    out: list[float] = []
-    for r in roots:
-        if not out or r - out[-1] > 1e-8 * max(fmap.c3, 1.0):
-            out.append(r)
-    return out
 
 
 def measure_decay_ratio(times: np.ndarray, values: np.ndarray,

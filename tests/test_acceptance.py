@@ -10,17 +10,16 @@ import time
 import numpy as np
 
 from dmflow import (DmSpec, SimConfig, Simulation, build_dm, build_map,
-                    classify_stability, period2_points, validate_spec)
+                    classify_stability, validate_spec)
 from dmflow.cli import main as cli_main
-from dmflow.extended import (DmnPattern, beltway_factor, beltway_half_life,
-                             dmn_classify, dmn_fixed_points, dmn_orbit,
-                             dmn_step)
+from dmflow.extended import (DmnPattern, beltway_classify, dmn_classify,
+                             dmn_fixed_points, dmn_orbit, dmn_step)
 from dmflow.network import (BeltwaySpec, DmnSpec, LinkRegime, beltway_start,
                             build_beltway, build_dmn, dmn_start,
                             stationary_start, stationary_states)
-from dmflow.poincare import StabilityClass, fixed_point
-from dmflow.validation import (Verdict, brute_force_period_roots,
-                               detect_oscillation, measure_decay_ratio)
+from dmflow.poincare import StabilityClass
+from dmflow.validation import (Verdict, detect_oscillation,
+                               measure_decay_ratio)
 from test_poincare import random_marginal_spec
 
 # The two worked networks used throughout.
@@ -52,20 +51,20 @@ def test_criterion_01_golden_fixed_points():
 
 
 def test_criterion_02_golden_period_two_points():
-    p2 = period2_points(CLASSIC)
+    p2 = classify_stability(CLASSIC).period2
     assert abs(p2.v_minus - 7 / 9) < 1e-12
     assert abs(p2.v_plus - 1.0) < 1e-12
 
-    p2 = period2_points(WIDE)
+    p2 = classify_stability(WIDE).period2
     assert abs(p2.v_minus - 0.75) < 1e-12
     assert abs(p2.v_plus - 1.375) < 1e-12
 
-    half = WIDE.with_xi(0.5)
-    p2 = period2_points(half)
+    half = classify_stability(WIDE.with_xi(0.5))
+    p2 = half.period2
     assert p2.continuum
     assert abs(p2.v_minus - 1.0) < 1e-12
     assert abs(p2.v_plus - 1.5) < 1e-12
-    assert abs(fixed_point(half) - 1.25) < 1e-12
+    assert abs(half.fixed_point - 1.25) < 1e-12
     _ok(2, "two-cycle endpoints on both networks, continuum at slope one")
 
 
@@ -75,7 +74,7 @@ def test_criterion_03_orbit_reproduction():
 
     fmap = build_map(WIDE)
     orbit = fmap.iterate(1.1, 60)
-    p2 = period2_points(WIDE)
+    p2 = classify_stability(WIDE).period2
     cycle = {p2.v_minus, p2.v_plus}
     first = next(i for i in range(len(orbit)) if orbit[i] in cycle)
     assert first <= 5
@@ -114,7 +113,7 @@ def test_criterion_05_period_root_oracle_equivalence():
     order3_clean = True
     for _ in range(100):
         spec = random_marginal_spec(rng)
-        fmap = build_map(spec)
+        exact = build_map(spec).as_piecewise()
         report = classify_stability(spec)
         v_star = report.fixed_point
         expected2 = [v_star]
@@ -122,7 +121,7 @@ def test_criterion_05_period_root_oracle_equivalence():
             expected2 = sorted([report.period2.v_minus, v_star,
                                 report.period2.v_plus])
         for order in (2, 3, 4):
-            points, intervals = brute_force_period_roots(fmap, order)
+            points, intervals = exact.iterate(order).fixed_points()
             assert intervals == []
             expected = [v_star] if order == 3 else expected2
             assert len(points) == len(expected)
@@ -286,11 +285,11 @@ def test_criterion_10_beltway_gridlock():
     for _ in range(100):
         spec = BeltwaySpec(beta=rng.uniform(0, 0.9), xi=rng.uniform(0, 0.9),
                            n_pairs=rng.randint(1, 6))
-        factor = beltway_factor(spec)
-        assert abs(factor.per_pair - factor.odds_form) < 1e-12
+        cls = beltway_classify(spec)
+        assert abs(cls.per_pair - cls.odds_form) < 1e-12
 
     spec = BeltwaySpec(beta=0.3, xi=0.2, n_pairs=4)
-    hl = beltway_half_life(spec)
+    hl = beltway_classify(spec).half_life_pairs
     assert abs(hl - np.log(0.5) / np.log(0.875)) < 1e-12
     assert abs(hl - 5.1906) < 1e-3
 

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 
 from dmflow import DmSpec, classify_stability, sweep_xi
 from dmflow import io
-from dmflow.bifurcation import (_DEDUPE_TOL, _dedupe, boundary_values,
+from dmflow.bifurcation import (_DEDUPE_TOL, _boundary_values, _dedupe,
                                 regime_boundaries)
 from dmflow.errors import DomainError
 from dmflow.network import LinkRegime, stationary_states
 from dmflow.poincare import (Circulation, Regime, StabilityClass,
-                             _classify_grid, build_map, classify_regime)
-from dmflow.validation import brute_force_period_roots
+                             _classify_grid, build_map)
 
 WIDE = DmSpec(3, 1.5, 2, 2.5, beta=0.3, xi=0.4)
 CLASSIC = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.45)
@@ -113,7 +112,7 @@ class TestBoundaries:
         assert regime_boundaries(DmSpec(1, 1, 1, 3, beta=0.5, xi=0.5)) == []
 
     def test_boundary_values_sorted_in_unit_interval(self):
-        vals = boundary_values(WIDE)
+        vals = _boundary_values(WIDE)
         assert vals == sorted(vals)
         assert all(0.0 <= v <= 1.0 for v in vals)
 
@@ -145,7 +144,7 @@ def templates(draw):
 def fixed_grid(template) -> list[float]:
     """0, 1 and every boundary value with its two float neighbours."""
     xs = [0.0, 1.0]
-    for b in boundary_values(template):
+    for b in _boundary_values(template):
         xs += [b, math.nextafter(b, 0.0), math.nextafter(b, 1.0)]
     return [x for x in xs if 0.0 <= x <= 1.0]
 
@@ -181,7 +180,7 @@ def assert_matches_the_map_oracles(template, grid) -> None:
         assert list(map(repr, row)) == list(map(repr, [
             report.fixed_point, report.stability,
             cycle and cycle.v_minus, cycle and cycle.v_plus])), xi
-        regime = classify_regime(spec)
+        regime = report.regime
         if not regime.supports_map:
             assert report.stability is FT, xi
             assert report.fixed_point is None and cycle is None, xi
@@ -216,11 +215,11 @@ def assert_matches_the_map_oracles(template, grid) -> None:
         if math.isinf(fmap.slope):
             # A subnormal xi overflows the slope; no exact map exists.
             with pytest.raises(DomainError, match="non-finite"):
-                brute_force_period_roots(fmap, 2)
+                fmap.as_piecewise().iterate(2).fixed_points()
             continue
         # The exact roots of F o F, against which the closed forms may
         # differ by their own roundings only.
-        roots, intervals = brute_force_period_roots(fmap, 2)
+        roots, intervals = fmap.as_piecewise().iterate(2).fixed_points()
         if expected is NEU:
             # Slope one: a band of two-cycles around v*.
             assert roots == [] and len(intervals) == 1, xi
@@ -256,7 +255,8 @@ class TestGridClassifier:
             spec = template.with_xi(xi)
             states = stationary_states(spec)
             pairs = [(s.link1, s.link2) for s in states]
-            regime = classify_regime(spec)
+            report = classify_stability(spec)
+            regime = report.regime
             if regime in circulating:
                 assert pairs == circulating[regime], xi
             else:
@@ -267,7 +267,7 @@ class TestGridClassifier:
             flow = (xi * q
                     if build_map(spec).branch is Circulation.COUNTERCLOCKWISE
                     else spec.c3 - (1.0 - xi) * q)
-            assert abs(classify_stability(spec).fixed_point - flow) <= ulp, xi
+            assert abs(report.fixed_point - flow) <= ulp, xi
 
     def test_steep_template_matches_the_map_oracles(self):
         # Slope 1e8 at the unstable points, which the derandomized search
@@ -354,5 +354,5 @@ class TestArraySweep:
                    for table in tables]
         assert columns[0] == columns[1] == columns[2]
         assert list(map(repr, tables[0].xi.tolist())) == list(map(
-            repr, reference_dedupe(grid + [b for b in boundary_values(
+            repr, reference_dedupe(grid + [b for b in _boundary_values(
                 template) if min(grid) <= b <= max(grid)])))

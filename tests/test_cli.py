@@ -280,6 +280,33 @@ class TestScenarioErrors:
                 in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == [scn]
 
+    @pytest.mark.parametrize("snippet, message", [
+        # The schema allows xi = 1; the beltway's off-ramp share must stay
+        # below it.
+        ("network:\n  kind: beltway\n  pairs: 2\n  xi: 1.0\n  beta: 0.3\n",
+         "network: xi must lie in [0, 1), got 1.0"),
+        # Every key is in range, but the scaled stage capacity overflows.
+        ("network:\n  kind: dmn\n  n: 2\n  xi: 0.4\n  scale: 1.0e+308\n",
+         "network: capacity c0 must be positive and finite, got inf"),
+    ], ids=["beltway-xi-one", "dmn-scale-overflow"])
+    def test_spec_domain_error_names_the_file_and_section(
+            self, snippet, message, tmp_path, capsys):
+        scn = tmp_path / "domain.yaml"
+        scn.write_text(snippet)
+        assert main(["analyze", str(scn), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {scn}: {message}\n")
+        assert list(tmp_path.iterdir()) == [scn]
+
+    def test_xi_override_outside_the_domain_names_the_option(self, tmp_path,
+                                                             capsys):
+        assert main(["analyze", BIFURCATION, "--xi", "1.5",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {BIFURCATION}: network with --xi 1.5: "
+            f"xi must lie in [0, 1], got 1.5\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_ring_flow_at_capacity_is_rejected(self, tmp_path, capsys):
         scn = tmp_path / "full.yaml"
         scn.write_text(BELTWAY_NETWORK + "  ring_capacity: 1.0\n"

@@ -4,14 +4,14 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmflow import DmSpec, DomainError, build_map
+from dmflow import DmSpec, DomainError, SimConfig, Simulation, build_map
 from dmflow.extended import (DMN_XI_BAND, DmnPattern, GridlockClass,
-                             beltway_classify, beltway_factor,
-                             beltway_half_life, dmn_classify,
+                             beltway_classify, dmn_classify,
                              dmn_fixed_points, dmn_orbit, dmn_step)
 from dmflow.network import BeltwaySpec, DmnSpec, build_dmn
 
@@ -204,15 +204,36 @@ class TestRingClassification:
         assert targets["+"] != targets["-"]
 
 
+@pytest.mark.parametrize("cells", [4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ring_from_empty_alternates_exactly_at_courant_number_one(n, cells):
+    # With w = vf and dt = dx/vf both waves move one cell per step, so the
+    # CTM carries no numerical diffusion: past the transient every narrow
+    # link's out-flux sits on one of the two ring values, 1.0 (saturated)
+    # or 0.5 (starved), the latter off by round-off at most.
+    config = SimConfig(cells_per_link=cells, dt=1 / cells, horizon=200.0,
+                       free_flow_speed=1.0, congested_wave_speed=1.0)
+    record = Simulation(build_dmn(DmnSpec(n, 0.4)), config).run()
+    for k in range(1, n + 1):
+        times, flux = record.series(f"c{k}")
+        tail = flux[times >= 100.0]
+        saturated = tail == 1.0
+        starved = np.abs(tail - 0.5) <= 1e-15
+        assert (saturated | starved).all(), k
+        assert saturated.any() and starved.any(), k
+
+
 class TestBeltway:
     def test_per_pair_ratio_golden(self):
-        factor = beltway_factor(BeltwaySpec(beta=0.3, xi=0.2, n_pairs=1))
-        assert factor.per_pair == pytest.approx(0.875, abs=1e-12)
+        cls = beltway_classify(BeltwaySpec(beta=0.3, xi=0.2, n_pairs=1))
+        assert cls.per_pair == pytest.approx(0.875, abs=1e-12)
 
     def test_balanced_ramps_are_neutral(self):
         spec = BeltwaySpec(beta=0.25, xi=0.25, n_pairs=2)
-        assert beltway_factor(spec).per_pair == pytest.approx(1.0, abs=1e-15)
-        assert beltway_classify(spec) is GridlockClass.NEUTRAL
+        cls = beltway_classify(spec)
+        assert cls.per_pair == pytest.approx(1.0, abs=1e-15)
+        assert cls.gridlock is GridlockClass.NEUTRAL
+        assert cls.half_life_pairs is None
 
     def test_odds_form_matches(self):
         rng = random.Random(31)
@@ -220,46 +241,48 @@ class TestBeltway:
             spec = BeltwaySpec(beta=rng.uniform(0, 0.95),
                                xi=rng.uniform(0, 0.95),
                                n_pairs=rng.randint(1, 6))
-            factor = beltway_factor(spec)
-            assert factor.odds_form == pytest.approx(factor.per_pair,
-                                                     abs=1e-12)
-            assert factor.per_lap == pytest.approx(
-                factor.per_pair ** spec.n_pairs, abs=1e-12)
+            cls = beltway_classify(spec)
+            assert cls.odds_form == pytest.approx(cls.per_pair, abs=1e-12)
+            assert cls.per_lap == pytest.approx(
+                cls.per_pair ** spec.n_pairs, abs=1e-12)
 
     def test_per_lap_is_repeated_per_pair(self):
         spec = BeltwaySpec(beta=0.3, xi=0.2, n_pairs=4)
-        factor = beltway_factor(spec)
+        cls = beltway_classify(spec)
         v = 0.8
         for _ in range(spec.n_pairs):
-            v *= factor.per_pair
-        assert factor.per_lap * 0.8 == pytest.approx(v, abs=1e-12)
+            v *= cls.per_pair
+        assert cls.per_lap * 0.8 == pytest.approx(v, abs=1e-12)
 
     @pytest.mark.parametrize("beta,xi,expected", [
         (0.3, 0.2, GridlockClass.GRIDLOCK_STABLE),
         (0.2, 0.3, GridlockClass.GRIDLOCK_UNSTABLE),
         (0.25, 0.25, GridlockClass.NEUTRAL)])
     def test_classification(self, beta, xi, expected):
-        assert beltway_classify(BeltwaySpec(beta, xi, 1)) is expected
+        assert beltway_classify(BeltwaySpec(beta, xi, 1)).gridlock is expected
 
     def test_half_life_golden(self):
-        hl = beltway_half_life(BeltwaySpec(beta=0.3, xi=0.2, n_pairs=1))
+        hl = beltway_classify(
+            BeltwaySpec(beta=0.3, xi=0.2, n_pairs=1)).half_life_pairs
         assert hl == pytest.approx(math.log(0.5) / math.log(0.875),
                                    abs=1e-12)
         assert hl == pytest.approx(5.1906, abs=1e-3)
 
     def test_half_life_one_pair_when_ratio_half(self):
-        hl = beltway_half_life(BeltwaySpec(beta=0.5, xi=0.0, n_pairs=1))
+        hl = beltway_classify(
+            BeltwaySpec(beta=0.5, xi=0.0, n_pairs=1)).half_life_pairs
         assert hl == pytest.approx(1.0, abs=1e-12)
 
     def test_half_life_diverges_toward_neutral(self):
-        lives = [beltway_half_life(BeltwaySpec(beta=b, xi=0.2, n_pairs=1))
-                 for b in (0.4, 0.3, 0.25, 0.22, 0.21)]
+        lives = [beltway_classify(BeltwaySpec(beta=b, xi=0.2, n_pairs=1))
+                 .half_life_pairs for b in (0.4, 0.3, 0.25, 0.22, 0.21)]
         assert all(b > a for a, b in zip(lives, lives[1:]))
         assert lives[-1] > 50.0
 
     def test_half_life_undefined_when_growing(self):
-        with pytest.raises(DomainError):
-            beltway_half_life(BeltwaySpec(beta=0.2, xi=0.3, n_pairs=1))
+        cls = beltway_classify(BeltwaySpec(beta=0.2, xi=0.3, n_pairs=1))
+        assert cls.per_pair > 1.0
+        assert cls.half_life_pairs is None
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):

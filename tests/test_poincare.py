@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmflow import (DmSpec, DomainError, UnsupportedRegimeError, build_map,
-                    classify_stability, period2_points)
+                    classify_stability)
 from dmflow.network import stationary_states
 from dmflow.poincare import (Circulation, PoincareMap, Regime,
-                             StabilityClass, classify_regime, cobweb,
-                             fixed_point)
+                             StabilityClass, cobweb)
 
 CLASSIC = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.45)      # narrow link 1
 WIDE = DmSpec(3, 1.5, 2, 2.5, beta=0.3, xi=0.4)        # sweep showcase
@@ -21,30 +20,34 @@ SYMMETRIC = DmSpec(3, 2, 2, 2, beta=0.5, xi=0.6)       # equal parallel links
 
 class TestRegime:
     def test_classic_interior_is_soc_suc(self):
-        assert classify_regime(CLASSIC) is Regime.SOC_SUC
+        assert classify_stability(CLASSIC).regime is Regime.SOC_SUC
 
     def test_upstream_bottleneck(self):
-        assert classify_regime(DmSpec(1, 1, 1, 3, beta=0.5, xi=0.5)) \
-            is Regime.UPSTREAM_BOTTLENECK
+        spec = DmSpec(1, 1, 1, 3, beta=0.5, xi=0.5)
+        assert classify_stability(spec).regime is Regime.UPSTREAM_BOTTLENECK
 
     def test_suc_soc_below_beta(self):
-        assert classify_regime(WIDE.with_xi(0.25)) is Regime.SUC_SOC
+        assert classify_stability(WIDE.with_xi(0.25)).regime is Regime.SUC_SOC
 
     def test_middle_bottleneck_includes_ties(self):
-        assert classify_regime(DmSpec(2, 1, 1, 2, beta=0.5, xi=0.5)) \
-            is Regime.MIDDLE_BOTTLENECK
+        spec = DmSpec(2, 1, 1, 2, beta=0.5, xi=0.5)
+        assert classify_stability(spec).regime is Regime.MIDDLE_BOTTLENECK
 
     def test_outer_segments_are_finite_time(self):
-        assert classify_regime(WIDE.with_xi(0.7)) is Regime.CCW_FINITE_TIME
-        assert classify_regime(WIDE.with_xi(0.1)) is Regime.CW_FINITE_TIME
+        assert (classify_stability(WIDE.with_xi(0.7)).regime
+                is Regime.CCW_FINITE_TIME)
+        assert (classify_stability(WIDE.with_xi(0.1)).regime
+                is Regime.CW_FINITE_TIME)
 
     def test_overlap_at_beta(self):
-        assert classify_regime(WIDE.with_xi(0.3)) is Regime.CCW_CW_OVERLAP
+        assert (classify_stability(WIDE.with_xi(0.3)).regime
+                is Regime.CCW_CW_OVERLAP)
 
     def test_equal_up_down_capacity_band_is_finite_time(self):
         spec = DmSpec(2, 1, 2, 2, beta=1 / 3, xi=0.45)
-        assert classify_regime(spec) is Regime.CCW_FINITE_TIME
-        assert classify_stability(spec).stability is StabilityClass.FINITE_TIME
+        report = classify_stability(spec)
+        assert report.regime is Regime.CCW_FINITE_TIME
+        assert report.stability is StabilityClass.FINITE_TIME
 
 
 class TestBuildMap:
@@ -78,25 +81,27 @@ class TestBuildMap:
         xi, c0, c1, c2, c3 = spec.xi, spec.c0, spec.c1, spec.c2, spec.c3
         cw = PoincareMap(Circulation.CLOCKWISE, xi / (1.0 - xi), c3 - c2,
                          min(xi * c0, c1, spec.beta * c3), c3)
-        v_star = fixed_point(spec)
+        v_star = classify_stability(spec).fixed_point
         assert ccw(v_star) == pytest.approx(v_star, abs=1e-12)
         assert cw(v_star) == pytest.approx(v_star, abs=1e-12)
 
     def test_bottleneck_regimes_unsupported(self):
-        with pytest.raises(UnsupportedRegimeError):
-            build_map(DmSpec(1, 1, 1, 3, beta=0.5, xi=0.5))
-        with pytest.raises(UnsupportedRegimeError):
-            fixed_point(DmSpec(2, 1, 1, 2, beta=0.5, xi=0.5))
+        for spec in (DmSpec(1, 1, 1, 3, beta=0.5, xi=0.5),
+                     DmSpec(2, 1, 1, 2, beta=0.5, xi=0.5)):
+            with pytest.raises(UnsupportedRegimeError):
+                build_map(spec)
+            assert classify_stability(spec).fixed_point is None
 
     def test_degenerate_slope_rejected(self):
         # Overlap regime at xi = beta = 0 (open band dips below zero when
         # C2 > C3): the counterclockwise slope would divide by zero, and
         # the construction falls back to the clockwise branch.
         spec = DmSpec(3, 1, 2.5, 2, beta=0.0, xi=0.0)
-        assert classify_regime(spec) is Regime.CCW_CW_OVERLAP
+        report = classify_stability(spec)
+        assert report.regime is Regime.CCW_CW_OVERLAP
         fmap = build_map(spec)
         assert fmap.branch is Circulation.CLOCKWISE
-        assert fmap(0.5) == fixed_point(spec) == 0.0
+        assert fmap(0.5) == report.fixed_point == 0.0
 
 
 class TestApplyIterate:
@@ -104,7 +109,7 @@ class TestApplyIterate:
         assert build_map(CLASSIC)(1.0) == pytest.approx(7 / 9, abs=1e-12)
 
     def test_fixed_point_is_fixed(self):
-        v_star = fixed_point(CLASSIC)
+        v_star = classify_stability(CLASSIC).fixed_point
         assert build_map(CLASSIC)(v_star) == pytest.approx(v_star, abs=1e-12)
 
     def test_wide_image_of_floor(self):
@@ -140,8 +145,8 @@ class TestFixedPoint:
     @pytest.mark.parametrize("xi,expected", [
         (0.55, 1.375), (0.7, 1.5), (0.1, 0.5), (0.6, 1.5), (0.2, 0.5)])
     def test_wide_network_goldens(self, xi, expected):
-        assert fixed_point(WIDE.with_xi(xi)) == pytest.approx(
-            expected, abs=1e-12)
+        assert classify_stability(WIDE.with_xi(xi)).fixed_point \
+            == pytest.approx(expected, abs=1e-12)
 
     def test_matches_stationary_flow(self):
         # v* = xi*q counterclockwise, C3 - (1-xi)*q clockwise.
@@ -152,11 +157,12 @@ class TestFixedPoint:
             spec = DmSpec(c3 * rng.uniform(1.0, 1.8), rng.uniform(0.3, 2.0),
                           rng.uniform(0.3, 2.0), c3, beta=rng.random(),
                           xi=rng.random())
-            regime = classify_regime(spec)
+            report = classify_stability(spec)
+            regime = report.regime
             if not regime.supports_map:
                 continue
             q = stationary_states(spec)[0].q
-            v_star = fixed_point(spec)
+            v_star = report.fixed_point
             ccw = regime in (Regime.CCW_FINITE_TIME, Regime.SOC_SUC)
             expected = spec.xi * q if ccw else spec.c3 - (1 - spec.xi) * q
             assert v_star == pytest.approx(expected, abs=1e-9)
@@ -198,36 +204,36 @@ class TestStability:
 
 class TestPeriodTwo:
     def test_classic_cycle_golden(self):
-        p2 = period2_points(CLASSIC)
+        p2 = classify_stability(CLASSIC).period2
         assert p2.v_minus == pytest.approx(7 / 9, abs=1e-12)
         assert p2.v_plus == pytest.approx(1.0, abs=1e-12)
 
     def test_wide_cycle_golden(self):
-        p2 = period2_points(WIDE)
+        p2 = classify_stability(WIDE).period2
         assert (p2.v_minus, p2.v_plus) == (
             pytest.approx(0.75, abs=1e-12), pytest.approx(1.375, abs=1e-12))
 
     def test_continuum_endpoints(self):
-        p2 = period2_points(WIDE.with_xi(0.5))
+        p2 = classify_stability(WIDE.with_xi(0.5)).period2
         assert p2.continuum
         assert p2.v_minus == pytest.approx(1.0, abs=1e-12)
         assert p2.v_plus == pytest.approx(1.5, abs=1e-12)
 
     def test_none_when_stable(self):
-        assert period2_points(WIDE.with_xi(0.55)) is None
-        assert period2_points(WIDE.with_xi(0.7)) is None
+        assert classify_stability(WIDE.with_xi(0.55)).period2 is None
+        assert classify_stability(WIDE.with_xi(0.7)).period2 is None
 
     def test_cycle_closes_bitwise(self):
         fmap = build_map(CLASSIC)
-        p2 = period2_points(CLASSIC)
+        p2 = classify_stability(CLASSIC).period2
         assert fmap(p2.v_minus) == p2.v_plus
         assert fmap(p2.v_plus) == p2.v_minus
 
     def test_clockwise_cycle_from_mirror_network(self):
         # Mirror of the sweep network: congested link 2, xi above 1/2.
         spec = DmSpec(3, 2, 1.5, 2.5, beta=0.7, xi=0.6)
-        assert classify_regime(spec) is Regime.SUC_SOC
         report = classify_stability(spec)
+        assert report.regime is Regime.SUC_SOC
         assert report.stability is StabilityClass.UNSTABLE
         p2 = report.period2
         fmap = build_map(spec)
@@ -259,7 +265,7 @@ def random_marginal_spec(rng, side=None):
         if not 0.0 <= beta <= 1.0:
             continue
         spec = DmSpec(c0, c1, c2, c3, beta=beta, xi=xi)
-        if classify_regime(spec) in (Regime.SOC_SUC, Regime.SUC_SOC):
+        if classify_stability(spec).regime in (Regime.SOC_SUC, Regime.SUC_SOC):
             return spec
 
 
@@ -268,7 +274,7 @@ class TestMapProperties:
         rng = random.Random(17)
         for _ in range(200):
             spec = random_marginal_spec(rng)
-            v_star = fixed_point(spec)
+            v_star = classify_stability(spec).fixed_point
             assert abs(build_map(spec)(v_star) - v_star) < 1e-12
 
     def test_range_stays_inside_domain(self):
@@ -300,7 +306,7 @@ class TestMapProperties:
         for _ in range(100):
             spec = random_marginal_spec(rng)
             fmap = build_map(spec)
-            v_star = fixed_point(spec)
+            v_star = classify_stability(spec).fixed_point
             pl = fmap.as_piecewise()
             kinks = [x for x in pl.xs if 0.0 < x < spec.c3]
             eps = min([abs(v_star - k) for k in kinks] + [v_star,
@@ -315,7 +321,7 @@ class TestMapProperties:
                      CLASSIC.with_xi(0.0), CLASSIC.with_xi(1 / 3),
                      CLASSIC.with_xi(0.75)):
             fmap = build_map(spec)
-            v_star = fixed_point(spec)
+            v_star = classify_stability(spec).fixed_point
             for v0 in np.linspace(0.0, spec.c3, 101):
                 assert abs(fmap(fmap(float(v0))) - v_star) <= 1e-12
 
@@ -331,7 +337,7 @@ class TestCobweb:
         assert cobweb(build_map(WIDE), 1.1, 0) == []
 
     def test_fixed_point_start_degenerates(self):
-        v_star = fixed_point(WIDE.with_xi(0.55))
+        v_star = classify_stability(WIDE.with_xi(0.55)).fixed_point
         fmap = build_map(WIDE.with_xi(0.55))
         segments = cobweb(fmap, v_star, 5)
         for a, b in segments:

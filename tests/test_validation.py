@@ -1,4 +1,5 @@
-"""Oscillation detection and period-root oracles."""
+"""Oscillation detection, the decay fit, period-root oracles and
+simulation-versus-map agreement."""
 
 import random
 from fractions import Fraction
@@ -8,13 +9,58 @@ import pytest
 
 from dmflow import (DmSpec, DomainError, SimConfig, build_map,
                     classify_stability, validate_spec)
-from dmflow.poincare import StabilityClass, fixed_point
-from dmflow.validation import (Verdict, brute_force_period_roots,
-                               detect_oscillation, measure_decay_ratio,
-                               scan_period_roots)
+from dmflow.bifurcation import _boundary_values
+from dmflow.poincare import PoincareMap, StabilityClass
+from dmflow.validation import (Verdict, detect_oscillation,
+                               measure_decay_ratio)
 from test_poincare import random_marginal_spec
 
 WIDE = DmSpec(3, 1.5, 2, 2.5, beta=0.3, xi=0.4)
+# scan_period_roots bisects each sign change to this bracket width.
+_REFINE_TOL = 1e-10
+
+
+def scan_period_roots(fmap: PoincareMap, order: int,
+                      n_grid: int = 100_001) -> list[float]:
+    """Grid scan of F^order(v) - v with bisection refinement.
+
+    Independent of the exact piecewise-linear enumeration
+    (`fmap.as_piecewise().iterate(order).fixed_points()`); a second
+    oracle.  Returns deduplicated roots (identity plateaus show up as
+    their endpoints' grid neighborhoods and are not reported specially).
+    """
+    if order < 1:
+        raise DomainError("order must be a positive integer")
+
+    def g(v: float) -> float:
+        x = v
+        for _ in range(order):
+            x = fmap(x)
+        return x - v
+
+    xs = np.linspace(0.0, fmap.c3, n_grid)
+    vals = np.array([g(x) for x in xs])
+    roots = [float(x) for x, y in zip(xs, vals) if y == 0.0]
+    sign = np.sign(vals)
+    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
+        a, b = float(xs[i]), float(xs[i + 1])
+        fa = vals[i]
+        while b - a > _REFINE_TOL:
+            m = 0.5 * (a + b)
+            fm = g(m)
+            if fm == 0.0:
+                a = b = m
+            elif (fa > 0) != (fm > 0):
+                b = m
+            else:
+                a, fa = m, fm
+        roots.append(0.5 * (a + b))
+    roots.sort()
+    out: list[float] = []
+    for r in roots:
+        if not out or r - out[-1] > 1e-8 * max(fmap.c3, 1.0):
+            out.append(r)
+    return out
 
 
 class TestDetector:
@@ -52,33 +98,35 @@ class TestDetector:
 class TestBruteForceRoots:
     def test_wide_network_order_two(self):
         # Roots are the two-cycle around the fixed point xi*C3 = 1.0.
-        points, intervals = brute_force_period_roots(build_map(WIDE), 2)
+        exact = build_map(WIDE).as_piecewise()
+        points, intervals = exact.iterate(2).fixed_points()
         assert intervals == []
         assert points == [pytest.approx(0.75, abs=1e-10),
                           pytest.approx(1.0, abs=1e-10),
                           pytest.approx(1.375, abs=1e-10)]
 
     def test_order_three_only_fixed_point(self):
-        points, intervals = brute_force_period_roots(build_map(WIDE), 3)
+        exact = build_map(WIDE).as_piecewise()
+        points, intervals = exact.iterate(3).fixed_points()
         assert intervals == []
         assert points == [pytest.approx(1.0, abs=1e-10)]
 
     def test_order_four_matches_order_two(self):
-        fmap = build_map(WIDE)
-        p2, _ = brute_force_period_roots(fmap, 2)
-        p4, _ = brute_force_period_roots(fmap, 4)
+        exact = build_map(WIDE).as_piecewise()
+        p2, _ = exact.iterate(2).fixed_points()
+        p4, _ = exact.iterate(4).fixed_points()
         assert p4 == pytest.approx(p2, abs=1e-10)
 
     def test_neutral_continuum_appears_as_interval(self):
         fmap = build_map(WIDE.with_xi(0.5))
-        points, intervals = brute_force_period_roots(fmap, 2)
+        points, intervals = fmap.as_piecewise().iterate(2).fixed_points()
         assert len(intervals) == 1
         assert intervals[0][0] == pytest.approx(1.0, abs=1e-10)
         assert intervals[0][1] == pytest.approx(1.5, abs=1e-10)
 
     def test_asymptotic_case_has_single_root(self):
         fmap = build_map(WIDE.with_xi(0.55))
-        points, intervals = brute_force_period_roots(fmap, 2)
+        points, intervals = fmap.as_piecewise().iterate(2).fixed_points()
         assert intervals == []
         assert points == [pytest.approx(1.375, abs=1e-10)]
 
@@ -88,7 +136,7 @@ class TestBruteForceRoots:
             spec = random_marginal_spec(rng)
             fmap = build_map(spec)
             report = classify_stability(spec)
-            points, intervals = brute_force_period_roots(fmap, 2)
+            points, intervals = fmap.as_piecewise().iterate(2).fixed_points()
             assert intervals == []
             if report.stability is StabilityClass.UNSTABLE:
                 expected = sorted([report.period2.v_minus,
@@ -108,7 +156,8 @@ class TestBruteForceRoots:
             fmap = build_map(spec.with_xi(xi))
             for order, want in ((1, [v_star]), (2, [0.125, v_star, 0.375]),
                                 (3, [v_star])):
-                points, intervals = brute_force_period_roots(fmap, order)
+                points, intervals = (
+                    fmap.as_piecewise().iterate(order).fixed_points())
                 assert intervals == []
                 assert [float(p) for p in points] == want, (xi, order)
             # v* solves slope*(C3 - v) = v in the map's own floats.
@@ -117,7 +166,7 @@ class TestBruteForceRoots:
         # A milder slope still resolves every root.
         milder = spec.with_xi(0.99999)
         cycle = classify_stability(milder).period2
-        assert brute_force_period_roots(build_map(milder), 2) == ([
+        assert build_map(milder).as_piecewise().iterate(2).fixed_points() == ([
             pytest.approx(cycle.v_minus, abs=1e-10),
             pytest.approx(classify_stability(milder).fixed_point, abs=1e-10),
             pytest.approx(cycle.v_plus, abs=1e-10)], [])
@@ -127,15 +176,15 @@ class TestGridScan:
     def test_agrees_with_exact_enumeration(self):
         for xi in (0.38, 0.45, 0.55):
             fmap = build_map(WIDE.with_xi(xi))
-            exact, _ = brute_force_period_roots(fmap, 2)
+            exact, _ = fmap.as_piecewise().iterate(2).fixed_points()
             scanned = scan_period_roots(fmap, 2, n_grid=20_001)
             assert scanned == pytest.approx(exact, abs=1e-8)
 
     def test_order_three_no_extra_roots(self):
         fmap = build_map(WIDE.with_xi(0.42))
         scanned = scan_period_roots(fmap, 3, n_grid=20_001)
-        assert scanned == pytest.approx([fixed_point(WIDE.with_xi(0.42))],
-                                        abs=1e-8)
+        v_star = classify_stability(WIDE.with_xi(0.42)).fixed_point
+        assert scanned == pytest.approx([v_star], abs=1e-8)
 
 
 class TestDecayFit:
@@ -171,8 +220,7 @@ class TestValidateSpec:
 def _agreement_sweep(spec, step, exclusion=0.01):
     """Simulated verdicts must match the analytic class away from
     regime boundaries (discretization blurs the exact thresholds)."""
-    from dmflow.bifurcation import boundary_values
-    bounds = boundary_values(spec)
+    bounds = _boundary_values(spec)
     xis = np.arange(step, 1.0 - step / 2, step)
     checked = 0
     for xi in xis:
@@ -208,7 +256,8 @@ class TestGridScanFullResolution:
         # second iterate crosses the diagonal only at the fixed point.
         spec = WIDE.with_xi(0.55)
         roots = scan_period_roots(build_map(spec), 2)
-        assert roots == pytest.approx([fixed_point(spec)], abs=1e-8)
+        assert roots == pytest.approx([classify_stability(spec).fixed_point],
+                                      abs=1e-8)
 
 
 class TestDampedLimitMatchesFixedPoint:
