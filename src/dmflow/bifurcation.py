@@ -112,20 +112,16 @@ def regime_boundaries(template: DmSpec) -> list[Transition]:
 
     Classes on either side are evaluated at the midpoints of the adjacent
     open intervals, which is exact because the class is constant between
-    boundaries.  Bottleneck-regime templates have no transitions.
+    boundaries; one grid pass classifies the midpoints and the boundaries.
+    Bottleneck-regime templates have no transitions.
     """
     if not classify_stability(template.with_xi(0.5)).regime.supports_map:
         return []
     bounds = _boundary_values(template)
     edges = [0.0] + bounds + [1.0]
-    transitions = []
-    for i, b in enumerate(bounds):
-        lo_mid = (edges[i] + b) / 2.0
-        hi_mid = (b + edges[i + 2]) / 2.0
-        below = (classify_stability(template.with_xi(lo_mid)).stability
-                 if b > 0.0 else None)
-        above = (classify_stability(template.with_xi(hi_mid)).stability
-                 if b < 1.0 else None)
-        at = classify_stability(template.with_xi(b)).stability
-        transitions.append(Transition(b, below, at, above))
-    return transitions
+    mids = [(a + b) / 2.0 for a, b in zip(edges, edges[1:])]
+    stability = _classify_grid(template, np.array(mids + bounds))[4]
+    return [Transition(b, stability[i] if b > 0.0 else None,
+                       stability[len(mids) + i],
+                       stability[i + 1] if b < 1.0 else None)
+            for i, b in enumerate(bounds)]

@@ -43,6 +43,14 @@ def _outdir(args, scenario: Scenario) -> Path:
     return out
 
 
+def _load(args, xi: float | None) -> Scenario:
+    """The scenario at `xi`, its SimConfig taking --horizon when given."""
+    scenario = load_scenario(args.scenario, xi)
+    if args.horizon is None:
+        return scenario
+    return replace(scenario, sim=replace(scenario.sim, horizon=args.horizon))
+
+
 def _format(args, scenario: Scenario) -> str:
     return args.format if args.format else scenario.out_format
 
@@ -111,6 +119,12 @@ def cmd_analyze(args) -> int:
 def cmd_orbit(args) -> int:
     scenario = load_scenario(args.scenario, args.xi)
     fmap = build_map(scenario.require_dm())
+    if not 0.0 <= args.v0 <= fmap.c3:
+        raise ConfigurationError(
+            f"--v0: v={args.v0} outside [0, {fmap.c3}]")
+    if args.steps < 0:
+        raise ConfigurationError(
+            f"--steps must be nonnegative, got {args.steps}")
     out = _outdir(args, scenario)
     orbit = fmap.iterate(args.v0, args.steps)
     segments = cobweb(fmap, args.v0, args.steps)
@@ -136,6 +150,12 @@ def cmd_sweep(args) -> int:
             raise ConfigurationError(f"{name} must be finite, got {value}")
     if args.step <= 0:
         raise ConfigurationError("--step must be positive")
+    if args.xi_min < 0.0:
+        raise ConfigurationError(
+            f"--xi-min must be nonnegative, got {args.xi_min!r}")
+    if args.xi_max > 1.0:
+        raise ConfigurationError(
+            f"--xi-max must be at most 1, got {args.xi_max!r}")
     if args.xi_min > args.xi_max:
         raise ConfigurationError(
             f"--xi-min {args.xi_min!r} exceeds --xi-max {args.xi_max!r}")
@@ -168,10 +188,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = load_scenario(args.scenario, args.xi)
+    scenario = _load(args, args.xi)
     sim = scenario.simulation()
     out = _outdir(args, scenario)
-    record = sim.run(args.horizon)
+    record = sim.run()
     if _format(args, scenario) == "csv":
         io.write_csv(out / "run.csv", *io.run_rows(record))
     else:
@@ -182,10 +202,8 @@ def cmd_simulate(args) -> int:
 
 
 def _validate_one(scenario: Scenario, args) -> tuple[bool, dict]:
-    config = scenario.sim
-    if args.horizon is not None:
-        config = replace(config, horizon=args.horizon)
-    result = validate_spec(scenario.require_dm(), config, scenario.network)
+    result = validate_spec(scenario.require_dm(), scenario.sim,
+                           scenario.network)
     payload = io.validation_payload(result)
     ok = result.agrees
     if result.v_star_rel_error is not None:
@@ -200,7 +218,7 @@ def cmd_validate(args) -> int:
     if args.family and args.xi is not None:
         raise ConfigurationError("--xi does not combine with --family, "
                                  "which validates the grid of --xi-step")
-    scenario = load_scenario(args.scenario, args.xi)
+    scenario = _load(args, args.xi)
     scenario.require_dm()
     if args.family and not 0.0 < args.xi_step < 1.0:
         raise ConfigurationError("--xi-step must lie in (0, 1)")
@@ -213,7 +231,7 @@ def cmd_validate(args) -> int:
         results = []
         all_ok = True
         for xi in np.arange(args.xi_step, 1.0, args.xi_step):
-            member = load_scenario(args.scenario, float(xi))
+            member = _load(args, float(xi))
             ok, payload = _validate_one(member, args)
             results.append(payload)
             all_ok = all_ok and ok

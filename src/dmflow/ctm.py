@@ -112,7 +112,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .fundamental import FundamentalDiagram, TrafficState, _make_diagram
+from .fundamental import FundamentalDiagram, _make_diagram
 from .network import LinkStart, Network
 
 logger = logging.getLogger(__name__)
@@ -215,17 +215,6 @@ class LinkState:
         self.dx = dx
         self.k = k
         self.k1 = k1
-
-    def set_uniform(self, density: float, fraction: float) -> None:
-        self.k.fill(density)
-        self.k1[:] = fraction * self.k
-
-    def set_cells(self, densities: np.ndarray, fraction: float) -> None:
-        if len(densities) != len(self.k):
-            raise ConfigurationError(
-                f"{self.name}: expected {len(self.k)} densities")
-        self.k[:] = densities
-        self.k1[:] = fraction * self.k
 
 
 @dataclass
@@ -498,27 +487,27 @@ class Simulation:
         """Load starts given in flows into the named links, each on its own
         diagram, and reset the clock.
 
-        A uniform link (l = 0 or 1) holds exactly the density of its
-        branch; a standing shock holds the exact cell averages of its
-        two-density profile.
+        Each link's densities are the inverses `FundamentalDiagram.density`
+        of its flow on the free-flow and the congested branch.  A uniform
+        link (l = 0 or 1) holds exactly the density of its branch; a
+        standing shock holds the exact cell averages of its two-density
+        profile.  Either way k is written once and k1 = fraction * k.
         """
         self.t = 0.0
         cells = self.config.cells_per_link
         lengths = {ln.name: ln.length for ln in self.network.links}
         for name, start in starts.items():
-            ls, q, l = self.links[name], start.q, start.l
-            under = ls.fd.state_to_density(TrafficState(q, ls.fd.capacity))
-            over = ls.fd.state_to_density(TrafficState(ls.fd.capacity, q))
+            ls, l = self.links[name], start.l
+            under, over = (ls.fd.density(start.q, congested)
+                           for congested in (False, True))
             if l in (0.0, 1.0):
-                ls.set_uniform(over if l else under, start.fraction)
-                continue
-            length = lengths[name]
-            dx = length / cells
-            edges = np.arange(cells + 1) * dx
-            uc_len = (np.clip((1.0 - l) * length, edges[:-1], edges[1:])
-                      - edges[:-1])
-            ls.set_cells((uc_len * under + (dx - uc_len) * over) / dx,
-                         start.fraction)
+                ls.k.fill(over if l else under)
+            else:
+                edges = np.arange(cells + 1) * ls.dx
+                uc_len = (np.clip((1.0 - l) * lengths[name], edges[:-1],
+                                  edges[1:]) - edges[:-1])
+                ls.k[:] = (uc_len * under + (ls.dx - uc_len) * over) / ls.dx
+            ls.k1[:] = start.fraction * ls.k
 
     def step(self) -> None:
         """Advance one dt.

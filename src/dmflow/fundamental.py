@@ -9,9 +9,10 @@ Lebacque 1996):
     demand(k) = Q(min(k_c, k))     nondecreasing, saturates at C
     supply(k) = Q(max(k_c, k))     nonincreasing, starts at C
 
-A traffic state can equivalently be described by the pair (demand, supply):
-the flow is min(d, s), the larger of the two equals the capacity, and the
-density is recovered by inverting the appropriate branch of Q.
+A flow q <= C is carried by one density on each branch of Q: the free-flow
+branch k <= k_c, where q is the demand and the supply is C, and the
+congested branch k >= k_c, where q is the supply and the demand is C.
+`density(q, congested)` inverts the branch it is asked for.
 
 Each shape has one constructor, from the capacity C of its link and its
 wave speeds: `TriangularDiagram(C, v_f=1, w=1/2)` and
@@ -30,28 +31,7 @@ __all__ = [
     "FundamentalDiagram",
     "TriangularDiagram",
     "GreenshieldsDiagram",
-    "TrafficState",
 ]
-
-
-@dataclass(frozen=True)
-class TrafficState:
-    """A point in the demand-supply plane.
-
-    One of the two components always equals the capacity of the owning
-    link: demand for over-critical states, supply for under-critical ones.
-    """
-
-    demand: float
-    supply: float
-
-    def __post_init__(self):
-        if self.demand < 0.0 or self.supply < 0.0:
-            raise DomainError(f"demand/supply must be nonnegative, got {self}")
-
-    @property
-    def flow(self) -> float:
-        return min(self.demand, self.supply)
 
 
 class FundamentalDiagram:
@@ -91,23 +71,22 @@ class FundamentalDiagram:
         self._check_density(k)
         return self.flow(max(self.critical_density, k))
 
-    def state(self, k: float) -> TrafficState:
-        return TrafficState(self.demand(k), self.supply(k))
+    def density(self, q: float, congested: bool) -> float:
+        """The density that carries flow q on the congested branch
+        (k >= k_c) or on the free-flow branch (k <= k_c).
 
-    def state_to_density(self, u: TrafficState) -> float:
-        """Recover the density of a demand-supply pair.
-
-        Under-critical states (d <= s) sit on the rising branch with flow d;
-        over-critical states on the falling branch with flow s.  The pair is
-        only meaningful when max(d, s) equals the capacity.
+        A flow at capacity, or above it by rounding only (rel 1e-9,
+        abs 1e-12), is carried at the critical density on both branches.
         """
-        top = max(u.demand, u.supply)
-        if not math.isclose(top, self.capacity, rel_tol=1e-9, abs_tol=1e-12):
+        if not q >= 0.0 or q > self.capacity and not math.isclose(
+                q, self.capacity, rel_tol=1e-9, abs_tol=1e-12):
             raise DomainError(
-                f"inconsistent state {u}: max(d, s)={top} != capacity {self.capacity}")
-        if u.demand <= u.supply:
-            return self._invert_under_critical(u.demand)
-        return self._invert_over_critical(u.supply)
+                f"flow {q} outside [0, capacity {self.capacity}]")
+        if q >= self.capacity:
+            return self.critical_density
+        if congested:
+            return self._invert_over_critical(q)
+        return self._invert_under_critical(q)
 
 
 @dataclass(frozen=True)
@@ -181,12 +160,12 @@ class GreenshieldsDiagram(FundamentalDiagram):
         return self.free_flow_speed * k * (1.0 - k / self.jam_density)
 
     def _invert_under_critical(self, q: float) -> float:
-        r = max(0.0, 1.0 - q / self.capacity)
-        return self.critical_density * (1.0 - math.sqrt(r))
+        return self.critical_density * (
+            1.0 - math.sqrt(1.0 - q / self.capacity))
 
     def _invert_over_critical(self, q: float) -> float:
-        r = max(0.0, 1.0 - q / self.capacity)
-        return self.critical_density * (1.0 + math.sqrt(r))
+        return self.critical_density * (
+            1.0 + math.sqrt(1.0 - q / self.capacity))
 
 
 def _make_diagram(capacity: float, vf: float, w: float,

@@ -24,7 +24,9 @@ densities on its own diagrams.
 Ring-shaped extensions reuse the same two junction models: a chain of n
 diverge-merge stages closed into a loop, every stage the `DmSpec` that
 `DmnSpec.stage` derives (capacities scale x (3, 1, 2, 2)), and a beltway:
-a congested ring road with n alternating off-ramp / on-ramp pairs.
+a congested ring road with n alternating off-ramp / on-ramp pairs.  One
+builder lays out the stages, each merge taking link 2 of the stage
+before; the basic network is the ring of one stage.
 """
 
 from __future__ import annotations
@@ -324,6 +326,17 @@ def _intermediate_start(regime: LinkRegime, l: float | None, q: float,
     return LinkStart(q, l, fraction)
 
 
+# The links of one diverge-merge stage in order (origin, link 1, link 2,
+# destination): their names in the four-link network, each with its
+# prefix in the ring, whose stage k names them o_k, c_k, u_k and e_k.
+_STAGE_LINKS = {"link0": "o", "link1": "c", "link2": "u", "link3": "e"}
+
+
+def _ring_links(n: int) -> list[tuple[str, ...]]:
+    return [tuple(prefix + str(k) for prefix in _STAGE_LINKS.values())
+            for k in range(1, n + 1)]
+
+
 def stationary_start(spec: DmSpec, state: StationaryState,
                      l1: float | None = None, l2: float | None = None,
                      ) -> dict[str, LinkStart]:
@@ -336,16 +349,15 @@ def stationary_start(spec: DmSpec, state: StationaryState,
     is the share xi of links 0 and 3 and all of link 1.
     """
     q = state.q
-    return {
-        "link0": LinkStart(q, 1.0, spec.xi),
-        "link1": _intermediate_start(
+    return dict(zip(_STAGE_LINKS, (
+        LinkStart(q, 1.0, spec.xi),
+        _intermediate_start(
             state.link1, l1 if l1 is not None else state.l1, spec.xi * q,
             spec.c1, 1.0),
-        "link2": _intermediate_start(
+        _intermediate_start(
             state.link2, l2 if l2 is not None else state.l2,
             (1.0 - spec.xi) * q, spec.c2, 0.0),
-        "link3": LinkStart(q, 0.0, spec.xi),
-    }
+        LinkStart(q, 0.0, spec.xi))))
 
 
 # ---------------------------------------------------------------------------
@@ -492,28 +504,43 @@ class Network:
                 f"links must have exactly one feeder and one drainer: {bad}")
 
 
+def _build_stages(spec: DmSpec, stages: list[tuple[str, ...]],
+                  origin_demand: float, destination_supply: float,
+                  ) -> Network:
+    """Diverge-merge stages of `spec`, one per tuple of link names (origin,
+    link 1, link 2, destination).  The merge of stage k takes link 2 of
+    stage k - 1, cyclically, so one stage is the four-link network."""
+    caps = (spec.c0, spec.c1, spec.c2, spec.c3)
+    links, origins, destinations, diverges, merges = [], [], [], [], []
+    for k, names in enumerate(stages):
+        origin, link1, link2, destination = names
+        links += map(Link, names, caps, spec.lengths)
+        origins.append(Origin(origin, origin_demand, spec.xi))
+        destinations.append(Destination(destination, destination_supply))
+        diverges.append(Diverge(origin, Branch(link=link1),
+                                Branch(link=link2)))
+        merges.append(Merge(Approach(link=link1),
+                            Approach(link=stages[k - 1][2]), destination,
+                            spec.beta))
+    net = Network(tuple(links), tuple(origins), tuple(destinations),
+                  tuple(diverges), tuple(merges))
+    net.validate()
+    return net
+
+
 def build_dm(spec: DmSpec, origin_demand: float | None = None,
              destination_supply: float | None = None) -> Network:
-    """The four-link diverge-merge network with one origin-destination pair.
+    """The four-link diverge-merge network with one origin-destination
+    pair: the ring of one stage, with links `link0`..`link3` of lengths
+    `spec.lengths`.
 
     Boundary data default to the saturating values (demand C0, supply C3)
     under which the stationary catalog applies.
     """
-    d_r = spec.c0 if origin_demand is None else origin_demand
-    s_w = spec.c3 if destination_supply is None else destination_supply
-    links = tuple(Link(f"link{i}", c, x) for i, (c, x) in enumerate(
-        zip((spec.c0, spec.c1, spec.c2, spec.c3), spec.lengths)))
-    net = Network(
-        links=links,
-        origins=(Origin("link0", d_r, spec.xi),),
-        destinations=(Destination("link3", s_w),),
-        diverges=(Diverge("link0", Branch(link="link1"),
-                          Branch(link="link2")),),
-        merges=(Merge(Approach(link="link1"), Approach(link="link2"),
-                      "link3", spec.beta),),
-    )
-    net.validate()
-    return net
+    return _build_stages(
+        spec, [tuple(_STAGE_LINKS)],
+        spec.c0 if origin_demand is None else origin_demand,
+        spec.c3 if destination_supply is None else destination_supply)
 
 
 def build_dmn(spec: DmnSpec) -> Network:
@@ -521,31 +548,13 @@ def build_dmn(spec: DmnSpec) -> Network:
 
     Stage k: origin -> o_k -> diverge -> {c_k (narrow, proportion xi),
     u_k (wide)}; merge k joins c_k with u_{k-1} and drains through e_k to a
-    destination.  For n=1 this collapses to the single diverge-merge
-    network.  The merge priority defaults to 0 so the narrow link's
+    destination.  For n=1 the ring is `build_dm(spec.stage)` with the
+    links renamed.  The merge priority defaults to 0 so the narrow link's
     out-flux is governed purely by the wide link's arrivals, matching the
     ring return map min(C1, C3 - ((1-xi)/xi) v).
     """
-    n, stage = spec.n, spec.stage
-    links: list[Link] = []
-    origins: list[Origin] = []
-    destinations: list[Destination] = []
-    diverges: list[Diverge] = []
-    merges: list[Merge] = []
-    for k in range(1, n + 1):
-        links += [Link(f"{prefix}{k}", c) for prefix, c in
-                  zip("ocue", (stage.c0, stage.c1, stage.c2, stage.c3))]
-        origins.append(Origin(f"o{k}", stage.c0, stage.xi))
-        destinations.append(Destination(f"e{k}", stage.c3))
-        diverges.append(Diverge(f"o{k}", Branch(link=f"c{k}"),
-                                Branch(link=f"u{k}")))
-        prev = k - 1 if k > 1 else n
-        merges.append(Merge(Approach(link=f"c{k}"),
-                            Approach(link=f"u{prev}"), f"e{k}", stage.beta))
-    net = Network(tuple(links), tuple(origins), tuple(destinations),
-                  tuple(diverges), tuple(merges))
-    net.validate()
-    return net
+    stage = spec.stage
+    return _build_stages(stage, _ring_links(spec.n), stage.c0, stage.c3)
 
 
 def build_beltway(spec: BeltwaySpec, ramp_demand: float | None = None,
@@ -588,10 +597,9 @@ def dmn_start(spec: DmnSpec) -> dict[str, LinkStart]:
             f"the symmetric ring start needs xi <= {bound}, got "
             f"xi = {spec.xi}")
     start = stationary_start(stage, StationaryState.of(
-        LinkRegime.SOC, LinkRegime.SUC, stage.c3))
-    return {f"{prefix}{k}": start[f"link{i}"]
-            for k in range(1, spec.n + 1)
-            for i, prefix in enumerate("ocue")}
+        LinkRegime.SOC, LinkRegime.SUC, stage.c3)).values()
+    return {name: link for names in _ring_links(spec.n)
+            for name, link in zip(names, start)}
 
 
 def beltway_start(spec: BeltwaySpec, flow: float) -> dict[str, LinkStart]:

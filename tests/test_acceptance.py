@@ -263,7 +263,8 @@ def test_criterion_09_ring_of_stages_classification():
         sim = Simulation(build_dmn(ring), SimConfig(horizon=300.0))
         sim.load(dmn_start(ring))
         c1 = sim.links["c1"]
-        c1.set_uniform(c1.k[0] + eps, 1.0)
+        c1.k[:] = c1.k[0] + eps
+        c1.k1[:] = c1.k
         rec = sim.run()
         pair = []
         for link in ("c1", "c2"):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from dmflow import DmSpec, classify_stability, sweep_xi
 from dmflow import io
-from dmflow.bifurcation import (_DEDUPE_TOL, _boundary_values, _dedupe,
-                                regime_boundaries)
+from dmflow.bifurcation import (_DEDUPE_TOL, Transition, _boundary_values,
+                                _dedupe, regime_boundaries)
 from dmflow.errors import DomainError
 from dmflow.network import LinkRegime, stationary_states
 from dmflow.poincare import (Circulation, Regime, StabilityClass,
@@ -139,6 +139,32 @@ def templates(draw):
             * draw(st.floats(0.1, 0.99))
         c0 = c3 if kind == "c3_is_c0" else c3 * draw(st.floats(1.0, 3.0))
     return DmSpec(c0, c1, c2, c3, beta=draw(share), xi=0.5)
+
+
+def boundaries_point_by_point(template: DmSpec) -> list[Transition]:
+    """`regime_boundaries` with one `classify_stability` call per midpoint
+    and per boundary."""
+    if not classify_stability(template.with_xi(0.5)).regime.supports_map:
+        return []
+    bounds = _boundary_values(template)
+    edges = [0.0] + bounds + [1.0]
+    transitions = []
+    for i, b in enumerate(bounds):
+        lo_mid = (edges[i] + b) / 2.0
+        hi_mid = (b + edges[i + 2]) / 2.0
+        below = (classify_stability(template.with_xi(lo_mid)).stability
+                 if b > 0.0 else None)
+        above = (classify_stability(template.with_xi(hi_mid)).stability
+                 if b < 1.0 else None)
+        at = classify_stability(template.with_xi(b)).stability
+        transitions.append(Transition(b, below, at, above))
+    return transitions
+
+
+@given(template=templates())
+@settings(max_examples=300, deadline=None)
+def test_boundaries_match_the_per_point_loop(template):
+    assert regime_boundaries(template) == boundaries_point_by_point(template)
 
 
 def fixed_grid(template) -> list[float]:

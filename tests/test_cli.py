@@ -531,6 +531,25 @@ class TestScenarioOverrides:
         assert captured.out == ""
         assert "cannot create output directory" in captured.err
 
+    @pytest.mark.parametrize("scenario", [CLASSIC, BIFURCATION],
+                             ids=["classic", "bifurcation"])
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--horizon", "nan"],
+        ["validate", "--horizon", "-5"],
+        ["validate", "--family", "--horizon", "inf"],
+        ["orbit", "--v0", "99"],
+        ["orbit", "--v0", "0.5", "--steps", "-1"],
+        ["sweep", "--xi-min", "-1"],
+        ["sweep", "--xi-max", "2"],
+    ], ids=lambda command: " ".join(command))
+    def test_option_errors_leave_no_out_directory(self, scenario, command,
+                                                  tmp_path, capsys):
+        name, *options = command
+        out = tmp_path / "out"
+        assert main([name, scenario, *options, "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRingScenarios:
     def test_dmn_scenario_analysis(self, tmp_path):

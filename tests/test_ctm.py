@@ -112,7 +112,7 @@ class TestStep:
 
     def test_uniform_under_critical_plateau_invariant(self):
         sim = Simulation(single_link_network(demand=0.6))
-        sim.links["a"].set_uniform(0.6, 0.0)
+        sim.links["a"].k[:] = 0.6
         before = sim.links["a"].k.copy()
         for _ in range(50):
             sim.step()
@@ -120,7 +120,7 @@ class TestStep:
 
     def test_horizon_zero_echoes_initial_state(self):
         sim = Simulation(single_link_network())
-        sim.links["a"].set_uniform(0.25, 0.0)
+        sim.links["a"].k[:] = 0.25
         record = sim.run(horizon=0.0)
         assert len(record.times) == 0
         assert np.array_equal(sim.links["a"].k, np.full(20, 0.25))
@@ -292,7 +292,8 @@ class TestConservation:
 
     def test_nan_step_error_is_not_reported_as_zero(self):
         sim = Simulation(build_dm(CLASSIC), SimConfig(horizon=1.0))
-        sim.links["link1"].set_uniform(float("nan"), 0.0)
+        link1 = sim.links["link1"]
+        link1.k[:] = link1.k1[:] = float("nan")
         record = sim.run()
         assert np.isnan(record.conservation_error)
         assert np.isnan(record.conservation_error_c1)
@@ -474,7 +475,7 @@ class TestCompiledJunctions:
 
     def test_commodity_split_outside_unit_interval_rejected(self):
         sim = Simulation(build_dm(CLASSIC))
-        sim.links["link0"].set_uniform(1.0, 0.0)
+        sim.links["link0"].k[:] = 1.0
         sim.links["link0"].k1[-1] = 1.5
         with pytest.raises(DomainError, match="xi"):
             sim.step()
@@ -482,7 +483,7 @@ class TestCompiledJunctions:
     @pytest.mark.parametrize("k1", [-0.5, float("nan")])
     def test_negative_or_nan_commodity_split_rejected(self, k1):
         sim = Simulation(build_dm(CLASSIC))
-        sim.links["link0"].set_uniform(1.0, 0.0)
+        sim.links["link0"].k[:] = 1.0
         sim.links["link0"].k1[-1] = k1
         with pytest.raises(DomainError, match="xi"):
             sim.step()

@@ -82,7 +82,8 @@ def loaded(network, config, seed, scalar: bool | None = None) -> Simulation:
         empty = rng.random(config.cells_per_link) < 0.3
         densities = np.where(empty, 0.0, rng.uniform(
             0.0, ls.fd.jam_density, config.cells_per_link))
-        ls.set_cells(densities, float(rng.choice([0.0, 1.0, rng.random()])))
+        ls.k[:] = densities
+        ls.k1[:] = float(rng.choice([0.0, 1.0, rng.random()])) * ls.k
     return sim
 
 

@@ -3,17 +3,46 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmflow import (ConfigurationError, DmSpec, DomainError, SimConfig,
                     Simulation, build_dm)
-from dmflow.network import (BeltwaySpec, DmnSpec, LinkRegime, StationaryState,
-                            build_beltway, build_dmn, stationary_start,
-                            stationary_states)
+from dmflow.network import (BeltwaySpec, DmnSpec, LinkRegime, Network,
+                            StationaryState, build_beltway, build_dmn,
+                            dmn_start, stationary_start, stationary_states)
 
 CLASSIC = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.45)
+
+
+def stage_names(k: int) -> dict[str, str]:
+    """The ring's names for the four-link network's links in stage k."""
+    return {"link0": f"o{k}", "link1": f"c{k}", "link2": f"u{k}",
+            "link3": f"e{k}"}
+
+
+def renamed(net: Network, k: int) -> Network:
+    """The four-link network `net` with its links named as ring stage k."""
+    names = stage_names(k)
+
+    def end(e):     # an Approach or a Branch
+        return replace(e, link=names[e.link]) if e.link else e
+
+    return Network(
+        tuple(replace(ln, name=names[ln.name]) for ln in net.links),
+        tuple(replace(o, link=names[o.link]) for o in net.origins),
+        tuple(replace(d, link=names[d.link]) for d in net.destinations),
+        tuple(replace(dv, upstream=names[dv.upstream],
+                      branch1=end(dv.branch1), branch2=end(dv.branch2))
+              for dv in net.diverges),
+        tuple(replace(mg, approach1=end(mg.approach1),
+                      approach2=end(mg.approach2),
+                      downstream=names[mg.downstream])
+              for mg in net.merges))
 
 
 def patterns(states):
@@ -184,10 +213,33 @@ class TestBuilders:
         assert net.origins[0].demand == 3.0
         assert net.destinations[0].supply == 2.0
 
-    def test_dmn_base_case_matches_dm_shape(self):
-        net = build_dmn(DmnSpec(1, xi=0.45))
-        assert len(net.links) == 4
-        assert len(net.diverges) == len(net.merges) == 1
+    @given(xi=st.floats(0.0, 1.0), scale=st.floats(1e-3, 1e3),
+           beta=st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_dmn_base_case_matches_dm_shape(self, xi, scale, beta):
+        # The DM network is the ring of one stage, links renamed.
+        spec = DmnSpec(1, xi, scale, beta)
+        assert build_dmn(spec) == renamed(build_dm(spec.stage), 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("xi, scale", [(0.0, 1.0), (0.4, 0.5),
+                                           (0.5, 3.0)])
+    def test_ring_start_is_the_stage_start_of_every_stage(self, n, xi,
+                                                          scale):
+        spec = DmnSpec(n, xi, scale, beta=0.3)
+        start = stationary_start(spec.stage, StationaryState.of(
+            LinkRegime.SOC, LinkRegime.SUC, spec.stage.c3))
+        want = [(name, start[link]) for k in range(1, n + 1)
+                for link, name in stage_names(k).items()]
+        assert list(dmn_start(spec).items()) == want
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ring_merge_takes_the_previous_wide_link(self, n):
+        net = build_dmn(DmnSpec(n, xi=0.4))
+        assert [(m.approach1.link, m.approach2.link, m.downstream)
+                for m in net.merges] == [
+            (f"c{k}", f"u{k - 1 if k > 1 else n}", f"e{k}")
+            for k in range(1, n + 1)]
 
     def test_dmn_two_stages(self):
         net = build_dmn(DmnSpec(2, xi=0.4))

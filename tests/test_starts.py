@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from dmflow import DmSpec, DomainError, SimConfig, Simulation, build_dm
-from dmflow.fundamental import TrafficState
 from dmflow.network import (BeltwaySpec, DmnSpec, LinkRegime, beltway_start,
                             build_beltway, build_dmn, dmn_start,
                             stationary_start, stationary_states)
@@ -97,8 +96,7 @@ def profile_cells(fd, length: float, cells: int, q: float, l: float,
     if critical:
         under = over = fd.critical_density
     else:
-        under = fd.state_to_density(TrafficState(q, fd.capacity))
-        over = fd.state_to_density(TrafficState(fd.capacity, q))
+        under, over = fd.density(q, False), fd.density(q, True)
     dx = length / cells
     edges = np.arange(cells + 1) * dx
     uc_len = np.clip((1.0 - l) * length, edges[:-1], edges[1:]) - edges[:-1]
