@@ -20,7 +20,7 @@ from . import io
 from .bifurcation import regime_boundaries, sweep_xi
 from .errors import ConfigurationError, DmflowError
 from .extended import beltway_classify, dmn_classify
-from .poincare import Regime, build_map, classify_stability, cobweb
+from .poincare import build_map, classify_stability, cobweb
 from .scenario import Scenario, load_scenario
 from .validation import validate_spec
 
@@ -48,7 +48,12 @@ def _load(args, xi: float | None) -> Scenario:
     scenario = load_scenario(args.scenario, xi)
     if args.horizon is None:
         return scenario
-    return replace(scenario, sim=replace(scenario.sim, horizon=args.horizon))
+    try:
+        sim = replace(scenario.sim, horizon=args.horizon)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{Path(args.scenario)}: simulation with "
+                                 f"--horizon {args.horizon!r}: {exc}") from exc
+    return replace(scenario, sim=sim)
 
 
 def _format(args, scenario: Scenario) -> str:
@@ -72,11 +77,7 @@ def cmd_analyze(args) -> int:
                 {"xi": t.xi, "transition": t.describe()}
                 for t in regime_boundaries(spec)],
         }
-        if report.regime in (Regime.UPSTREAM_BOTTLENECK,
-                             Regime.MIDDLE_BOTTLENECK):
-            print(f"finite-time stable ({report.regime.value.replace('_', ' ')}):"
-                  f" settles for any initial profile")
-        else:
+        if report.regime.supports_map:
             print(f"regime: {report.regime.value}")
             print(f"stability: {report.stability.value}"
                   + (f" (converges in <= {report.max_steps} steps)"
@@ -86,6 +87,9 @@ def cmd_analyze(args) -> int:
                 p = report.period2
                 kind = "continuum endpoints" if p.continuum else "two-cycle"
                 print(f"{kind}: ({p.v_minus!r}, {p.v_plus!r})")
+        else:
+            print(f"finite-time stable ({report.regime.value.replace('_', ' ')}):"
+                  f" settles for any initial profile")
     elif scenario.kind == "dmn":
         cls = dmn_classify(spec)
         payload = {
@@ -127,7 +131,7 @@ def cmd_orbit(args) -> int:
             f"--steps must be nonnegative, got {args.steps}")
     out = _outdir(args, scenario)
     orbit = fmap.iterate(args.v0, args.steps)
-    segments = cobweb(fmap, args.v0, args.steps)
+    segments = cobweb(orbit)
     if _format(args, scenario) == "csv":
         io.write_csv(out / "orbit.csv", *io.orbit_rows(orbit))
         io.write_csv(out / "cobweb.csv", *io.cobweb_rows(segments))

@@ -93,8 +93,9 @@ at every later step; only `t` advances.  `run` keeps a
 copy of the state before the last step of each block and compares the two
 bitwise after the block.  Once they match it stops stepping: the rest of
 the record repeats the last step's out-fluxes, link sums and boundary
-ends, times go on by `t += dt`, and the block fold derives the same
-totals and errors a stepped run would.  A run that never settles pays one
+ends, and the block fold derives the same totals and errors a stepped run
+would.  The time stamps do not depend on stepping: `run` sums them once,
+in the order `t += dt` does.  A run that never settles pays one
 state copy and one comparison per block.
 
 Empty cells carry commodity fraction 0.  No flux depends on that value: an
@@ -180,6 +181,9 @@ class SimConfig:
         _check_horizon(self.horizon)
         if self.dt is not None and not self.dt > 0:
             raise ConfigurationError(f"dt must be positive, got {self.dt}")
+        if self.shape not in ("triangular", "greenshields"):
+            raise ConfigurationError(
+                f"unknown diagram shape {self.shape!r}")
 
 
 def diverge_flux(d0: float, s1: float, s2: float, xi: float,
@@ -663,6 +667,11 @@ class Simulation:
         before = np.empty_like(flat)
         bits, before_bits = flat.view(np.int64), before.view(np.int64)
         settled = False
+        # Step i ends at t0 + dt + ... + dt, summed in the order in which
+        # `step` adds t += dt; accumulate adds in order too.
+        times.fill(self.dt)
+        times[:1] += self.t
+        add.accumulate(times, out=times)
         totals[0] = self._vehicles(add.reduce(state, 2))
         for start in range(0, n_steps, _BLOCK):
             stop = min(start + _BLOCK, n_steps)
@@ -670,7 +679,6 @@ class Simulation:
                 if start + i == stop - 1:
                     before[...] = flat
                 self.step()
-                times[start + i] = self.t
                 add.reduce(state, 2, None, sums[i])
                 faces.take(record, None, ends[i], "clip")
             rows = ends[:stop - start]
@@ -685,17 +693,14 @@ class Simulation:
             if (not settled and stop < n_steps
                     and np.array_equal(bits, before_bits)):
                 # Every later step would repeat the last one.  The block was
-                # full, so its last rows are that step's; times go on by
-                # t += dt, which accumulate reproduces: it adds in order.
+                # full, so its last rows are that step's.
                 settled = True
                 sums[:] = sums[-1]
                 ends[:] = ends[-1]
-                rest = times[stop - 1:]
-                rest[1:] = self.dt
-                np.add.accumulate(rest, out=rest)
-                self.t = float(times[-1])
                 logger.debug("run: state settled at step %d; %d steps "
                              "filled without stepping", stop, n_steps - stop)
+        if n_steps:
+            self.t = float(times[-1])
         # np.max keeps a NaN step error, where Python's max would drop it.
         cons, cons_c1 = np.max(errors, axis=0, initial=0.0).tolist()
         return RunRecord(self.dt, times,

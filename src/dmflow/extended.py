@@ -9,7 +9,11 @@ v_1..v_n of the narrow links obey, per loop time T,
     v_i(t+T) = min(C1, C3 - ((1-xi)/xi) * v_{i-1}(t))   (cyclic),
 
 the stage's own DM map at beta = 0, valid in the band 1/3 < xi < 1/2
-where narrow links run congested and wide links do not.  A perturbation
+where narrow links run congested and wide links do not.  The ring is
+iterated with that map: one loop time applies `build_map(spec.stage)` to
+each narrow link's cyclic predecessor.  This module gives the map's
+stationary states (`dmn_fixed_points`) and the ring's pattern
+(`dmn_classify`).  A perturbation
 of the symmetric state xi * C3 returns after n steps multiplied by
 (-(1-xi)/xi)^n: growing for xi < 1/2, sign-alternating only for odd n.
 Odd rings therefore sustain periodic oscillation, while even rings break
@@ -39,8 +43,6 @@ __all__ = [
     "DMN_XI_BAND",
     "DmnPattern",
     "DmnClassification",
-    "dmn_step",
-    "dmn_orbit",
     "dmn_fixed_points",
     "dmn_classify",
     "GridlockClass",
@@ -63,42 +65,11 @@ def _slope(spec: DmnSpec) -> float:
 def _starved_and_saturated(spec: DmnSpec) -> tuple[float, float]:
     """The two values of the ring's alternation: a starved link behind a
     saturated one, and the saturated narrow-link capacity.  The starved
-    value is written exactly as `dmn_step` computes the image of a
-    saturated predecessor, so the alternations are bitwise fixed points."""
+    value is written exactly as the stage map `build_map(spec.stage)`
+    computes the image of a saturated predecessor, so the alternations
+    are bitwise fixed points of the ring."""
     cap = spec.stage.c1
     return spec.stage.c3 - _slope(spec) * cap, cap
-
-
-def dmn_step(spec: DmnSpec, state: tuple[float, ...]) -> tuple[float, ...]:
-    """One loop-time update of the narrow-link out-fluxes.
-
-    Each component is driven by its cyclic predecessor; the saturation cap
-    is the narrow-link capacity C1.  Inside the analysis band the image
-    stays in (0, C1]; outside it a component can turn negative, which the
-    derivation does not cover, so that raises DomainError (where the DM
-    map of `build_map(spec.stage)` would clamp).
-    """
-    lam = _slope(spec)
-    if len(state) != spec.n:
-        raise DomainError(
-            f"state must have {spec.n} components, got {len(state)}")
-    cap, supply = spec.stage.c1, spec.stage.c3
-    out = tuple(min(cap, supply - lam * state[i - 1])
-                for i in range(spec.n))
-    if any(v < 0.0 for v in out):
-        raise DomainError(
-            "ring map left [0, cap]; xi is outside the derivation band")
-    return out
-
-
-def dmn_orbit(spec: DmnSpec, state: tuple[float, ...], steps: int,
-              ) -> list[tuple[float, ...]]:
-    if steps < 0:
-        raise DomainError("steps must be nonnegative")
-    orbit = [tuple(state)]
-    for _ in range(steps):
-        orbit.append(dmn_step(spec, orbit[-1]))
-    return orbit
 
 
 class DmnPattern(Enum):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "FundamentalDiagram",
@@ -170,9 +170,8 @@ class GreenshieldsDiagram(FundamentalDiagram):
 
 def _make_diagram(capacity: float, vf: float, w: float,
                   shape: str) -> FundamentalDiagram:
-    """The diagram of `shape` for a link of the given capacity."""
+    """The diagram of `shape` for a link of the given capacity; `SimConfig`
+    admits only "triangular" and "greenshields"."""
     if shape == "triangular":
         return TriangularDiagram(capacity, vf, w)
-    if shape == "greenshields":
-        return GreenshieldsDiagram(capacity, vf)
-    raise ConfigurationError(f"unknown diagram shape {shape!r}")
+    return GreenshieldsDiagram(capacity, vf)

@@ -328,14 +328,14 @@ def _classify_grid(template: DmSpec, xi: np.ndarray,
     return regime, ccw, fields, v_star, stability, v_minus, v_plus
 
 
-def cobweb(fmap: PoincareMap, v0: float, n: int,
+def cobweb(orbit: list[float],
            ) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-    """Cobweb segments of an orbit, for plotting against the diagonal.
+    """Cobweb segments of an orbit from `PoincareMap.iterate`, for
+    plotting against the diagonal.
 
     Each iteration contributes the vertical segment (v_i, v_i)->(v_i,
     v_{i+1}) and the horizontal one (v_i, v_{i+1})->(v_{i+1}, v_{i+1}).
     """
-    orbit = fmap.iterate(v0, n)
     segments = []
     for a, b in zip(orbit, orbit[1:]):
         segments.append(((a, a), (a, b)))

@@ -13,13 +13,14 @@ from dmflow import (DmSpec, SimConfig, Simulation, build_dm, build_map,
                     classify_stability, validate_spec)
 from dmflow.cli import main as cli_main
 from dmflow.extended import (DmnPattern, beltway_classify, dmn_classify,
-                             dmn_fixed_points, dmn_orbit, dmn_step)
+                             dmn_fixed_points)
 from dmflow.network import (BeltwaySpec, DmnSpec, LinkRegime, beltway_start,
                             build_beltway, build_dmn, dmn_start,
                             stationary_start, stationary_states)
 from dmflow.poincare import StabilityClass
 from dmflow.validation import (Verdict, detect_oscillation,
                                measure_decay_ratio)
+from test_extended import ring_step
 from test_poincare import random_marginal_spec
 
 # The two worked networks used throughout.
@@ -237,12 +238,12 @@ def test_criterion_09_ring_of_stages_classification():
     # Exact fixed points of the ring map, reached from +-1e-3.
     ring = DmnSpec(2, 0.4)
     sym, up, down = dmn_fixed_points(ring)
-    assert dmn_step(ring, up) == up
-    assert dmn_step(ring, down) == down
+    assert ring_step(ring, up) == up
+    assert ring_step(ring, down) == down
     reached = set()
     for eps in (+1e-3, -1e-3):
         state = (sym[0] + eps, sym[1] - eps)
-        final = dmn_orbit(ring, state, 80)[-1]
+        final = ring_step(ring, state, 80)
         assert final in (up, down)
         reached.add(final)
     assert len(reached) == 2

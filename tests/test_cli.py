@@ -307,6 +307,19 @@ class TestScenarioErrors:
             f"xi must lie in [0, 1], got 1.5\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["validate"], ["validate", "--family"]])
+    @pytest.mark.parametrize("horizon, shown", [
+        ("nan", "nan"), ("-5", "-5.0"), ("inf", "inf")])
+    def test_horizon_override_outside_the_domain_names_the_option(
+            self, command, horizon, shown, tmp_path, capsys):
+        assert main([*command, CLASSIC, "--horizon", horizon,
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {CLASSIC}: simulation with --horizon "
+            f"{shown}: horizon must be finite and nonnegative, got {shown}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_ring_flow_at_capacity_is_rejected(self, tmp_path, capsys):
         scn = tmp_path / "full.yaml"
         scn.write_text(BELTWAY_NETWORK + "  ring_capacity: 1.0\n"

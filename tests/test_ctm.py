@@ -230,6 +230,12 @@ class TestStep:
         with pytest.raises(ConfigurationError, match="positive integer"):
             SimConfig(cells_per_link=cells)
 
+    @pytest.mark.parametrize("shape", ["parabolic", "Triangular", ""])
+    def test_unknown_diagram_shape_rejected_at_construction(self, shape):
+        with pytest.raises(ConfigurationError,
+                           match=f"^unknown diagram shape {shape!r}$"):
+            SimConfig(shape=shape)
+
     def test_integral_float_cells_per_link_accepted(self):
         # A scenario's 20.0 is an integer to the schema.
         config = SimConfig(cells_per_link=20.0)

@@ -12,13 +12,24 @@ from hypothesis import strategies as st
 from dmflow import DmSpec, DomainError, SimConfig, Simulation, build_map
 from dmflow.extended import (DMN_XI_BAND, DmnPattern, GridlockClass,
                              beltway_classify, dmn_classify,
-                             dmn_fixed_points, dmn_orbit, dmn_step)
+                             dmn_fixed_points)
 from dmflow.network import BeltwaySpec, DmnSpec, build_dmn
 
 
 def hexes(values) -> tuple[str, ...]:
     """Bit-exact images of floats: 0.0 and -0.0 differ."""
     return tuple(float(v).hex() for v in values)
+
+
+def ring_step(spec: DmnSpec, state: tuple[float, ...], steps: int = 1,
+              ) -> tuple[float, ...]:
+    """The narrow-link out-fluxes `steps` loop times after `state`: each
+    stage's map `build_map(spec.stage)` applied to its narrow link's
+    cyclic predecessor."""
+    fmap = build_map(spec.stage)
+    for _ in range(steps):
+        state = tuple(fmap(state[i - 1]) for i in range(spec.n))
+    return state
 
 
 @st.composite
@@ -38,10 +49,15 @@ class TestRingStage:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(rings_and_states())
     def test_each_ring_stage_is_its_dm_map(self, ring):
-        spec, state = ring
+        spec, _ = ring
+        # The ring's saturated/starved alternation is a two-cycle of the
+        # stage map, bit for bit.
         fmap = build_map(spec.stage)
-        assert hexes(dmn_step(spec, state)) == hexes(
-            fmap(state[i - 1]) for i in range(spec.n))
+        if spec.n % 2:
+            low, cap = dmn_classify(spec).cycle
+        else:
+            cap, low = dmn_fixed_points(spec)[1][:2]
+        assert hexes([fmap(cap), fmap(low)]) == hexes([low, cap])
         stage = spec.stage
         net = build_dmn(spec)
         capacity = {ln.name: ln.capacity for ln in net.links}
@@ -89,56 +105,29 @@ class TestRingStep:
     def test_symmetric_state_is_fixed(self):
         xi = 0.4
         state = (2 * xi, 2 * xi)
-        assert dmn_step(DmnSpec(2, xi), state) == pytest.approx(state,
-                                                                abs=1e-12)
+        assert ring_step(DmnSpec(2, xi), state) == pytest.approx(state,
+                                                                 abs=1e-12)
 
     def test_asymmetric_fixed_points_are_exactly_fixed(self):
         for n, scale in itertools.product((2, 4, 6, 8), (0.5, 1.0, 3.0)):
             for xi in (1 / 3 + 1e-9, 0.34, 0.38, 0.4, 0.42, 0.45, 0.49):
                 spec = DmnSpec(n, xi, scale)
                 for state in dmn_fixed_points(spec)[1:]:
-                    assert dmn_step(spec, state) == state
+                    assert ring_step(spec, state) == state
 
     def test_odd_ring_cycle_low_is_the_image_of_a_saturated_link(self):
         for n, scale in itertools.product((1, 3, 5), (0.5, 1.0, 3.0)):
             for xi in (1 / 3 + 1e-9, 0.34, 0.38, 0.4, 0.42, 0.45, 0.49):
                 spec = DmnSpec(n, xi, scale)
                 low, cap = dmn_classify(spec).cycle
-                assert dmn_step(spec, (cap,) * n) == (low,) * n
-
-    def test_single_stage_matches_dm_map_orbit(self):
-        # With beta = 0 the four-link network's map has the same middle
-        # segment; on [2 - lam, 1] the two agree exactly.
-        xi = 0.45
-        spec = DmSpec(3, 1, 2, 2, beta=0.0, xi=xi)
-        fmap = build_map(spec)
-        v = 0.9
-        ring = [s[0] for s in dmn_orbit(DmnSpec(1, xi), (v,), 30)]
-        dm = fmap.iterate(v, 30)
-        assert ring == pytest.approx(dm, abs=1e-12)
-
-    def test_symmetric_ring_reproduces_scalar_orbit_componentwise(self):
-        xi = 0.42
-        scalar = [s[0] for s in dmn_orbit(DmnSpec(1, xi), (0.7,), 25)]
-        for n in (2, 3, 4):
-            orbit = dmn_orbit(DmnSpec(n, xi), tuple(0.7 for _ in range(n)), 25)
-            for k, state in enumerate(orbit):
-                assert state == pytest.approx(
-                    tuple(scalar[k] for _ in range(n)), abs=1e-12)
+                assert ring_step(spec, (cap,) * n) == (low,) * n
 
     def test_band_guard(self):
-        with pytest.raises(DomainError):
-            dmn_step(DmnSpec(2, 0.0), (0.5, 0.5))
-        with pytest.raises(DomainError):
-            dmn_step(DmnSpec(2, 1.0), (0.5, 0.5))
-        with pytest.raises(DomainError):
-            dmn_step(DmnSpec(2, 0.4), (0.5,))
-
-    def test_image_leaving_unit_band_raises_domain_error(self):
-        # xi = 0.2 gives lam = 4, so 2 - 4 * 0.9 < 0: the map leaves
-        # [0, cap].  The guard must hold under python -O as well.
-        with pytest.raises(DomainError, match="left \\[0, cap\\]"):
-            dmn_step(DmnSpec(2, 0.2), (0.9, 0.3))
+        for xi in (0.0, 1.0):
+            with pytest.raises(DomainError):
+                dmn_classify(DmnSpec(2, xi))
+            with pytest.raises(DomainError):
+                dmn_fixed_points(DmnSpec(2, xi))
 
 
 class TestPerturbationFactor:
@@ -198,9 +187,9 @@ class TestRingClassification:
         targets = {}
         for eps, key in ((+1e-3, "+"), (-1e-3, "-")):
             state = (sym[0] + eps, sym[1] - eps)
-            orbit = dmn_orbit(spec, state, 80)
-            targets[key] = orbit[-1]
-            assert orbit[-1] in (up, down)
+            final = ring_step(spec, state, 80)
+            targets[key] = final
+            assert final in (up, down)
         assert targets["+"] != targets["-"]
 
 

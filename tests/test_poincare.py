@@ -334,18 +334,18 @@ class TestMapProperties:
 
 class TestCobweb:
     def test_zero_steps_empty(self):
-        assert cobweb(build_map(WIDE), 1.1, 0) == []
+        assert cobweb(build_map(WIDE).iterate(1.1, 0)) == []
 
     def test_fixed_point_start_degenerates(self):
         v_star = classify_stability(WIDE.with_xi(0.55)).fixed_point
         fmap = build_map(WIDE.with_xi(0.55))
-        segments = cobweb(fmap, v_star, 5)
+        segments = cobweb(fmap.iterate(v_star, 5))
         for a, b in segments:
             assert a == pytest.approx(b, abs=1e-9)
 
     def test_segments_trace_orbit(self):
         fmap = build_map(WIDE)
-        segments = cobweb(fmap, 1.1, 20)
+        segments = cobweb(fmap.iterate(1.1, 20))
         assert len(segments) == 40
         # Late segments hug the two-cycle rectangle through (0.75, 1.375).
         xs = {round(p[0], 6) for seg in segments[-8:] for p in seg}
