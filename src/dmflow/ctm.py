@@ -41,22 +41,24 @@ link's, so that no 0/0 warns.  `k`, `k1` and `q` are views.  Junctions
 are compiled once, at construction, into the rows of two groups:
 
   * merges: link or constant-demand approaches.  Origins and destinations
-    are merges whose second approach is an empty slot (demand 0,
-    fraction 0), for which min(d, max(s - 0, s/2)) is min(d, s) bit for
-    bit.
-  * diverges: fixed or commodity-driven xi, link or sink branches.  The
-    split and the commodity multipliers are gathered from constants kept
-    after the cell fractions, and a branch with share 0 drops its ratio
-    constraint.
+    are merges whose second approach is EMPTY (demand 0, fraction 0), for
+    which min(d, max(s - 0, s/2)) is min(d, s) bit for bit.
+  * diverges: fixed or commodity-driven xi, link or sink branches.  A
+    branch with share 0 drops its ratio constraint.
 
-The rows compile into one program, an index array into the buffer of
-supplies, demands and fractions: five operands per merge (d1, d2, s3, f1,
-f2) and seven per diverge (xi, d0, s1, s2, f0 and the two multipliers),
-laid out operand by operand.  Each step gathers it with one `take` for
-both evaluators, and every junction end's [q, phi] lands in the face
-vector: on its face, or for a boundary-only end in a slot after the
-faces.  The evaluator is chosen at construction by the number of rows
-(origins, merges, destinations and diverges):
+The junction buffer is [s | d | frac | constants]: the supply, demand and
+fraction of every cell, ghosts included, then one list of constants
+(boundary demands, supplies and fractions, fixed splits, 0.0 and 1.0).  A
+link's last cell gives its demand, fraction and out-face, its first cell
+its supply and in-face, one index.  Each junction compiles into one row:
+operand indices into that buffer, five per merge (d1, d2, s3, f1, f2) and
+seven per diverge (xi, d0, s1, s2, f0 and the two multipliers), and the
+faces of its three ends.  The rows form one program, laid out operand by
+operand.  Each step gathers it with one `take` for both evaluators, and
+every junction end's [q, phi] lands in the face vector: on its face, or
+for a boundary-only end in a slot after the faces.  The evaluator is
+chosen at construction by the number of rows (origins, merges,
+destinations and diverges):
 
   * up to `_SCALAR_ROWS` rows, a loop over Python floats over the
     vector's rows (one `tolist` per group), then one fancy assignment of
@@ -303,142 +305,122 @@ class Simulation:
 
     def _compile_junctions(self, network: Network,
                            row: dict[str, int]) -> None:
-        """Buffers, index and constant arrays of the two junction groups.
+        """Buffer, program and face slots of the junction rows.
 
-        One buffer holds the supplies and the demands of every cell, ghosts
-        included, then boundary demands: origins and constant-demand
-        approaches, then EMPTY (demand 0, fraction 0).  The fractions of
-        the cells and of those senders follow, then the fixed diverge
-        splits and a constant 1.0, and last the boundary supplies of
-        destinations and sink branches.  A link sends from its last cell
-        and receives into its first.  The rows compile into the program of
-        operands that a step gathers from that buffer: five per merge (d1,
-        d2, s3, f1, f2) and seven per diverge (split, d0, s1, s2, f0, the
-        two multipliers), operand by operand.  The merge shares are kept as
-        an array for the groups and as Python floats for the loop.
+        One buffer holds the supply, the demand and the fraction of every
+        cell, ghosts included, [s | d | frac], then the constants: boundary
+        demands, supplies and fractions, fixed splits, 0.0 and 1.0.  A link
+        sends from its last cell and receives into its first.  Each
+        junction is one row of operand indices into that buffer: five per
+        merge (d1, d2, s3, f1, f2) and seven per diverge (split, d0, s1,
+        s2, f0, the two multipliers).  Origins and destinations are merges
+        whose second approach is EMPTY, the constant 0.0 as demand and
+        fraction.  The program lays out the merge rows (origins, merges,
+        destinations), then the diverge rows, operand by operand.  The
+        merge shares are kept as an array for the groups and as Python
+        floats for the loop.
 
-        The groups' result array holds [q, phi] of every junction end, one
-        column each: merge approaches 1, merge approaches 2, merge
-        downstream ends, diverge upstream ends, diverge branches 1 and 2.
-        Origins and destinations are merges whose second approach is EMPTY.
-        Each end has a slot in the face vector: a link end its face, any
-        other end one of the slots after the faces.
+        Each row also lists the faces of its three ends (approaches 1 and
+        2 and downstream, or upstream and branches 1 and 2), `None` for a
+        boundary-only end, which gets one of the slots after the faces.
+        The loop writes [q, phi] of every row's ends in row order; the
+        groups' result array holds them end by end: merge approaches 1,
+        approaches 2, downstream ends, then diverge upstream ends, branches
+        1 and branches 2.
         """
         n, cells = self._n, self.config.cells_per_link
         size = n * (cells + 1)
-        demand: list[float] = []
-        fraction: list[float] = []
-        supply: list[float] = []
+        consts: list[float] = []
 
-        def sender(d: float, frac: float) -> int:
-            demand.append(d)
-            fraction.append(frac)
-            return size + len(demand) - 1
+        def const(value: float) -> int:
+            consts.append(value)
+            return 3 * size + len(consts) - 1
 
-        def receiver(s: float) -> int:
-            # Boundary supplies end the buffer, in reverse.
-            supply.append(s)
-            return -len(supply)
+        def tail(link: str) -> tuple[int, int, int]:
+            """Demand, fraction and out-face of the link's last cell."""
+            c = row[link] * (cells + 1) + cells - 1
+            return size + c, 2 * size + c, c + 1
 
-        def last(link: str) -> int:
-            return row[link] * (cells + 1) + cells - 1
-
-        def first(link: str) -> int:
+        def head(link: str) -> int:
+            """Supply and in-face of the link's first cell: one index."""
             return row[link] * (cells + 1)
 
-        m = (len(network.origins) + len(network.merges)
-             + len(network.destinations))
-        nd = len(network.diverges)
-        # The face of each result column; -1 for a boundary-only end.
-        at = [-1] * (3 * m + 3 * nd)
-        # Result columns of the boundary ends, in the order the totals
-        # accumulate them.
-        origin_ends: list[int] = []
-        approach_ends: list[int] = []
-        dest_ends: list[int] = []
-        branch_ends: list[int] = []
+        # EMPTY's demand and fraction, and the multipliers of a
+        # commodity-driven diverge.
+        zero, one = const(0.0), const(1.0)
+        # The faces of each row's three ends, and the positions there of
+        # the boundary ends, in the order the totals accumulate them.
+        ends: list[int | None] = []
+        sources: list[int] = []
+        sinks: list[int] = []
 
-        def approach(a, col: int) -> int:
+        def boundary(ends_of: list[int]) -> None:
+            ends_of.append(len(ends))
+            ends.append(None)
+
+        def sender(a) -> tuple[int, int]:
+            """Demand and fraction of a merge approach."""
             if a.link is None:
-                approach_ends.append(col)
-                return sender(a.demand, 0.0)
-            at[col] = last(a.link) + 1
-            return last(a.link)
+                boundary(sources)
+                return const(a.demand), zero
+            d, f, face = tail(a.link)
+            ends.append(face)
+            return d, f
 
-        # Merge group rows (approach 1, approach 2, downstream) and beta.
+        def receiver(b) -> int:
+            """Supply of a diverge branch."""
+            if b.link is None:
+                boundary(sinks)
+                return const(b.supply)
+            ends.append(head(b.link))
+            return head(b.link)
+
         # With the empty second approach, min(d, max(s - 0.0, 0.5*s)) is
         # min(d, s) bit for bit.  Shares of 1/2 also keep an infinite d or
         # s exact: beta = 1 would give the empty approach 0*inf = NaN.
-        empty = sender(0.0, 0.0)
-        merges: list[tuple[int, int, int]] = []
+        merges: list[tuple[int, ...]] = []
         betas: list[float] = []
         for o in network.origins:
-            at[2 * m + len(merges)] = first(o.link)
-            origin_ends.append(len(merges))
-            merges.append((sender(o.demand, o.fraction), empty,
-                           first(o.link)))
+            boundary(sources)
+            ends += (None, head(o.link))    # EMPTY, downstream
+            merges.append((const(o.demand), zero, head(o.link),
+                           const(o.fraction), zero))
             betas.append(0.5)
         for mg in network.merges:
-            j = len(merges)
-            at[2 * m + j] = first(mg.downstream)
-            merges.append((approach(mg.approach1, j),
-                           approach(mg.approach2, m + j),
-                           first(mg.downstream)))
+            (d1, f1), (d2, f2) = sender(mg.approach1), sender(mg.approach2)
+            ends.append(head(mg.downstream))
+            merges.append((d1, d2, head(mg.downstream), f1, f2))
             betas.append(mg.beta)
-        for d in network.destinations:
-            at[len(merges)] = last(d.link) + 1
-            dest_ends.append(2 * m + len(merges))
-            merges.append((last(d.link), empty, receiver(d.supply)))
+        for dst in network.destinations:
+            d, f, face = tail(dst.link)
+            ends += (face, None)            # approach, EMPTY
+            boundary(sinks)
+            merges.append((d, zero, const(dst.supply), f, zero))
             betas.append(0.5)
-
-        # Diverge group rows (upstream, split, branch 1, branch 2 and the
-        # two commodity multipliers).  The split and the multipliers are
-        # gathered from the fraction buffer; constants follow the senders.
-        def constant(value: float) -> int:
-            fraction.append(value)
-            return size + len(fraction) - 1
-
-        one = constant(1.0)
         diverges: list[tuple[int, ...]] = []
-        for j, dv in enumerate(network.diverges):
-            up = last(dv.upstream)
-            at[3 * m + j] = up + 1
-            branches = []
-            for i, b in enumerate((dv.branch1, dv.branch2)):
-                col = 3 * m + (1 + i) * nd + j
-                if b.link is None:
-                    branch_ends.append(col)
-                    branches.append(receiver(b.supply))
-                else:
-                    at[col] = first(b.link)
-                    branches.append(first(b.link))
+        for dv in network.diverges:
+            d0, f0, face = tail(dv.upstream)
+            ends.append(face)
+            s1, s2 = receiver(dv.branch1), receiver(dv.branch2)
             if dv.xi is None:
                 # Commodity-driven: branch 1 carries all of commodity 1.
-                diverges.append((up, up, *branches, one, empty))
+                diverges.append((f0, d0, s1, s2, f0, one, zero))
             else:
-                diverges.append((up, constant(dv.xi), *branches, up, up))
+                diverges.append((const(dv.xi), d0, s1, s2, f0, f0, f0))
+        m, nd = len(merges), len(diverges)
 
         self._mg_beta = np.array([betas, [1.0 - b for b in betas]])
         self._room = np.empty((2,) + self._mg_beta.shape)
 
-        # Supply, demand and fraction side by side in one buffer, so that
-        # a step gathers the operands of every row in one `take`.
-        f0 = 2 * size + len(demand)
-        buf = self._buf = np.concatenate([np.zeros(2 * size), demand,
-                                          np.zeros(size), fraction,
-                                          supply[::-1]])
+        # Supply, demand and fraction side by side with the constants, so
+        # that a step gathers the operands of every row in one `take`.
+        buf = self._buf = np.concatenate([np.zeros(3 * size), consts])
         self._sd = buf[:2 * size]
-        self._s, self._d = self._sd.reshape(2, size)
-        self._frac = buf[f0:f0 + size]
-        # Demands follow the supplies of the cells.
-        rows = ([(size + a1, size + a2, down, f0 + a1, f0 + a2)
-                 for a1, a2, down in merges],
-                [(f0 + xi, size + up, b1, b2, f0 + up, f0 + m1, f0 + m2)
-                 for up, xi, b1, b2, m1, m2 in diverges])
-        # Operand by operand: d1 of every merge row, then d2, and so on;
-        # the negative index of a boundary supply wraps to the buffer's end.
-        self._program = np.array([i for group in rows for column in zip(
-            *group) for i in column], dtype=np.intp) % len(buf)
+        self._s, self._d, self._frac = buf[:3 * size].reshape(3, size)
+        # Operand by operand: d1 of every merge row, then d2, and so on.
+        self._program = np.array([i for group in (merges, diverges)
+                                  for column in zip(*group) for i in column],
+                                 dtype=np.intp)
         ops = self._ops = np.empty(5 * m + 7 * nd)
         mg, dv = ops[:5 * m].reshape(5, m), ops[5 * m:].reshape(7, nd)
         self._mg_rows, self._dv_rows = mg.T, dv.T
@@ -459,33 +441,36 @@ class Simulation:
         self._open = np.ones((3, nd), dtype=bool)
 
         # The face vector: q then phi of every cell's upstream face, then a
-        # zero and q of the boundary-only ends, a zero and their phi.
-        zero = 2 * size
-        q_at = np.array(at + [zero])
-        bound = np.flatnonzero(q_at < 0)
-        q_at[bound] = zero + 1 + np.arange(len(bound))
-        ends = np.array([q_at, q_at + np.where(q_at < size, size,
-                                               len(bound) + 1)])
-        faces = self._faces = np.zeros(zero + 2 + 2 * len(bound))
-        self._flux = faces[:zero].reshape(2, n, cells + 1)
+        # zero and q of the boundary-only ends, a zero and their phi.  The
+        # slot array holds [q, phi] of every end in row order, then the
+        # zeros.
+        nf = 2 * size
+        bound = [i for i, face in enumerate(ends) if face is None]
+        q_at = np.array([0 if face is None else face for face in ends]
+                        + [nf])
+        q_at[bound] = nf + 1 + np.arange(len(bound))
+        slots = np.array([q_at, q_at + np.where(q_at < size, size,
+                                                len(bound) + 1)])
+        faces = self._faces = np.zeros(nf + 2 + 2 * len(bound))
+        self._flux = faces[:nf].reshape(2, n, cells + 1)
         self.q = self._flux[0]
-        # Where the groups' result columns and the loop's [q, phi] of each
-        # row's three ends go.
-        self._scatter = np.ascontiguousarray(ends[:, :live])
-        self._targets = np.concatenate([
-            ends[:, j:j + 3 * g].reshape(2, 3, g).transpose(2, 0, 1).ravel()
-            for j, g in ((0, m), (3 * m, nd))])
-        self._bnd = ends[:, [live, *origin_ends, *approach_ends,
-                             live, *dest_ends, *branch_ends]]
-        self._n_src = 1 + len(origin_ends) + len(approach_ends)
+        # The loop's [q, phi] of each row's three ends, and the groups'
+        # result columns, end by end within each group.
+        self._targets = slots[:, :live].reshape(2, m + nd, 3).transpose(
+            1, 0, 2).ravel()
+        self._scatter = np.concatenate([
+            slots[:, j:j + 3 * g].reshape(2, g, 3).transpose(0, 2, 1)
+            .reshape(2, 3 * g) for j, g in ((0, m), (3 * m, nd))], 1)
+        self._bnd = slots[:, [live, *sources, live, *sinks]]
+        self._n_src = 1 + len(sources)
         out = np.arange(cells, size, cells + 1)
         # Per step of `run`: the out-fluxes and the boundary ends.
         self._record = np.concatenate([[out, out + size], self._bnd], 1)
         # Fixed views the step reads and writes through.
         self._d_out, self._s_in = self._d[:-1], self._s[1:]
         self._frac_out = self._frac[:-1]
-        self._q_inner, self._phi_inner = faces[1:size], faces[size + 1:zero]
-        self._faces_up, self._faces_down = faces[:zero], faces[1:zero + 1]
+        self._q_inner, self._phi_inner = faces[1:size], faces[size + 1:nf]
+        self._faces_up, self._faces_down = faces[:nf], faces[1:nf + 1]
 
     def load(self, starts: dict[str, LinkStart]) -> None:
         """Load starts given in flows into the named links, each on its own
@@ -497,6 +482,9 @@ class Simulation:
         standing shock holds the exact cell averages of its two-density
         profile.  Either way k is written once and k1 = fraction * k.
         """
+        for name in starts:
+            if name not in self.links:
+                raise ConfigurationError(f"unknown link {name!r}")
         self.t = 0.0
         cells = self.config.cells_per_link
         lengths = {ln.name: ln.length for ln in self.network.links}

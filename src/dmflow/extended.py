@@ -137,7 +137,6 @@ class BeltwayClassification:
     gridlock: GridlockClass
     per_pair: float    # (1-beta)/(1-xi)
     per_lap: float     # per_pair ** n_pairs
-    odds_form: float   # (1+mu)/(1+alpha), algebraically equal to per_pair
     half_life_pairs: float | None   # ramp pairs until the flux halves
 
 
@@ -158,5 +157,4 @@ def beltway_classify(spec: BeltwaySpec) -> BeltwayClassification:
     else:
         gridlock = GridlockClass.NEUTRAL
     return BeltwayClassification(gridlock, ratio, ratio ** spec.n_pairs,
-                                 (1.0 + spec.mu) / (1.0 + spec.alpha),
                                  half_life)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -171,16 +172,6 @@ class BeltwaySpec:
         _count(self, "n_pairs")
         _positive("ring_capacity", self.ring_capacity)
         _positive("segment_length", self.segment_length)
-
-    @property
-    def alpha(self) -> float:
-        """On-ramp odds form beta/(1-beta)."""
-        return self.beta / (1.0 - self.beta)
-
-    @property
-    def mu(self) -> float:
-        """Off-ramp odds form xi/(1-xi)."""
-        return self.xi / (1.0 - self.xi)
 
 
 class LinkRegime(Enum):
@@ -451,10 +442,17 @@ class Network:
     merges: tuple[Merge, ...] = ()
 
     def validate(self) -> None:
-        """Every link has a positive finite capacity and length, and is fed
-        and drained by exactly one junction.  Boundary demands and
-        supplies are nonnegative (+inf allowed), origin fractions and the
-        junction shares lie in [0, 1]."""
+        """There is at least one link, no two share a name, and every link
+        has a positive finite capacity and length and is fed and drained by
+        exactly one junction.  Boundary demands and supplies are
+        nonnegative (+inf allowed), origin fractions and the junction
+        shares lie in [0, 1]."""
+        if not self.links:
+            raise ConfigurationError("a network needs at least one link")
+        counts = Counter(ln.name for ln in self.links)
+        twice = sorted(name for name, k in counts.items() if k > 1)
+        if twice:
+            raise ConfigurationError(f"duplicate link names: {twice}")
         for ln in self.links:
             if not (0.0 < ln.capacity < math.inf
                     and 0.0 < ln.length < math.inf):

@@ -288,7 +288,9 @@ def test_criterion_10_beltway_gridlock():
         spec = BeltwaySpec(beta=rng.uniform(0, 0.9), xi=rng.uniform(0, 0.9),
                            n_pairs=rng.randint(1, 6))
         cls = beltway_classify(spec)
-        assert abs(cls.per_pair - cls.odds_form) < 1e-12
+        odds = ((1.0 + spec.xi / (1.0 - spec.xi))
+                / (1.0 + spec.beta / (1.0 - spec.beta)))
+        assert abs(cls.per_pair - odds) < 1e-12
 
     spec = BeltwaySpec(beta=0.3, xi=0.2, n_pairs=4)
     hl = beltway_classify(spec).half_life_pairs

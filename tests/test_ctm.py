@@ -10,10 +10,10 @@ import pytest
 from dmflow import (ConfigurationError, DmSpec, DomainError, SimConfig,
                     Simulation, build_dm)
 from dmflow.ctm import diverge_flux, merge_flux
-from dmflow.network import (Destination, Link, LinkRegime, Network, Origin,
-                            BeltwaySpec, DmnSpec, StationaryState,
-                            beltway_start, build_beltway, build_dmn,
-                            stationary_start, stationary_states)
+from dmflow.network import (Destination, Link, LinkRegime, LinkStart,
+                            Network, Origin, BeltwaySpec, DmnSpec,
+                            StationaryState, beltway_start, build_beltway,
+                            build_dmn, stationary_start, stationary_states)
 
 CLASSIC = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.45)
 BELTWAY4 = BeltwaySpec(beta=0.3, xi=0.2, n_pairs=4)
@@ -235,6 +235,16 @@ class TestStep:
         with pytest.raises(ConfigurationError,
                            match=f"^unknown diagram shape {shape!r}$"):
             SimConfig(shape=shape)
+
+    def test_load_of_an_unknown_link_rejected_before_any_write(self):
+        sim = Simulation(single_link_network())
+        sim.t = 3.0
+        start = LinkStart(0.1, 0.0, 0.0)
+        with pytest.raises(ConfigurationError,
+                           match="^unknown link 'nope'$"):
+            sim.load({"a": start, "nope": start})
+        assert sim.t == 3.0
+        assert not sim.links["a"].k.any()
 
     def test_integral_float_cells_per_link_accepted(self):
         # A scenario's 20.0 is an integer to the schema.

@@ -1,7 +1,8 @@
 """Property tests of the CTM kernel over random valid networks and states.
 
 Networks come from the three builders (single diverge-merge unit, ring of
-up to five stages, beltway), with either diagram shape, random cells per
+up to five stages, beltway), their mirror images and a single link between
+constant demands and sinks, with either diagram shape, random cells per
 link, a random CFL-valid dt and random initial cell densities and
 commodity fractions.  Each example is a short horizon; the search is
 derandomized so the suite cannot flake.
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 from dmflow import DmSpec, DomainError, SimConfig, Simulation, build_dm
 from dmflow import ctm
 from dmflow.ctm import _BLOCK, diverge_flux, merge_flux
-from dmflow.network import (BeltwaySpec, DmnSpec, LinkRegime, beltway_start,
+from dmflow.network import (Approach, BeltwaySpec, Branch, Diverge, DmnSpec,
+                            Link, LinkRegime, Merge, Network, beltway_start,
                             build_beltway, build_dmn, dmn_start,
                             stationary_start, stationary_states)
 from dmflow.scenario import load_scenario
@@ -53,8 +55,38 @@ def specs(draw):
 BUILDERS = {DmSpec: build_dm, DmnSpec: build_dmn, BeltwaySpec: build_beltway}
 
 
+def mirrored(network: Network) -> Network:
+    """`network` with the approaches of every merge and the branches of
+    every diverge swapped, at share 1 - beta and split 1 - xi.  On a
+    beltway the on-ramp becomes approach 2 and the off-ramp branch 2."""
+    return replace(
+        network,
+        merges=tuple(replace(mg, approach1=mg.approach2,
+                             approach2=mg.approach1, beta=1.0 - mg.beta)
+                     for mg in network.merges),
+        diverges=tuple(replace(dv, branch1=dv.branch2, branch2=dv.branch1,
+                               xi=None if dv.xi is None else 1.0 - dv.xi)
+                       for dv in network.diverges))
+
+
+@st.composite
+def sources_and_sinks(draw):
+    """One link fed by a merge of two constant demands and drained by a
+    diverge into two sinks."""
+    flow = st.floats(0.0, 3.0)
+    return Network(
+        (Link("a", draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 2.0))),),
+        diverges=(Diverge("a", Branch(supply=draw(flow)),
+                          Branch(supply=draw(flow)), xi=draw(unit)),),
+        merges=(Merge(Approach(demand=draw(flow)),
+                      Approach(demand=draw(flow)), "a", draw(unit)),))
+
+
 def networks():
-    return specs().map(lambda spec: BUILDERS[type(spec)](spec))
+    """A drawn spec's network, its mirror image, or `sources_and_sinks`:
+    together every kind of junction end in either position."""
+    built = specs().map(lambda spec: BUILDERS[type(spec)](spec))
+    return st.one_of(built, built.map(mirrored), sources_and_sinks())
 
 
 @st.composite
@@ -410,6 +442,22 @@ def evaluated(network, config, scalar: bool) -> Simulation:
         return Simulation(network, config)
     finally:
         ctm._SCALAR_ROWS = threshold
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(networks(), st.integers(1, 4), st.booleans())
+def test_every_compiled_index_is_in_range_and_every_end_has_its_own_slot(
+        network, cells, scalar):
+    # The step gathers and `run` records with take(..., "clip"), which
+    # clamps an index out of range instead of raising.
+    sim = evaluated(network, SimConfig(cells_per_link=cells), scalar)
+    assert sim._scalar is scalar
+    assert 0 <= sim._program.min() and sim._program.max() < len(sim._buf)
+    for slots in (sim._targets, sim._scatter, sim._record):
+        assert 0 <= slots.min() and slots.max() < len(sim._faces)
+    targets = sim._targets.tolist()
+    assert len(set(targets)) == len(targets)
+    assert set(targets) == set(sim._scatter.ravel().tolist())
 
 
 def edged(network, draw):

@@ -231,7 +231,9 @@ class TestBeltway:
                                xi=rng.uniform(0, 0.95),
                                n_pairs=rng.randint(1, 6))
             cls = beltway_classify(spec)
-            assert cls.odds_form == pytest.approx(cls.per_pair, abs=1e-12)
+            odds = ((1.0 + spec.xi / (1.0 - spec.xi))
+                    / (1.0 + spec.beta / (1.0 - spec.beta)))
+            assert odds == pytest.approx(cls.per_pair, abs=1e-12)
             assert cls.per_lap == pytest.approx(
                 cls.per_pair ** spec.n_pairs, abs=1e-12)
 

@@ -274,6 +274,27 @@ class TestBuilders:
         with pytest.raises(ConfigurationError):
             net.validate()
 
+    def test_validate_rejects_duplicate_link_names(self):
+        # Two rows of state under one name: the record would report only
+        # the first, which nothing feeds.
+        from dmflow.network import Destination, Link, Network, Origin
+        net = Network((Link("a", 1.0), Link("b", 1.0), Link("a", 1.0),
+                       Link("b", 2.0)),
+                      origins=(Origin("a", 0.5),),
+                      destinations=(Destination("a", 1.0),))
+        with pytest.raises(ConfigurationError,
+                           match=r"^duplicate link names: \['a', 'b'\]$"):
+            net.validate()
+        with pytest.raises(ConfigurationError, match="duplicate link names"):
+            Simulation(net)
+
+    def test_validate_rejects_a_network_without_links(self):
+        with pytest.raises(ConfigurationError,
+                           match="^a network needs at least one link$"):
+            Network(()).validate()
+        with pytest.raises(ConfigurationError, match="at least one link"):
+            Simulation(Network(()))
+
     @pytest.mark.parametrize("capacity", [float("nan"), float("inf")])
     def test_spec_rejects_non_finite_capacity(self, capacity):
         with pytest.raises(DomainError, match="c3 must be positive and fin"):
