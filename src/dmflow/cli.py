@@ -258,15 +258,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Kinematic-wave analysis of diverge-merge networks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats: bool = True):
+        """The scenario, --xi and --out, and --format unless the command
+        writes JSON only."""
         p.add_argument("scenario", help="scenario YAML file")
         p.add_argument("--xi", type=float, default=None,
                        help="override the route split of a dm scenario")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        if formats:
+            p.add_argument("--format", choices=("csv", "json"), default=None)
 
     p = sub.add_parser("analyze", help="stability report of the return map")
-    common(p)
+    common(p, formats=False)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("orbit", help="iterate the return map and emit "
@@ -290,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="simulate and compare against the "
                                         "analytic prediction")
-    common(p)
+    common(p, formats=False)
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--family", action="store_true",
                    help="sweep xi instead of validating a single value")

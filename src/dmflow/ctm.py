@@ -48,17 +48,17 @@ are compiled once, at construction, into the rows of two groups:
 
 The junction buffer is [s | d | frac | constants]: the supply, demand and
 fraction of every cell, ghosts included, then one list of constants
-(boundary demands, supplies and fractions, fixed splits, 0.0 and 1.0).  A
-link's last cell gives its demand, fraction and out-face, its first cell
-its supply and in-face, one index.  Each junction compiles into one row:
-operand indices into that buffer, five per merge (d1, d2, s3, f1, f2) and
-seven per diverge (xi, d0, s1, s2, f0 and the two multipliers), and the
-faces of its three ends.  The rows form one program, laid out operand by
-operand.  Each step gathers it with one `take` for both evaluators, and
-every junction end's [q, phi] lands in the face vector: on its face, or
-for a boundary-only end in a slot after the faces.  The evaluator is
-chosen at construction by the number of rows (origins, merges,
-destinations and diverges):
+(boundary demands, supplies and fractions, fixed splits, merge shares,
+0.0, 0.5 and 1.0).  A link's last cell gives its demand, fraction and
+out-face, its first cell its supply and in-face, one index.  Each junction
+compiles into one row: seven operand indices into that buffer, for a merge
+(d1, d2, s3, f1, f2, beta, 1 - beta) and for a diverge (xi, d0, s1, s2, f0
+and the two multipliers), and the faces of its three ends.  The rows form
+one program, laid out operand by operand.  Each step gathers it with one
+`take` for both evaluators, and every junction end's [q, phi] lands in the
+face vector: on its face, or for a boundary-only end in a slot after the
+faces.  The evaluator is chosen at construction by the number of rows
+(origins, merges, destinations and diverges):
 
   * up to `_SCALAR_ROWS` rows, a loop over Python floats over the
     vector's rows (one `tolist` per group), then one fancy assignment of
@@ -100,10 +100,14 @@ would.  The time stamps do not depend on stepping: `run` sums them once,
 in the order `t += dt` does.  A run that never settles pays one
 state copy and one comparison per block.
 
-Empty cells carry commodity fraction 0.  No flux depends on that value: an
-empty cell's demand is exactly 0 in both diagram shapes, so every flux it
-sends, and every fraction times that flux, is +0.0, and a commodity-driven
-diverge behind an empty cell sends q0 = 0 whatever split it reads.
+Fractions.  A step gives only the cells with k > 0 a fresh commodity
+fraction k1/k; every other cell keeps the one it last held, 0 after
+construction or `load`.  No flux depends on that value: such a cell's
+demand is exactly 0 (or NaN) in both diagram shapes, so every flux it
+sends is 0 (or NaN), and so is every fraction times that flux, and a
+commodity-driven diverge behind it sends q0 = 0 (or NaN) whatever split
+in [0, 1] it reads.  `load` clears them, so that a split outside [0, 1]
+left by a failed run does not outlive it.
 """
 
 from __future__ import annotations
@@ -309,16 +313,15 @@ class Simulation:
 
         One buffer holds the supply, the demand and the fraction of every
         cell, ghosts included, [s | d | frac], then the constants: boundary
-        demands, supplies and fractions, fixed splits, 0.0 and 1.0.  A link
-        sends from its last cell and receives into its first.  Each
-        junction is one row of operand indices into that buffer: five per
-        merge (d1, d2, s3, f1, f2) and seven per diverge (split, d0, s1,
-        s2, f0, the two multipliers).  Origins and destinations are merges
-        whose second approach is EMPTY, the constant 0.0 as demand and
-        fraction.  The program lays out the merge rows (origins, merges,
-        destinations), then the diverge rows, operand by operand.  The
-        merge shares are kept as an array for the groups and as Python
-        floats for the loop.
+        demands, supplies and fractions, fixed splits, merge shares, 0.0,
+        0.5 and 1.0.  A link sends from its last cell and receives into its
+        first.  Each junction is one row of seven operand indices into that
+        buffer: (d1, d2, s3, f1, f2, beta, 1 - beta) per merge and (split,
+        d0, s1, s2, f0, the two multipliers) per diverge.  Origins and
+        destinations are merges whose second approach is EMPTY, the
+        constant 0.0 as demand and fraction, and whose two shares are one
+        constant 0.5.  The program lays out the merge rows (origins,
+        merges, destinations), then the diverge rows, operand by operand.
 
         Each row also lists the faces of its three ends (approaches 1 and
         2 and downstream, or upstream and branches 1 and 2), `None` for a
@@ -378,25 +381,23 @@ class Simulation:
         # With the empty second approach, min(d, max(s - 0.0, 0.5*s)) is
         # min(d, s) bit for bit.  Shares of 1/2 also keep an infinite d or
         # s exact: beta = 1 would give the empty approach 0*inf = NaN.
+        half = const(0.5)
         merges: list[tuple[int, ...]] = []
-        betas: list[float] = []
         for o in network.origins:
             boundary(sources)
             ends += (None, head(o.link))    # EMPTY, downstream
             merges.append((const(o.demand), zero, head(o.link),
-                           const(o.fraction), zero))
-            betas.append(0.5)
+                           const(o.fraction), zero, half, half))
         for mg in network.merges:
             (d1, f1), (d2, f2) = sender(mg.approach1), sender(mg.approach2)
             ends.append(head(mg.downstream))
-            merges.append((d1, d2, head(mg.downstream), f1, f2))
-            betas.append(mg.beta)
+            merges.append((d1, d2, head(mg.downstream), f1, f2,
+                           const(mg.beta), const(1.0 - mg.beta)))
         for dst in network.destinations:
             d, f, face = tail(dst.link)
             ends += (face, None)            # approach, EMPTY
             boundary(sinks)
-            merges.append((d, zero, const(dst.supply), f, zero))
-            betas.append(0.5)
+            merges.append((d, zero, const(dst.supply), f, zero, half, half))
         diverges: list[tuple[int, ...]] = []
         for dv in network.diverges:
             d0, f0, face = tail(dv.upstream)
@@ -408,9 +409,7 @@ class Simulation:
             else:
                 diverges.append((const(dv.xi), d0, s1, s2, f0, f0, f0))
         m, nd = len(merges), len(diverges)
-
-        self._mg_beta = np.array([betas, [1.0 - b for b in betas]])
-        self._room = np.empty((2,) + self._mg_beta.shape)
+        self._room = np.empty((2, 2, m))
 
         # Supply, demand and fraction side by side with the constants, so
         # that a step gathers the operands of every row in one `take`.
@@ -421,13 +420,13 @@ class Simulation:
         self._program = np.array([i for group in (merges, diverges)
                                   for column in zip(*group) for i in column],
                                  dtype=np.intp)
-        ops = self._ops = np.empty(5 * m + 7 * nd)
-        mg, dv = ops[:5 * m].reshape(5, m), ops[5 * m:].reshape(7, nd)
+        ops = self._ops = np.empty(7 * (m + nd))
+        mg, dv = ops[:7 * m].reshape(7, m), ops[7 * m:].reshape(7, nd)
         self._mg_rows, self._dv_rows = mg.T, dv.T
-        self._d12, self._s3, self._f12 = mg[:2], mg[2], mg[3:]
+        self._d12, self._s3 = mg[:2], mg[2]
+        self._f12, self._b12 = mg[3:5], mg[5:]      # b12: beta, 1 - beta
         self._xi, self._bound = dv[0], dv[1:4]      # xi; d0, s1, s2
         self._f0, self._m12 = dv[4], dv[5:]
-        self._shares = tuple(zip(betas, self._mg_beta[1].tolist()))
         self._scalar = m + nd <= _SCALAR_ROWS
         live = 3 * m + 3 * nd
         res = self._res = np.zeros((2, live))
@@ -474,7 +473,7 @@ class Simulation:
 
     def load(self, starts: dict[str, LinkStart]) -> None:
         """Load starts given in flows into the named links, each on its own
-        diagram, and reset the clock.
+        diagram, and reset the clock and every cell's commodity fraction.
 
         Each link's densities are the inverses `FundamentalDiagram.density`
         of its flow on the free-flow and the congested branch.  A uniform
@@ -486,6 +485,7 @@ class Simulation:
             if name not in self.links:
                 raise ConfigurationError(f"unknown link {name!r}")
         self.t = 0.0
+        self._frac.fill(0.0)
         cells = self.config.cells_per_link
         lengths = {ln.name: ln.length for ln in self.network.links}
         for name, start in starts.items():
@@ -526,7 +526,6 @@ class Simulation:
                 np.subtract(1.0, fill, out=fill)
                 np.multiply(vf, side, out=out)
                 np.multiply(out, fill, out=out)
-        frac.fill(0.0)
         occupied = np.greater(k, 0.0, out=self._occupied)
         np.divide(self._flat_k1, k, out=frac, where=occupied)
         # Every index is in range; 'clip' writes into `out` directly, where
@@ -543,8 +542,7 @@ class Simulation:
             # (a, b) is `a if a < b or a != a else b`, np.maximum likewise.
             # Each row's three ends give q then phi, in row order.
             out: list[float] = []
-            for (b1, b2), (d1, d2, s3, f1, f2) in zip(
-                    self._shares, self._mg_rows.tolist()):
+            for d1, d2, s3, f1, f2, b1, b2 in self._mg_rows.tolist():
                 r, t = s3 - d2, b1 * s3
                 r = r if r > t or r != r else t
                 q1 = d1 if d1 < r or d1 != d1 else r
@@ -592,7 +590,7 @@ class Simulation:
             # room = max(s3 - (d2, d1), (beta, 1 - beta)*s3)
             room, share = self._room
             np.subtract(s3, d12[::-1], out=room)
-            np.multiply(self._mg_beta, s3, out=share)
+            np.multiply(self._b12, s3, out=share)
             np.maximum(room, share, out=room)
             q12 = np.minimum(d12, room, out=self._q_app)
             np.multiply(self._f12, q12, out=self._phi_app)

@@ -78,6 +78,18 @@ class TestAnalyze:
         assert payload["per_pair_ratio"] == pytest.approx(0.875, abs=1e-12)
 
 
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    def test_json_only_commands_reject_format(self, command, tmp_path,
+                                              capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, BIFURCATION, "--out", str(tmp_path),
+                  "--format", "csv"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --format csv" in err
+        assert not list(tmp_path.iterdir())
+
+
 class TestOrbit:
     def test_zero_steps_single_row(self, tmp_path):
         code = main(["orbit", BIFURCATION, "--v0", "1.1", "--steps", "0",

@@ -246,6 +246,35 @@ class TestStep:
         assert sim.t == 3.0
         assert not sim.links["a"].k.any()
 
+    @pytest.mark.parametrize("failed", [False, True])
+    def test_a_reloaded_simulation_records_what_a_fresh_one_records(
+            self, failed):
+        # The first run leaves commodity fractions in every cell, and a
+        # failed step a split of 1.5 behind the commodity-driven diverge,
+        # whose upstream cell the empty start then leaves at k = 0.
+        config = SimConfig(cells_per_link=5, horizon=30.0)
+        used, fresh = (Simulation(build_dm(CLASSIC), config)
+                       for _ in range(2))
+        used.load(stationary_start(CLASSIC, stationary_states(CLASSIC)[0]))
+        used.run()
+        if failed:
+            link0 = used.links["link0"]
+            link0.k1[-1] = 1.5 * link0.k[-1]
+            with pytest.raises(DomainError, match="xi"):
+                used.step()
+        empty = {name: LinkStart(0.0, 0.0, 0.0) for name in used.links}
+        records = []
+        for sim in (used, fresh):
+            sim.load(empty)
+            record = sim.run()
+            records.append([record.times, record.vehicles,
+                            *record.outflux.values(), sim._state,
+                            sim._faces, np.array(
+                                [record.conservation_error,
+                                 record.conservation_error_c1, sim.t])])
+        for got, want in zip(*records):
+            assert got.tobytes() == want.tobytes()
+
     def test_integral_float_cells_per_link_accepted(self):
         # A scenario's 20.0 is an integer to the schema.
         config = SimConfig(cells_per_link=20.0)

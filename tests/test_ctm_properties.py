@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from dmflow import DmSpec, DomainError, SimConfig, Simulation, build_dm
@@ -25,6 +25,8 @@ from dmflow.network import (Approach, BeltwaySpec, Branch, Diverge, DmnSpec,
                             Link, LinkRegime, Merge, Network, beltway_start,
                             build_beltway, build_dmn, dmn_start,
                             stationary_start, stationary_states)
+from dmflow.poincare import (Circulation, Regime, build_map,
+                             classify_stability)
 from dmflow.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -609,3 +611,60 @@ def test_run_logs_progress_and_settling_at_debug(caplog):
     assert progress[-1] == "run: 8889 of 8889 steps, t = 400.005"
     assert ("run: state settled at step 256; 8633 steps filled without "
             "stepping") in lines
+
+
+# At Courant number one on both waves (w = vf, dt = dx/vf) every wave moves
+# exactly one cell per step, so the simulator carries no numerical
+# diffusion, and the section values of a DM network whose loop links have
+# one length are the return map's orbit.
+
+CIRCULATING = (Regime.SOC_SUC, Regime.SUC_SOC)
+
+
+@st.composite
+def circulating_specs(draw):
+    """A DM spec with capacities in halves, shares in twentieths and four
+    equal lengths, whose regime has a circulating wave."""
+    half = st.integers(1, 8).map(lambda i: i / 2)
+    spec = DmSpec(*(draw(half) for _ in range(4)),
+                  beta=draw(st.integers(0, 20)) / 20,
+                  xi=draw(st.integers(1, 19)) / 20,
+                  lengths=(draw(st.sampled_from([0.5, 1.0, 2.0])),) * 4)
+    report = classify_stability(spec)
+    assume(report.regime in CIRCULATING)
+    event(f"{report.regime.value}, {report.stability.value}")
+    return spec
+
+
+def plateaus(series: list[float], tol: float) -> list[float]:
+    """The values of the runs of at least two steps within `tol` of their
+    first value, leaving out the run from the start and one-step
+    transients."""
+    runs: list[list] = []     # [first value, start, length]
+    for i, v in enumerate(series):
+        if runs and abs(v - runs[-1][0]) <= tol:
+            runs[-1][2] += 1
+        else:
+            runs.append([v, i, 1])
+    return [v for v, start, length in runs if start > 0 and length >= 2]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(circulating_specs())
+def test_section_values_follow_the_return_map_at_courant_number_one(spec):
+    cells, length = 4, spec.lengths[0]
+    config = SimConfig(cells_per_link=cells, dt=length / cells,
+                       horizon=200.0, free_flow_speed=1.0,
+                       congested_wave_speed=1.0)
+    record = Simulation(build_dm(spec), config).run()
+    fmap = build_map(spec)
+    # Link 1's out-flux counterclockwise, C3 minus link 2's clockwise.
+    if fmap.branch is Circulation.COUNTERCLOCKWISE:
+        observed = record.outflux["link1"]
+    else:
+        observed = spec.c3 - record.outflux["link2"]
+    tol = 1e-12 * max(spec.c0, spec.c1, spec.c2, spec.c3)
+    values = plateaus(observed.tolist(), tol)
+    assert len(values) >= 2
+    for v, then in zip(values, values[1:]):
+        assert abs(fmap(v) - then) <= tol, (v, then)

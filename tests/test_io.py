@@ -12,6 +12,7 @@ import math
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -158,3 +159,13 @@ def test_run_payload_matches_per_element_floats(record):
     }
     assert (json.dumps(io.run_payload(record), indent=2)
             == json.dumps(expected, indent=2))
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, io._CHUNK_ROWS, io._CHUNK_ROWS + 1])
+def test_csv_chunks_write_the_bytes_of_one_joined_text(n_rows, tmp_path):
+    header = ["t", "section", "flux"]
+    columns = [[f"{i}.5" for i in range(n_rows)], ["a"] * n_rows,
+               [repr(-0.0 if i % 2 else i / 3) for i in range(n_rows)]]
+    io.write_csv(tmp_path / "run.csv", header, columns)
+    joined = "\n".join([",".join(header), *map(",".join, zip(*columns))])
+    assert (tmp_path / "run.csv").read_bytes() == (joined + "\n").encode()
