@@ -5,7 +5,9 @@ up to five stages, beltway), their mirror images and a single link between
 constant demands and sinks, with either diagram shape, random cells per
 link, a random CFL-valid dt and random initial cell densities and
 commodity fractions.  Each example is a short horizon; the search is
-derandomized so the suite cannot flake.
+derandomized so the suite cannot flake.  One property runs DM units
+from empty at Courant number one and compares their section values with
+the return map.
 """
 
 import logging
