@@ -206,8 +206,7 @@ def cmd_simulate(args) -> int:
 
 
 def _validate_one(scenario: Scenario, args) -> tuple[bool, dict]:
-    result = validate_spec(scenario.require_dm(), scenario.sim,
-                           scenario.network)
+    result = validate_spec(scenario.require_dm(), scenario.sim)
     payload = io.validation_payload(result)
     ok = result.agrees
     if result.v_star_rel_error is not None:

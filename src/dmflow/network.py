@@ -95,6 +95,10 @@ class DmSpec:
     c0..c3 are the capacities of the origin link, the two intermediate
     links and the destination link; beta is the merge share guaranteed to
     link 1; xi the proportion of flow routed onto link 1 at the diverge.
+    origin_demand and destination_supply are the constant boundary data
+    that `build_dm` simulates; None means the saturating values C0 and C3,
+    which the stationary catalog and the return map assume whatever these
+    fields hold.
     """
 
     c0: float
@@ -104,6 +108,8 @@ class DmSpec:
     beta: float
     xi: float
     lengths: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
+    origin_demand: float | None = None
+    destination_supply: float | None = None
 
     def __post_init__(self):
         _cast(self, float, "c0", "c1", "c2", "c3", "beta", "xi")
@@ -157,13 +163,19 @@ class DmnSpec:
 class BeltwaySpec:
     """Ring road with n_pairs alternating off-ramp / on-ramp pairs (see
     `build_beltway`): on-ramp priority beta, off-ramp turning proportion
-    xi, and the capacity and length of each ring segment."""
+    xi, the capacity and length of each ring segment, and the constant
+    on-ramp demand and off-ramp supply, None meaning 0.6 and 10 times
+    ring_capacity.  `beltway_classify` assumes saturating ramps, on-ramps
+    that take their share beta of the ring's supply and off-ramps that
+    never block, whatever these two fields hold."""
 
     beta: float
     xi: float
     n_pairs: int
     ring_capacity: float = 1.0
     segment_length: float = 1.0
+    ramp_demand: float | None = None
+    offramp_supply: float | None = None
 
     def __post_init__(self):
         _cast(self, float, "beta", "xi", "ring_capacity", "segment_length")
@@ -502,19 +514,21 @@ class Network:
                 f"links must have exactly one feeder and one drainer: {bad}")
 
 
-def _build_stages(spec: DmSpec, stages: list[tuple[str, ...]],
-                  origin_demand: float, destination_supply: float,
-                  ) -> Network:
+def _build_stages(spec: DmSpec, stages: list[tuple[str, ...]]) -> Network:
     """Diverge-merge stages of `spec`, one per tuple of link names (origin,
-    link 1, link 2, destination).  The merge of stage k takes link 2 of
-    stage k - 1, cyclically, so one stage is the four-link network."""
+    link 1, link 2, destination), each with the spec's boundary data.  The
+    merge of stage k takes link 2 of stage k - 1, cyclically, so one stage
+    is the four-link network."""
     caps = (spec.c0, spec.c1, spec.c2, spec.c3)
+    demand = spec.c0 if spec.origin_demand is None else spec.origin_demand
+    supply = (spec.c3 if spec.destination_supply is None
+              else spec.destination_supply)
     links, origins, destinations, diverges, merges = [], [], [], [], []
     for k, names in enumerate(stages):
         origin, link1, link2, destination = names
         links += map(Link, names, caps, spec.lengths)
-        origins.append(Origin(origin, origin_demand, spec.xi))
-        destinations.append(Destination(destination, destination_supply))
+        origins.append(Origin(origin, demand, spec.xi))
+        destinations.append(Destination(destination, supply))
         diverges.append(Diverge(origin, Branch(link=link1),
                                 Branch(link=link2)))
         merges.append(Merge(Approach(link=link1),
@@ -526,19 +540,12 @@ def _build_stages(spec: DmSpec, stages: list[tuple[str, ...]],
     return net
 
 
-def build_dm(spec: DmSpec, origin_demand: float | None = None,
-             destination_supply: float | None = None) -> Network:
+def build_dm(spec: DmSpec) -> Network:
     """The four-link diverge-merge network with one origin-destination
     pair: the ring of one stage, with links `link0`..`link3` of lengths
-    `spec.lengths`.
-
-    Boundary data default to the saturating values (demand C0, supply C3)
-    under which the stationary catalog applies.
+    `spec.lengths` and the spec's boundary data.
     """
-    return _build_stages(
-        spec, [tuple(_STAGE_LINKS)],
-        spec.c0 if origin_demand is None else origin_demand,
-        spec.c3 if destination_supply is None else destination_supply)
+    return _build_stages(spec, [tuple(_STAGE_LINKS)])
 
 
 def build_dmn(spec: DmnSpec) -> Network:
@@ -551,12 +558,10 @@ def build_dmn(spec: DmnSpec) -> Network:
     out-flux is governed purely by the wide link's arrivals, matching the
     ring return map min(C1, C3 - ((1-xi)/xi) v).
     """
-    stage = spec.stage
-    return _build_stages(stage, _ring_links(spec.n), stage.c0, stage.c3)
+    return _build_stages(spec.stage, _ring_links(spec.n))
 
 
-def build_beltway(spec: BeltwaySpec, ramp_demand: float | None = None,
-                  offramp_supply: float | None = None) -> Network:
+def build_beltway(spec: BeltwaySpec) -> Network:
     """Ring road with n alternating off-ramp / on-ramp pairs.
 
     Going with the traffic: merge k -> a_k -> off-ramp diverge (fixed
@@ -566,8 +571,8 @@ def build_beltway(spec: BeltwaySpec, ramp_demand: float | None = None,
     0.6 and 10 times the ring capacity.
     """
     n, cap, length = spec.n_pairs, spec.ring_capacity, spec.segment_length
-    d_on = 0.6 * cap if ramp_demand is None else ramp_demand
-    s_off = 10.0 * cap if offramp_supply is None else offramp_supply
+    d_on = 0.6 * cap if spec.ramp_demand is None else spec.ramp_demand
+    s_off = 10.0 * cap if spec.offramp_supply is None else spec.offramp_supply
     links: list[Link] = []
     diverges: list[Diverge] = []
     merges: list[Merge] = []

@@ -21,7 +21,7 @@ import yaml
 
 from .ctm import SimConfig, Simulation
 from .errors import ConfigurationError, DomainError
-from .network import (BeltwaySpec, DmnSpec, DmSpec, Network, beltway_start,
+from .network import (BeltwaySpec, DmnSpec, DmSpec, beltway_start,
                       build_beltway, build_dm, build_dmn)
 
 __all__ = ["Scenario", "load_scenario", "SCENARIO_SCHEMA"]
@@ -107,7 +107,7 @@ SCENARIO_SCHEMA: dict = {
 
 # The keys each kind takes besides `kind`, per section: (required,
 # optional).  A key of another kind is a configuration error; an optional
-# key left out takes the default of the spec or builder that reads it.
+# key left out takes the default of the spec that reads it.
 _KEYS = {
     "network": {
         "dm": (("capacities", "beta", "xi"),
@@ -119,9 +119,7 @@ _KEYS = {
     },
     "initial": {"empty": ((), ()), "ring_flow": (("flow",), ())},
 }
-# Network keys that go to the builder, not the spec.
-_BOUNDARY = ("origin_demand", "destination_supply", "ramp_demand",
-             "offramp_supply")
+_BUILDERS = {"dm": build_dm, "dmn": build_dmn, "beltway": build_beltway}
 
 
 @dataclass(frozen=True)
@@ -130,7 +128,6 @@ class Scenario:
 
     kind: str
     spec: DmSpec | DmnSpec | BeltwaySpec    # the `network:` section
-    network: Network
     sim: SimConfig
     initial_flow: float | None      # ring flow of a congested start
     out_dir: str
@@ -144,7 +141,7 @@ class Scenario:
         return self.spec
 
     def simulation(self) -> Simulation:
-        sim = Simulation(self.network, self.sim)
+        sim = Simulation(_BUILDERS[self.kind](self.spec), self.sim)
         if self.initial_flow is not None:
             sim.load(beltway_start(self.spec, self.initial_flow))
         return sim
@@ -317,7 +314,6 @@ def load_scenario(path: str | Path, xi: float | None = None) -> Scenario:
     sim = SimConfig(**sim_cfg)
 
     net_cfg = _section(doc["network"], "network", path)
-    boundary = {key: net_cfg.pop(key) for key in _BOUNDARY if key in net_cfg}
     # The schema cannot state every domain a spec checks, such as a
     # beltway's xi below 1 or a ring's scaled capacities staying finite.
     try:
@@ -330,8 +326,6 @@ def load_scenario(path: str | Path, xi: float | None = None) -> Scenario:
     except DomainError as exc:
         where = "network" if xi is None else f"network with --xi {xi!r}"
         raise ConfigurationError(f"{path}: {where}: {exc}") from exc
-    build = {"dm": build_dm, "dmn": build_dmn, "beltway": build_beltway}
-    network = build[kind](spec, **boundary)
 
     init = doc.get("initial", {"kind": "empty"})
     if init["kind"] == "ring_flow" and kind != "beltway":
@@ -339,6 +333,6 @@ def load_scenario(path: str | Path, xi: float | None = None) -> Scenario:
             f"{path}: initial kind 'ring_flow' needs a beltway network")
     flow = _section(init, "initial", path).get("flow")
     out = doc.get("output", {})
-    return Scenario(kind, spec, network, sim, flow,
+    return Scenario(kind, spec, sim, flow,
                     out_dir=out.get("directory", "out"),
                     out_format=out.get("format", "csv"))

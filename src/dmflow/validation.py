@@ -18,8 +18,9 @@ import numpy as np
 
 from .ctm import SimConfig, Simulation
 from .errors import DomainError
-from .network import DmSpec, Network, build_dm
-from .poincare import StabilityClass, StabilityReport, classify_stability
+from .network import DmSpec, build_dm
+from .poincare import (Circulation, StabilityClass, StabilityReport,
+                       build_map, classify_stability)
 
 __all__ = [
     "Verdict",
@@ -126,22 +127,25 @@ def _rel_err(measured: float, expected: float) -> float:
     return abs(measured - expected) / abs(expected)
 
 
-def validate_spec(spec: DmSpec, config: SimConfig = SimConfig(),
-                  network: Network | None = None) -> ValidationResult:
-    """Run the network from empty and compare against the return map.
+def validate_spec(spec: DmSpec,
+                  config: SimConfig = SimConfig()) -> ValidationResult:
+    """Run `build_dm(spec)` from empty and compare against the return map.
 
-    `network` defaults to `build_dm(spec)`; a scenario passes its own, with
-    its boundary data, and its simulation settings as `config`.  The
-    monitored series is link 1's downstream boundary flux, which is
-    the unified map variable whenever the merge is saturated.  Expected
-    behaviour: converged near the fixed point for finite-time and
-    asymptotic classes, a persistent oscillation with extrema near the
-    two-cycle when unstable.
+    The monitored series is the map's own variable v: link 1's downstream
+    boundary flux, or C3 minus link 2's when the map circulates clockwise
+    (link 2 congested).  A bottleneck regime has no map and monitors
+    link 1.  Expected behaviour: converged near the fixed point for
+    finite-time and asymptotic classes; when unstable, a persistent
+    oscillation with extrema near the two-cycle, or a converged tail near
+    both of its points when the cycle is narrower than the detector's
+    flat tolerance.
     """
     report = classify_stability(spec)
-    sim = Simulation(build_dm(spec) if network is None else network, config)
-    record = sim.run()
+    record = Simulation(build_dm(spec), config).run()
     times, series = record.series("link1")
+    if (report.regime.supports_map
+            and build_map(spec).branch is Circulation.CLOCKWISE):
+        series = spec.c3 - record.series("link2")[1]
     osc = detect_oscillation(times, series, _WARMUP_FRAC * config.horizon,
                              _WINDOW_FRAC * config.horizon)
 
@@ -153,10 +157,15 @@ def validate_spec(spec: DmSpec, config: SimConfig = SimConfig(),
         if agrees and report.fixed_point is not None:
             v_err = _rel_err(osc.value, report.fixed_point)
     elif report.stability is StabilityClass.UNSTABLE:
-        agrees = osc.verdict is Verdict.PERSISTENT_OSCILLATION
-        if agrees and report.period2 is not None:
-            ex_err = (_rel_err(osc.low, report.period2.v_minus),
-                      _rel_err(osc.high, report.period2.v_plus))
+        cycle = report.period2
+        narrow = cycle.v_plus - cycle.v_minus < _FLAT_TOL
+        agrees = osc.verdict is (Verdict.CONVERGED if narrow
+                                 else Verdict.PERSISTENT_OSCILLATION)
+        if agrees:
+            low, high = ((osc.value, osc.value) if narrow
+                         else (osc.low, osc.high))
+            ex_err = (_rel_err(low, cycle.v_minus),
+                      _rel_err(high, cycle.v_plus))
     else:
         # Neutral continuum: any bounded tail is consistent.
         agrees = osc.verdict is not Verdict.UNDETERMINED

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, emitted files, determinism."""
 
 import hashlib
+import inspect
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -8,13 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dmflow import (ConfigurationError, DmSpec, SimConfig, Simulation,
-                    build_dm, cli)
+from dmflow import ConfigurationError, DmSpec, SimConfig, Simulation, cli
 from dmflow.cli import main
 from dmflow.extended import dmn_classify
-from dmflow.network import DmnSpec
+from dmflow.network import BeltwaySpec, DmnSpec
 from dmflow.io import validation_payload
-from dmflow.scenario import load_scenario
+from dmflow.scenario import _KEYS, load_scenario
 from dmflow.validation import validate_spec
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -37,7 +37,7 @@ COARSE_CONFIG = SimConfig(cells_per_link=8, horizon=120.0,
 
 def expected_validation(spec: DmSpec, config: SimConfig) -> dict:
     """validation.json of one member, without its pass flag."""
-    result = validate_spec(spec, config, build_dm(spec, origin_demand=2.5))
+    result = validate_spec(replace(spec, origin_demand=2.5), config)
     return json.loads(json.dumps(validation_payload(result)))
 
 
@@ -227,6 +227,13 @@ class TestScenarioErrors:
         scn = tmp_path / "odd.yaml"
         scn.write_text("network:\n  kind: star\n")
         assert main(["analyze", str(scn)]) == 2
+
+    def test_yaml_list_is_config_error(self, tmp_path):
+        scn = tmp_path / "list.yaml"
+        scn.write_text("- network\n- diagram\n")
+        with pytest.raises(ConfigurationError,
+                           match="scenario must be a mapping"):
+            load_scenario(scn)
 
     def test_ring_flow_without_flow_is_config_error(self, tmp_path):
         scn = tmp_path / "noflow.yaml"
@@ -511,6 +518,17 @@ class TestScenarioOverrides:
         last_link0 = [float(l.split(",")[2]) for l in lines
                       if l.split(",")[1] == "link0"][-1]
         assert last_link0 <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("kind, spec", [
+        ("dm", DmSpec), ("dmn", DmnSpec), ("beltway", BeltwaySpec)])
+    def test_network_keys_are_the_spec_parameters(self, kind, spec):
+        # Every key but `kind` goes to the spec, so none can bypass it.
+        required, optional = _KEYS["network"][kind]
+        spelled = {"capacities": ("c0", "c1", "c2", "c3"),
+                   "pairs": ("n_pairs",)}
+        keys = [name for key in required + optional
+                for name in spelled.get(key, (key,))]
+        assert sorted(keys) == sorted(inspect.signature(spec).parameters)
 
     def test_xi_override_rejected_for_ring_scenarios(self, tmp_path):
         assert main(["analyze", BELTWAY, "--xi", "0.3",

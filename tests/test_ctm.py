@@ -60,6 +60,13 @@ class TestJunctionFluxes:
         q0, q1, q2 = diverge_flux(3.0, 0.0, 2.0, 0.45)
         assert q0 == 0.0 and q1 == 0.0 and q2 == 0.0
 
+    @pytest.mark.parametrize("share", [-0.1, 1.1, math.nan])
+    def test_fluxes_reject_a_share_outside_the_unit_interval(self, share):
+        with pytest.raises(DomainError, match="xi must lie in"):
+            diverge_flux(3.0, 1.0, 2.0, share)
+        with pytest.raises(DomainError, match="beta must lie in"):
+            merge_flux(1.0, 2.0, 2.0, share)
+
     def test_merge_golden(self):
         q3, q1, q2 = merge_flux(1.0, 2.0, 2.0, 1 / 3)
         assert q3 == 2.0

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from dmflow import (ConfigurationError, DmSpec, DomainError, SimConfig,
                     Simulation, build_dm)
-from dmflow.network import (BeltwaySpec, DmnSpec, LinkRegime, Network,
+from dmflow.network import (Approach, BeltwaySpec, Branch, Destination,
+                            DmnSpec, Link, LinkRegime, Network, Origin,
                             StationaryState, build_beltway, build_dmn,
                             dmn_start, stationary_start, stationary_states)
 
@@ -269,15 +270,28 @@ class TestBuilders:
         build_beltway(BeltwaySpec(beta=0.3, xi=0.0, n_pairs=2))
 
     def test_validate_catches_dangling_link(self):
-        from dmflow.network import Link, Network, Origin
         net = Network(links=(Link("a", 1.0),), origins=(Origin("a", 1.0),))
         with pytest.raises(ConfigurationError):
             net.validate()
 
+    def test_validate_rejects_an_unknown_link(self):
+        net = Network(links=(Link("a", 1.0),), origins=(Origin("a", 1.0),),
+                      destinations=(Destination("b", 1.0),))
+        with pytest.raises(ConfigurationError, match="^unknown link 'b'$"):
+            net.validate()
+
+    @pytest.mark.parametrize("endpoint, fields", [
+        (Approach, {}), (Approach, {"link": "a", "demand": 1.0}),
+        (Branch, {}), (Branch, {"link": "a", "supply": 1.0})],
+        ids=["approach-neither", "approach-both", "branch-neither",
+             "branch-both"])
+    def test_endpoint_needs_a_link_or_a_constant(self, endpoint, fields):
+        with pytest.raises(ConfigurationError, match="exactly one of link"):
+            endpoint(**fields)
+
     def test_validate_rejects_duplicate_link_names(self):
         # Two rows of state under one name: the record would report only
         # the first, which nothing feeds.
-        from dmflow.network import Destination, Link, Network, Origin
         net = Network((Link("a", 1.0), Link("b", 1.0), Link("a", 1.0),
                        Link("b", 2.0)),
                       origins=(Origin("a", 0.5),),
@@ -344,6 +358,15 @@ class TestBuilders:
                                         segment_length=0.5))
         assert {(ln.capacity, ln.length) for ln in net.links} == {(2.0, 0.5)}
         assert net.merges[0].approach1.demand == 0.6 * 2.0
+
+    def test_builders_take_the_boundary_data_of_the_spec(self):
+        dm = build_dm(replace(CLASSIC, origin_demand=1.0,
+                              destination_supply=1.8))
+        assert (dm.origins[0].demand, dm.destinations[0].supply) == (1.0, 1.8)
+        belt = build_beltway(BeltwaySpec(0.3, 0.2, 2, ramp_demand=0.4,
+                                         offramp_supply=3.0))
+        assert {mg.approach1.demand for mg in belt.merges} == {0.4}
+        assert {dv.branch1.supply for dv in belt.diverges} == {3.0}
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):

@@ -76,6 +76,10 @@ class TestFixedPoints:
         assert intervals[0] == (pytest.approx(1.0), pytest.approx(2.0))
         assert points == []
 
+    def test_touching_identity_segments_merge_into_one_interval(self):
+        f = PiecewiseLinear((0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 2.0, 2.0))
+        assert f.fixed_points() == ([], [(0, 2)])
+
     def test_endpoint_root(self):
         f = PiecewiseLinear((0.0, 1.0), (0.0, 0.5))
         points, intervals = f.fixed_points()

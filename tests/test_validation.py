@@ -89,6 +89,11 @@ class TestDetector:
         report = detect_oscillation(t, v, warmup=40.0, window=25.0)
         assert report.verdict is Verdict.UNDETERMINED
 
+    def test_series_of_different_lengths_rejected(self):
+        t, v = self.make_series(lambda x: 1.0)
+        with pytest.raises(DomainError, match="matching time/value"):
+            detect_oscillation(t, v[:-1], warmup=40.0, window=25.0)
+
     def test_short_series_rejected(self):
         t, v = self.make_series(lambda x: 1.0, t_end=10.0)
         with pytest.raises(DomainError):
@@ -216,6 +221,24 @@ class TestValidateSpec:
         assert result.oscillation.verdict is Verdict.CONVERGED
         assert result.v_star_rel_error < 0.01
 
+    def test_clockwise_map_reads_c3_minus_link2_outflux(self):
+        # Link 2 is congested: link 1 settles at 0.2222, C3 - link 2 at v*.
+        result = validate_spec(WIDE.with_xi(0.1))
+        assert result.oscillation.verdict is Verdict.CONVERGED
+        assert result.oscillation.value == pytest.approx(0.5, abs=1e-12)
+        assert result.v_star_rel_error == pytest.approx(0.0, abs=1e-12)
+
+    def test_two_cycle_narrower_than_the_detector_converges_onto_it(self):
+        # xi = beta reached through rounding leaves a cycle 2e-16 wide,
+        # far below the flat tolerance, so the tail reads as converged.
+        result = validate_spec(WIDE.with_xi(0.1 + 0.2))
+        cycle = result.report.period2
+        assert result.report.stability is StabilityClass.UNSTABLE
+        assert 0.0 < cycle.v_plus - cycle.v_minus < 1e-15
+        assert result.oscillation.verdict is Verdict.CONVERGED
+        assert result.agrees
+        assert max(result.extrema_rel_errors) < 1e-12
+
 
 def _agreement_sweep(spec, step, exclusion=0.01):
     """Simulated verdicts must match the analytic class away from
@@ -229,6 +252,11 @@ def _agreement_sweep(spec, step, exclusion=0.01):
             continue
         result = validate_spec(spec.with_xi(xi))
         assert result.agrees, (spec, xi, result.oscillation.verdict)
+        # The CLI's default --vstar-tol and --extrema-tol.
+        if result.v_star_rel_error is not None:
+            assert result.v_star_rel_error <= 0.01, (spec, xi)
+        if result.extrema_rel_errors is not None:
+            assert max(result.extrema_rel_errors) <= 0.05, (spec, xi)
         checked += 1
     return checked
 
