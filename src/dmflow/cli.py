@@ -43,9 +43,9 @@ def _outdir(args, scenario: Scenario) -> Path:
     return out
 
 
-def _load(args, xi: float | None) -> Scenario:
-    """The scenario at `xi`, its SimConfig taking --horizon when given."""
-    scenario = load_scenario(args.scenario, xi)
+def _load(args) -> Scenario:
+    """The scenario at --xi, its SimConfig taking --horizon when given."""
+    scenario = load_scenario(args.scenario, args.xi)
     if args.horizon is None:
         return scenario
     try:
@@ -192,7 +192,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = _load(args, args.xi)
+    scenario = _load(args)
     sim = scenario.simulation()
     out = _outdir(args, scenario)
     record = sim.run()
@@ -221,7 +221,7 @@ def cmd_validate(args) -> int:
     if args.family and args.xi is not None:
         raise ConfigurationError("--xi does not combine with --family, "
                                  "which validates the grid of --xi-step")
-    scenario = _load(args, args.xi)
+    scenario = _load(args)
     scenario.require_dm()
     if args.family and not 0.0 < args.xi_step < 1.0:
         raise ConfigurationError("--xi-step must lie in (0, 1)")
@@ -234,7 +234,7 @@ def cmd_validate(args) -> int:
         results = []
         all_ok = True
         for xi in np.arange(args.xi_step, 1.0, args.xi_step):
-            member = _load(args, float(xi))
+            member = replace(scenario, spec=scenario.spec.with_xi(float(xi)))
             ok, payload = _validate_one(member, args)
             results.append(payload)
             all_ok = all_ok and ok

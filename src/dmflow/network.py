@@ -77,6 +77,16 @@ def _count(spec, name: str) -> None:
     object.__setattr__(spec, name, int(value))
 
 
+def _boundary(spec, *names: str) -> None:
+    """Cast the boundary data among fields `names` that are not None to
+    float; each must be nonnegative, +inf allowed."""
+    _cast(spec, lambda x: x if x is None else float(x), *names)
+    for name in names:
+        value = getattr(spec, name)
+        if not (value is None or value >= 0.0):
+            raise DomainError(f"{name} must be nonnegative, got {value}")
+
+
 def _positive(name: str, value: float) -> None:
     if not 0.0 < value < math.inf:
         raise DomainError(f"{name} must be positive and finite, got {value}")
@@ -123,6 +133,7 @@ class DmSpec:
             raise DomainError(
                 f"lengths must be four positive finite numbers, got "
                 f"{self.lengths}")
+        _boundary(self, "origin_demand", "destination_supply")
 
     def with_xi(self, xi: float) -> "DmSpec":
         return replace(self, xi=xi)
@@ -184,6 +195,7 @@ class BeltwaySpec:
         _count(self, "n_pairs")
         _positive("ring_capacity", self.ring_capacity)
         _positive("segment_length", self.segment_length)
+        _boundary(self, "ramp_demand", "offramp_supply")
 
 
 class LinkRegime(Enum):
@@ -201,29 +213,19 @@ _FIXED_L = {LinkRegime.SUC: 0.0, LinkRegime.SOC: 1.0}
 
 @dataclass(frozen=True)
 class StationaryState:
-    """One stationary pattern pair with its through-flow.
-
-    l1/l2 give the congested fraction of each link: 0 for SUC, 1 for SOC,
-    None when free (any value in (0,1) for ZS, irrelevant for C where both
-    branch densities coincide).  Link flows are q1 = xi*q and q2 = (1-xi)*q.
-    """
+    """One stationary pattern pair with its through-flow.  Link flows are
+    q1 = xi*q and q2 = (1-xi)*q; each link's congested fraction follows
+    from its pattern, except on a ZS link (see `stationary_start`)."""
 
     link1: LinkRegime
     link2: LinkRegime
     q: float
-    l1: float | None
-    l2: float | None
-
-    @staticmethod
-    def of(link1: LinkRegime, link2: LinkRegime, q: float) -> "StationaryState":
-        return StationaryState(link1, link2, q,
-                               _FIXED_L.get(link1), _FIXED_L.get(link2))
 
 
 def _expand(group1: list[LinkRegime], group2: list[LinkRegime],
             q: float) -> list[StationaryState]:
     """Cartesian expansion of a multivalued catalog row ("a slash means or")."""
-    return [StationaryState.of(r1, r2, q)
+    return [StationaryState(r1, r2, q)
             for r1, r2 in itertools.product(group1, group2)]
 
 
@@ -347,19 +349,17 @@ def stationary_start(spec: DmSpec, state: StationaryState,
 
     Link 0 is uniformly over-critical and link 3 uniformly under-critical
     at the through-flow q; the intermediate links carry xi*q and
-    (1-xi)*q in their pattern, a critical one its capacity, with explicit
-    congested fractions where the pattern leaves them free.  Commodity 1
-    is the share xi of links 0 and 3 and all of link 1.
+    (1-xi)*q in their pattern, a critical one its capacity.  The pattern
+    fixes the congested fraction of an SUC (0) or SOC (1) link; l1 and l2
+    give it for a ZS link, in (0, 1).  Commodity 1 is the share xi of
+    links 0 and 3 and all of link 1.
     """
     q = state.q
     return dict(zip(_STAGE_LINKS, (
         LinkStart(q, 1.0, spec.xi),
-        _intermediate_start(
-            state.link1, l1 if l1 is not None else state.l1, spec.xi * q,
-            spec.c1, 1.0),
-        _intermediate_start(
-            state.link2, l2 if l2 is not None else state.l2,
-            (1.0 - spec.xi) * q, spec.c2, 0.0),
+        _intermediate_start(state.link1, l1, spec.xi * q, spec.c1, 1.0),
+        _intermediate_start(state.link2, l2, (1.0 - spec.xi) * q, spec.c2,
+                            0.0),
         LinkStart(q, 0.0, spec.xi))))
 
 
@@ -599,7 +599,7 @@ def dmn_start(spec: DmnSpec) -> dict[str, LinkStart]:
         raise DomainError(
             f"the symmetric ring start needs xi <= {bound}, got "
             f"xi = {spec.xi}")
-    start = stationary_start(stage, StationaryState.of(
+    start = stationary_start(stage, StationaryState(
         LinkRegime.SOC, LinkRegime.SUC, stage.c3)).values()
     return {name: link for names in _ring_links(spec.n)
             for name, link in zip(names, start)}

@@ -3,15 +3,17 @@
 Sections: `network` (topology kind and its parameters), `diagram`
 (flow-density shape and speeds), `simulation` (grid, time step, horizon),
 `initial` (starting profile) and `output` (directory and format defaults).
-The JSON-Schema (Draft 2020-12) that a document must satisfy is exported
-as SCENARIO_SCHEMA and committed alongside the example scenarios.  A small
-interpreter of the keywords it uses checks documents with jsonschema's own
-messages, so loading a scenario does not import jsonschema; numbers must
-also be finite, which JSON-Schema cannot express.
+The JSON-Schema (Draft 2020-12) that a document must satisfy is the
+package file scenario.schema.json, read once at import and exported as
+SCENARIO_SCHEMA.  A small interpreter of the keywords it uses checks
+documents with jsonschema's own messages, so loading a scenario does not
+import jsonschema; numbers must also be finite, which JSON-Schema cannot
+express.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from numbers import Number
@@ -26,83 +28,8 @@ from .network import (BeltwaySpec, DmnSpec, DmSpec, beltway_start,
 
 __all__ = ["Scenario", "load_scenario", "SCENARIO_SCHEMA"]
 
-SCENARIO_SCHEMA: dict = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "dmflow scenario",
-    "type": "object",
-    "required": ["network"],
-    "additionalProperties": False,
-    "properties": {
-        "network": {
-            "type": "object",
-            "required": ["kind"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["dm", "dmn", "beltway"]},
-                "capacities": {
-                    "type": "array", "items": {"type": "number",
-                                               "exclusiveMinimum": 0},
-                    "minItems": 4, "maxItems": 4,
-                },
-                "beta": {"type": "number", "minimum": 0, "maximum": 1},
-                "xi": {"type": "number", "minimum": 0, "maximum": 1},
-                "lengths": {
-                    "type": "array", "items": {"type": "number",
-                                               "exclusiveMinimum": 0},
-                    "minItems": 4, "maxItems": 4,
-                },
-                "origin_demand": {"type": "number", "minimum": 0},
-                "destination_supply": {"type": "number", "minimum": 0},
-                "n": {"type": "integer", "minimum": 1},
-                "scale": {"type": "number", "exclusiveMinimum": 0},
-                "pairs": {"type": "integer", "minimum": 1},
-                "ring_capacity": {"type": "number", "exclusiveMinimum": 0},
-                "segment_length": {"type": "number", "exclusiveMinimum": 0},
-                "ramp_demand": {"type": "number", "minimum": 0},
-                "offramp_supply": {"type": "number", "minimum": 0},
-            },
-        },
-        "diagram": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "shape": {"enum": ["triangular", "greenshields"]},
-                "free_flow_speed": {"type": "number", "exclusiveMinimum": 0},
-                "congested_wave_speed": {"type": "number",
-                                         "exclusiveMinimum": 0},
-            },
-        },
-        "simulation": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "cells_per_link": {"type": "integer", "minimum": 1},
-                "dt": {
-                    "anyOf": [{"type": "number", "exclusiveMinimum": 0},
-                              {"const": "auto"}],
-                },
-                "horizon": {"type": "number", "minimum": 0},
-            },
-        },
-        "initial": {
-            "type": "object",
-            "required": ["kind"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["empty", "ring_flow"]},
-                "flow": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "directory": {"type": "string"},
-                "format": {"enum": ["csv", "json"]},
-            },
-        },
-    },
-}
+SCENARIO_SCHEMA: dict = json.loads(Path(__file__).with_name(
+    "scenario.schema.json").read_text(encoding="utf-8"))
 
 
 # The keys each kind takes besides `kind`, per section: (required,

@@ -465,6 +465,25 @@ class TestValidateRunsScenario:
             expected_validation(COARSE_SPEC.with_xi(float(xi)), config)
             for xi in np.arange(0.45, 1.0, 0.45)]
 
+    def test_family_reads_the_scenario_once(self, tmp_path, monkeypatch):
+        loads, validated = [], []
+
+        def counted_load(*args):
+            loads.append(args)
+            return load_scenario(*args)
+
+        def recorded(spec, config):
+            validated.append((spec.xi, config.horizon))
+            return validate_spec(spec, config)
+
+        monkeypatch.setattr("dmflow.cli.load_scenario", counted_load)
+        monkeypatch.setattr("dmflow.cli.validate_spec", recorded)
+        main(["validate", BIFURCATION, "--family", "--xi-step", "0.1",
+              "--horizon", "5", "--out", str(tmp_path)])
+        assert loads == [(BIFURCATION, None)]
+        assert validated == [(float(xi), 5.0)
+                             for xi in np.arange(0.1, 1.0, 0.1)]
+
 
 class TestEmittedNumbers:
     def test_csv_numbers_round_trip_exactly(self, tmp_path):
@@ -479,13 +498,6 @@ class TestEmittedNumbers:
             xi_cell, v_star_cell = line.split(",")[:2]
             assert float(xi_cell) == xi
             assert float(v_star_cell) == v_star
-
-    def test_committed_schema_matches_code(self):
-        import json
-        from dmflow.scenario import SCENARIO_SCHEMA
-        committed = json.loads(
-            (SCENARIOS / "scenario.schema.json").read_text())
-        assert committed == SCENARIO_SCHEMA
 
     def test_validate_fails_on_tolerance_breach(self, tmp_path):
         # The damped case converges to ~6e-6 relative error at this

@@ -379,7 +379,7 @@ class TestStationaryPersistence:
         # ZS states live on the catalog's boundary rows; at xi = beta the
         # (ZS, SOC) pattern is admitted and its junction fluxes balance.
         spec = CLASSIC.with_xi(1 / 3)
-        state = StationaryState(LinkRegime.ZS, LinkRegime.SOC, 2.0, None, 1.0)
+        state = StationaryState(LinkRegime.ZS, LinkRegime.SOC, 2.0)
         assert (state.link1.value, state.link2.value) in {
             (s.link1.value, s.link2.value) for s in stationary_states(spec)}
         sim = Simulation(build_dm(spec))

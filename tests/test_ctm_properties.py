@@ -7,9 +7,11 @@ link, a random CFL-valid dt and random initial cell densities and
 commodity fractions.  Each example is a short horizon; the search is
 derandomized so the suite cannot flake.  One property runs DM units
 from empty at Courant number one and compares their section values with
-the return map.
+the return map; another grows networks without a DM loop and checks that
+they settle there.
 """
 
+import itertools
 import logging
 import math
 from dataclasses import replace
@@ -23,8 +25,9 @@ from hypothesis import strategies as st
 from dmflow import DmSpec, DomainError, SimConfig, Simulation, build_dm
 from dmflow import ctm
 from dmflow.ctm import _BLOCK, diverge_flux, merge_flux
-from dmflow.network import (Approach, BeltwaySpec, Branch, Diverge, DmnSpec,
-                            Link, LinkRegime, Merge, Network, beltway_start,
+from dmflow.network import (Approach, BeltwaySpec, Branch, Destination,
+                            Diverge, DmnSpec, Link, LinkRegime, Merge,
+                            Network, Origin, beltway_start,
                             build_beltway, build_dmn, dmn_start,
                             stationary_start, stationary_states)
 from dmflow.poincare import (Circulation, Regime, build_map,
@@ -670,3 +673,62 @@ def test_section_values_follow_the_return_map_at_courant_number_one(spec):
     assert len(values) >= 2
     for v, then in zip(values, values[1:]):
         assert abs(fmap(v) - then) <= tol, (v, then)
+
+
+# A DM loop is necessary for oscillation: networks whose junction graph has
+# no cycle settle from empty at Courant number one.
+
+@st.composite
+def acyclic_networks(draw):
+    """A network grown without a cycle in its junction graph: 1-3 origins,
+    then each step merges the open ends of two different components or
+    diverges one open end, 3 diverges in 10 splitting by commodity; every
+    end left open drains to a destination.  Capacities, demands and
+    supplies are halves from 0.5 to 4, shares twentieths, lengths 1."""
+    half = st.integers(1, 8).map(lambda i: i / 2)
+    share = st.integers(0, 20).map(lambda i: i / 20)
+    links, origins, diverges, merges = [], [], [], []
+    component = {}      # open end -> its component
+
+    def new_link(comp) -> str:
+        name = f"l{len(links)}"
+        links.append(Link(name, draw(half)))
+        component[name] = comp
+        return name
+
+    for comp in range(draw(st.integers(1, 3))):
+        origins.append(Origin(new_link(comp), draw(half), draw(share)))
+    for _ in range(draw(st.integers(0, 6))):
+        ends = sorted(component)
+        apart = [(a, b) for a, b in itertools.combinations(ends, 2)
+                 if component[a] != component[b]]
+        if apart and draw(st.booleans()):
+            a, b = draw(st.sampled_from(apart))
+            joined, other = component.pop(a), component.pop(b)
+            component.update((end, joined) for end, comp in
+                             component.items() if comp == other)
+            merges.append(Merge(Approach(link=a), Approach(link=b),
+                                new_link(joined), draw(share)))
+        else:
+            end = draw(st.sampled_from(ends))
+            comp = component.pop(end)
+            xi = None if draw(st.integers(0, 9)) < 3 else draw(share)
+            diverges.append(Diverge(end, Branch(link=new_link(comp)),
+                                    Branch(link=new_link(comp)), xi))
+    destinations = [Destination(end, draw(half)) for end in sorted(component)]
+    return Network(tuple(links), tuple(origins), tuple(destinations),
+                   tuple(diverges), tuple(merges))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(acyclic_networks())
+def test_networks_without_a_dm_loop_settle(network):
+    # Queues that grow at the difference of two nearly equal flows can
+    # take more than 200 time units to reach their end.
+    config = SimConfig(cells_per_link=4, dt=0.25, horizon=2000.0,
+                       free_flow_speed=1.0, congested_wave_speed=1.0)
+    record = Simulation(network, config).run()
+    tol = 1e-12 * max(ln.capacity for ln in network.links)
+    for name, flux in record.outflux.items():
+        tail = flux[-200:]
+        assert tail.max() - tail.min() <= tol, name

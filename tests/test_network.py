@@ -18,6 +18,10 @@ from dmflow.network import (Approach, BeltwaySpec, Branch, Destination,
                             dmn_start, stationary_start, stationary_states)
 
 CLASSIC = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.45)
+# Each boundary-data field with a spec that has it.
+BOUNDARY_SPECS = {"origin_demand": CLASSIC, "destination_supply": CLASSIC,
+                  "ramp_demand": BeltwaySpec(0.3, 0.2, 2),
+                  "offramp_supply": BeltwaySpec(0.3, 0.2, 2)}
 
 
 def stage_names(k: int) -> dict[str, str]:
@@ -91,16 +95,6 @@ class TestCatalogGoldens:
         got = patterns(stationary_states(spec))
         assert got == set(itertools.product(("SUC", "SOC", "ZS"), repeat=2))
 
-    def test_free_l_only_on_zs(self):
-        for s in stationary_states(CLASSIC.with_xi(1 / 3)):
-            for regime, l in ((s.link1, s.l1), (s.link2, s.l2)):
-                if regime is LinkRegime.ZS:
-                    assert l is None
-                elif regime is LinkRegime.SUC:
-                    assert l == 0.0
-                elif regime is LinkRegime.SOC:
-                    assert l == 1.0
-
 
 def random_spec(rng):
     c3 = rng.uniform(0.5, 3.0)
@@ -155,14 +149,14 @@ class TestProfiles:
     """The density profiles that stationary starts load."""
 
     def test_suc_profile_is_uniform(self):
-        state = StationaryState.of(LinkRegime.SOC, LinkRegime.SUC, 2.0)
+        state = StationaryState(LinkRegime.SOC, LinkRegime.SUC, 2.0)
         assert stationary_start(CLASSIC, state)["link2"].l == 0.0
         k = loaded(CLASSIC, state).links["link2"].k
         assert np.all(k == k[0])
         assert k[0] == pytest.approx(1.1, abs=1e-12)
 
     def test_soc_profile_is_uniform_over_critical(self):
-        state = StationaryState.of(LinkRegime.SOC, LinkRegime.SUC, 2.0)
+        state = StationaryState(LinkRegime.SOC, LinkRegime.SUC, 2.0)
         assert stationary_start(CLASSIC, state)["link1"].l == 1.0
         k = loaded(CLASSIC, state).links["link1"].k
         # capacity 1, flow 0.9: over-critical density 3 - 0.9/0.5
@@ -173,16 +167,14 @@ class TestProfiles:
         # Narrow link alone: capacity 1 (vf=1, w=1/2, kj=3), flow 0.5,
         # standing shock at midlink: 0.5 upstream, 2.0 downstream.
         spec = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.25)
-        state = StationaryState(LinkRegime.ZS, LinkRegime.SOC, 2.0,
-                                None, 1.0)
+        state = StationaryState(LinkRegime.ZS, LinkRegime.SOC, 2.0)
         start = stationary_start(spec, state, l1=0.5)["link1"]
         assert (start.q, start.l, start.fraction) == (0.5, 0.5, 1.0)
         cells = loaded(spec, state, l1=0.5).links["link1"].k
         assert np.allclose(cells[:10], 0.5) and np.allclose(cells[10:], 2.0)
 
     def test_zs_requires_interior_l(self):
-        state = StationaryState(LinkRegime.ZS, LinkRegime.SOC, 2.0,
-                                None, 1.0)
+        state = StationaryState(LinkRegime.ZS, LinkRegime.SOC, 2.0)
         spec = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.25)
         with pytest.raises(DomainError):
             stationary_start(spec, state, l1=0.0)
@@ -190,15 +182,14 @@ class TestProfiles:
             stationary_start(spec, state)
 
     def test_l_inconsistent_with_fixed_regime_rejected(self):
-        state = StationaryState.of(LinkRegime.SUC, LinkRegime.SOC, 2.0)
+        state = StationaryState(LinkRegime.SUC, LinkRegime.SOC, 2.0)
         spec = DmSpec(3, 1.5, 2, 2.5, beta=0.3, xi=0.25)
         with pytest.raises(DomainError):
             stationary_start(spec, state, l1=0.7)
 
     def test_zs_mass_interpolates_between_suc_and_soc(self):
         spec = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.45)
-        state = StationaryState(LinkRegime.ZS, LinkRegime.SUC, 2.0,
-                                None, 0.0)
+        state = StationaryState(LinkRegime.ZS, LinkRegime.SUC, 2.0)
         masses = []
         for l in np.linspace(0.05, 0.95, 10):
             sim = loaded(spec, state, l1=float(l), cells=40)
@@ -228,7 +219,7 @@ class TestBuilders:
     def test_ring_start_is_the_stage_start_of_every_stage(self, n, xi,
                                                           scale):
         spec = DmnSpec(n, xi, scale, beta=0.3)
-        start = stationary_start(spec.stage, StationaryState.of(
+        start = stationary_start(spec.stage, StationaryState(
             LinkRegime.SOC, LinkRegime.SUC, spec.stage.c3))
         want = [(name, start[link]) for k in range(1, n + 1)
                 for link, name in stage_names(k).items()]
@@ -367,6 +358,19 @@ class TestBuilders:
                                          offramp_supply=3.0))
         assert {mg.approach1.demand for mg in belt.merges} == {0.4}
         assert {dv.branch1.supply for dv in belt.diverges} == {3.0}
+
+    @pytest.mark.parametrize("field", BOUNDARY_SPECS)
+    @pytest.mark.parametrize("value", [-1.0, -math.inf, math.nan, "-1"])
+    def test_specs_reject_negative_or_nan_boundary_data(self, field, value):
+        with pytest.raises(DomainError, match=f"^{field} must be nonneg"):
+            replace(BOUNDARY_SPECS[field], **{field: value})
+
+    @pytest.mark.parametrize("field", BOUNDARY_SPECS)
+    @pytest.mark.parametrize("value, cast", [
+        ("2", 2.0), (1, 1.0), (0, 0.0), (math.inf, math.inf), (None, None)])
+    def test_specs_cast_their_boundary_data(self, field, value, cast):
+        got = getattr(replace(BOUNDARY_SPECS[field], **{field: value}), field)
+        assert (got, type(got)) == (cast, type(cast))
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):

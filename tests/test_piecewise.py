@@ -1,5 +1,6 @@
 """Piecewise-linear algebra: exact composition and fixed-point enumeration."""
 
+import math
 import random
 
 import numpy as np
@@ -37,6 +38,22 @@ class TestBasics:
     def test_monotone_breakpoints_required(self):
         with pytest.raises(DomainError):
             PiecewiseLinear((0.0, 0.0, 1.0), (0.0, 1.0, 2.0))
+
+    @pytest.mark.parametrize("xs", [(0.0, math.inf), (0.0, math.nan)])
+    def test_non_finite_breakpoint_rejected(self, xs):
+        with pytest.raises(DomainError, match="is not a finite number"):
+            PiecewiseLinear(xs, (0.0, 1.0))
+
+    @pytest.mark.parametrize("xs, ys", [((0.0, 1.0), (0.0, 1.0, 2.0)),
+                                        ((0.0,), (0.0,))],
+                             ids=["unmatched", "single-point"])
+    def test_matching_xs_ys_of_two_points_required(self, xs, ys):
+        with pytest.raises(DomainError, match="at least two points"):
+            PiecewiseLinear(xs, ys)
+
+    def test_iterate_needs_a_positive_order(self):
+        with pytest.raises(DomainError, match="n must be >= 1"):
+            PiecewiseLinear((0.0, 1.0), (1.0, 0.0)).iterate(0)
 
 
 class TestCompose:

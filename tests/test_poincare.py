@@ -1,6 +1,7 @@
 """Return-map construction, fixed points, stability, periodic points."""
 
 import random
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dmflow import (DmSpec, DomainError, UnsupportedRegimeError, build_map,
 from dmflow.network import stationary_states
 from dmflow.poincare import (Circulation, PoincareMap, Regime,
                              StabilityClass, cobweb)
+from test_ctm_properties import circulating_specs
 
 CLASSIC = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.45)      # narrow link 1
 WIDE = DmSpec(3, 1.5, 2, 2.5, beta=0.3, xi=0.4)        # sweep showcase
@@ -134,6 +136,10 @@ class TestApplyIterate:
 
     def test_zero_steps(self):
         assert build_map(WIDE).iterate(1.1, 0) == [1.1]
+
+    def test_negative_steps_rejected(self):
+        with pytest.raises(DomainError, match="n must be nonnegative"):
+            build_map(WIDE).iterate(1.1, -1)
 
     @pytest.mark.parametrize("steps", [0, 1])
     def test_start_outside_the_domain_rejected(self, steps):
@@ -330,6 +336,28 @@ class TestMapProperties:
     def test_image_in_range_hypothesis(self, v):
         fmap = build_map(WIDE)
         assert 0.0 <= fmap(v) <= 2.5
+
+    @given(circulating_specs())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_no_period_beyond_two(self, spec):
+        # "Periodical points of period two, but no chaotic solutions", in
+        # exact arithmetic: F is non-increasing, and every fixed point of
+        # F^k, k = 3..6, lies in Fix(F) or Fix(F^2).
+        f = build_map(spec).as_piecewise()
+        assert all(b <= a for a, b in pairwise(f.ys))
+        points, intervals = set(), []
+        for order in (1, 2):
+            p, i = f.iterate(order).fixed_points()
+            points.update(p)
+            intervals += i
+
+        def covered(a, b):
+            return any(lo <= a and b <= hi for lo, hi in intervals)
+
+        for order in range(3, 7):
+            p, i = f.iterate(order).fixed_points()
+            assert all(x in points or covered(x, x) for x in p), order
+            assert all(covered(a, b) for a, b in i), order
 
 
 class TestCobweb:

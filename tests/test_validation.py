@@ -11,8 +11,8 @@ from dmflow import (DmSpec, DomainError, SimConfig, build_map,
                     classify_stability, validate_spec)
 from dmflow.bifurcation import _boundary_values
 from dmflow.poincare import PoincareMap, StabilityClass
-from dmflow.validation import (Verdict, detect_oscillation,
-                               measure_decay_ratio)
+from dmflow.validation import (Verdict, _period_from_maxima,
+                               detect_oscillation, measure_decay_ratio)
 from test_poincare import random_marginal_spec
 
 WIDE = DmSpec(3, 1.5, 2, 2.5, beta=0.3, xi=0.4)
@@ -98,6 +98,10 @@ class TestDetector:
         t, v = self.make_series(lambda x: 1.0, t_end=10.0)
         with pytest.raises(DomainError):
             detect_oscillation(t, v, warmup=40.0, window=25.0)
+
+    def test_no_period_from_a_single_peak(self):
+        t, v = self.make_series(lambda x: 1.0 if 40.0 <= x < 45.0 else 0.0)
+        assert _period_from_maxima(t, v, 0.0, 1.0) is None
 
 
 class TestBruteForceRoots:
@@ -227,6 +231,16 @@ class TestValidateSpec:
         assert result.oscillation.verdict is Verdict.CONVERGED
         assert result.oscillation.value == pytest.approx(0.5, abs=1e-12)
         assert result.v_star_rel_error == pytest.approx(0.0, abs=1e-12)
+
+    def test_cycle_point_at_zero_gets_an_absolute_error(self):
+        # v- = 0, so the relative error of the measured low is undefined.
+        result = validate_spec(DmSpec(3, 1, 2, 2, beta=0, xi=1 / 3),
+                               SimConfig(horizon=200.0))
+        assert result.report.period2.v_minus == 0.0
+        assert result.agrees
+        low = result.oscillation.low
+        assert 0.0 < low < 1e-4
+        assert result.extrema_rel_errors[0] == low
 
     def test_two_cycle_narrower_than_the_detector_converges_onto_it(self):
         # xi = beta reached through rounding leaves a cycle 2e-16 wide,
