@@ -56,6 +56,16 @@ def _load(args) -> Scenario:
     return replace(scenario, sim=sim)
 
 
+def _xi_grid(make, needs: str) -> np.ndarray:
+    """The grid of xi that make() builds; one too large for memory is a
+    configuration error saying what it `needs`."""
+    try:
+        return make()
+    except (OverflowError, MemoryError, ValueError):
+        raise ConfigurationError(
+            f"{needs}; they do not fit in memory") from None
+
+
 def _format(args, scenario: Scenario) -> str:
     return args.format if args.format else scenario.out_format
 
@@ -164,13 +174,10 @@ def cmd_sweep(args) -> int:
         raise ConfigurationError(
             f"--xi-min {args.xi_min!r} exceeds --xi-max {args.xi_max!r}")
     steps = (args.xi_max - args.xi_min) / args.step
-    try:
-        grid = args.xi_min + np.arange(round(steps) + 1) * args.step
-    except (OverflowError, MemoryError, ValueError):
-        raise ConfigurationError(
-            f"--step {args.step!r} needs {steps + 1:.4g} xi points from "
-            f"{args.xi_min!r} to {args.xi_max!r}; they do not fit in memory"
-        ) from None
+    grid = _xi_grid(
+        lambda: args.xi_min + np.arange(round(steps) + 1) * args.step,
+        f"--step {args.step!r} needs {steps + 1:.4g} xi points from "
+        f"{args.xi_min!r} to {args.xi_max!r}")
     out = _outdir(args, scenario)
     table = sweep_xi(spec, grid[grid <= args.xi_max + 1e-15])
     if _format(args, scenario) == "csv":
@@ -223,8 +230,12 @@ def cmd_validate(args) -> int:
                                  "which validates the grid of --xi-step")
     scenario = _load(args)
     scenario.require_dm()
-    if args.family and not 0.0 < args.xi_step < 1.0:
-        raise ConfigurationError("--xi-step must lie in (0, 1)")
+    if args.family:
+        if not 0.0 < args.xi_step < 1.0:
+            raise ConfigurationError("--xi-step must lie in (0, 1)")
+        grid = _xi_grid(lambda: np.arange(args.xi_step, 1.0, args.xi_step),
+                        f"--xi-step {args.xi_step!r} needs "
+                        f"{1.0 / args.xi_step - 1.0:.4g} xi points")
     for name, tol in (("--vstar-tol", args.vstar_tol),
                       ("--extrema-tol", args.extrema_tol)):
         if not tol >= 0.0:
@@ -233,7 +244,7 @@ def cmd_validate(args) -> int:
     if args.family:
         results = []
         all_ok = True
-        for xi in np.arange(args.xi_step, 1.0, args.xi_step):
+        for xi in grid:
             member = replace(scenario, spec=scenario.spec.with_xi(float(xi)))
             ok, payload = _validate_one(member, args)
             results.append(payload)

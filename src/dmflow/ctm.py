@@ -218,9 +218,8 @@ def merge_flux(d1: float, d2: float, s3: float, beta: float,
 class LinkState:
     """One link's row of the simulation's cell arrays; k and k1 are views."""
 
-    def __init__(self, name: str, fd: FundamentalDiagram, dx: float,
-                 k: np.ndarray, k1: np.ndarray):
-        self.name = name
+    def __init__(self, fd: FundamentalDiagram, dx: float, k: np.ndarray,
+                 k1: np.ndarray):
         self.fd = fd
         self.dx = dx
         self.k = k
@@ -246,7 +245,6 @@ class Simulation:
     """Steppable CTM instance for one network description."""
 
     def __init__(self, network: Network, config: SimConfig = SimConfig()):
-        network.validate()
         self.network = network
         self.config = config
         cells = config.cells_per_link
@@ -265,7 +263,7 @@ class Simulation:
         self._state = self._flat.reshape(2, n, cells + 1)[..., :cells]
         self.k, self.k1 = self._state
         self.links: dict[str, LinkState] = {
-            ln.name: LinkState(ln.name, fd, dx, self.k[i], self.k1[i])
+            ln.name: LinkState(fd, dx, self.k[i], self.k1[i])
             for i, (ln, fd, dx) in enumerate(zip(network.links, fds, dxs))}
 
         def diagram(attr: str) -> np.ndarray:

@@ -445,7 +445,9 @@ class Merge:
 
 @dataclass(frozen=True)
 class Network:
-    """Flat list of links and typed junctions; topology-generic."""
+    """Flat list of links and typed junctions; topology-generic.  It
+    checks itself when it is made (see __post_init__), so a Network that
+    exists is valid."""
 
     links: tuple[Link, ...]
     origins: tuple[Origin, ...] = ()
@@ -453,7 +455,7 @@ class Network:
     diverges: tuple[Diverge, ...] = ()
     merges: tuple[Merge, ...] = ()
 
-    def validate(self) -> None:
+    def __post_init__(self):
         """There is at least one link, no two share a name, and every link
         has a positive finite capacity and length and is fed and drained by
         exactly one junction.  Boundary demands and supplies are
@@ -534,10 +536,8 @@ def _build_stages(spec: DmSpec, stages: list[tuple[str, ...]]) -> Network:
         merges.append(Merge(Approach(link=link1),
                             Approach(link=stages[k - 1][2]), destination,
                             spec.beta))
-    net = Network(tuple(links), tuple(origins), tuple(destinations),
-                  tuple(diverges), tuple(merges))
-    net.validate()
-    return net
+    return Network(tuple(links), tuple(origins), tuple(destinations),
+                   tuple(diverges), tuple(merges))
 
 
 def build_dm(spec: DmSpec) -> Network:
@@ -583,9 +583,7 @@ def build_beltway(spec: BeltwaySpec) -> Network:
         prev = k - 1 if k > 1 else n
         merges.append(Merge(Approach(demand=d_on),
                             Approach(link=f"b{prev}"), f"a{k}", spec.beta))
-    net = Network(tuple(links), (), (), tuple(diverges), tuple(merges))
-    net.validate()
-    return net
+    return Network(tuple(links), (), (), tuple(diverges), tuple(merges))
 
 
 def dmn_start(spec: DmnSpec) -> dict[str, LinkStart]:

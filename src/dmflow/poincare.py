@@ -27,9 +27,8 @@ At slope exactly one every off-fixed-point state is two-periodic.
 The regime, the circulation, the slope and clamps, and the fixed point,
 class and two-cycle are defined once, by one array pass over a grid of xi
 (_classify_grid, which bifurcation.sweep_xi runs).  Its one-point case has
-two readers: build_map returns the map, and classify_stability the
-StabilityReport that holds the regime, the fixed point, the class and the
-two-cycle.
+one reader, classify_stability, whose StabilityReport holds the regime, the
+fixed point, the class, the two-cycle and the map that build_map returns.
 """
 
 from __future__ import annotations
@@ -112,6 +111,7 @@ class StabilityReport:
         clockwise, mu = xi/(1-xi) >= 1, by the v -> C3 - v symmetry that
         swaps (xi, C1, beta) with (1-xi, C2, 1-beta):
             v- = max(C3 - C2, mu*(C3 - A2p)),  v+ = min(A2p, mu*(C3 - v-))
+    map is the return map (see build_map), None in a bottleneck regime.
     """
 
     regime: Regime
@@ -122,6 +122,7 @@ class StabilityReport:
     lyapunov_verdict: str | None = None
     # Strict Lyapunov label where it differs from the class: the neutral
     # continuum never decays, so first-method analysis calls it unstable.
+    map: PoincareMap | None = None
 
 
 @dataclass(frozen=True)
@@ -178,54 +179,50 @@ class PoincareMap:
         return PiecewiseLinear(xs, tuple(map(f, xs)))
 
 
-def _point(spec: DmSpec) -> tuple:
-    """The grid's row at spec.xi as Python values: regime, map (None in a
-    bottleneck regime), v*, stability, v- and v+."""
-    regime, ccw, fields, v_star, stability, v_minus, v_plus = \
-        _classify_grid(spec, np.array([spec.xi]))
-    fmap = None
-    if regime.item().supports_map:
-        branch = (Circulation.COUNTERCLOCKWISE if ccw.item()
-                  else Circulation.CLOCKWISE)
-        fmap = PoincareMap(branch, *fields[:, 0].tolist(), spec.c3)
-    v_star, v_minus, v_plus = (None if math.isnan(v) else v for v in
-                               (v_star.item(), v_minus.item(), v_plus.item()))
-    return regime.item(), fmap, v_star, stability.item(), v_minus, v_plus
-
-
 def build_map(spec: DmSpec) -> PoincareMap:
-    """Construct the return map for a downstream-bottleneck network.
+    """Construct the return map for a downstream-bottleneck network: the
+    map of `classify_stability(spec)`.
 
     In the overlap regime (xi == beta inside the open band) either
     circulation direction yields a valid map with the same fixed point;
     this one is counterclockwise unless that slope degenerates (xi == 0).
     """
-    regime, fmap, *_ = _point(spec)
-    if fmap is None:
+    report = classify_stability(spec)
+    if report.map is None:
         raise UnsupportedRegimeError(
-            f"no circulating return map in regime {regime.value}")
-    return fmap
+            f"no circulating return map in regime {report.regime.value}")
+    return report.map
 
 
 def classify_stability(spec: DmSpec) -> StabilityReport:
-    """Regime, fixed point, stability class and periodic points.
+    """Regime, fixed point, stability class, periodic points and map: the
+    grid's row at spec.xi as Python values.
 
     Bottleneck regimes (upstream or middle) settle in finite time for any
     initial profile and carry no return map; they are reported finite-time
     with no fixed-point value.
     """
-    regime, fmap, v_star, stability, v_minus, v_plus = _point(spec)
-    max_steps = None
-    if stability is StabilityClass.FINITE_TIME and fmap is not None:
-        # 1 when the map is constant, else 2 (the general clamp bound).
-        max_steps = (1 if fmap(0.0) == v_star and fmap(spec.c3) == v_star
-                     else 2)
+    regime, ccw, fields, v_star, stability, v_minus, v_plus = \
+        _classify_grid(spec, np.array([spec.xi]))
+    regime, stability = regime.item(), stability.item()
+    v_star, v_minus, v_plus = (None if math.isnan(v) else v for v in
+                               (v_star.item(), v_minus.item(), v_plus.item()))
+    fmap = max_steps = None
+    if regime.supports_map:
+        branch = (Circulation.COUNTERCLOCKWISE if ccw.item()
+                  else Circulation.CLOCKWISE)
+        fmap = PoincareMap(branch, *fields[:, 0].tolist(), spec.c3)
+        if stability is StabilityClass.FINITE_TIME:
+            # 1 when the map is constant, else 2 (the general clamp bound).
+            max_steps = (1 if fmap(0.0) == v_star and fmap(spec.c3) == v_star
+                         else 2)
     neutral = stability is StabilityClass.NEUTRAL_TWO_CYCLE_CONTINUUM
     cycle = (None if v_minus is None
              else PeriodTwoPoints(v_minus, v_plus, continuum=neutral))
     return StabilityReport(regime, stability, v_star, max_steps=max_steps,
                            period2=cycle,
-                           lyapunov_verdict="unstable" if neutral else None)
+                           lyapunov_verdict="unstable" if neutral else None,
+                           map=fmap)
 
 
 def _max(a, b):
@@ -245,7 +242,7 @@ def _classify_grid(template: DmSpec, xi: np.ndarray,
 
     This is the one definition of the regime, the circulation, the map's
     slope and clamps, and the fixed point, class and two-cycle they give;
-    build_map and classify_stability read its row at a single xi.  Returns
+    classify_stability reads its row at a single xi.  Returns
     the arrays (regime, ccw, fields, v*, stability, v-, v+): ccw is True
     where the map circulates counterclockwise, the rows of fields are the
     slope, lower and upper, and v*, v- and v+ are float64; each holds NaN

@@ -20,7 +20,7 @@ from .ctm import SimConfig, Simulation
 from .errors import DomainError
 from .network import DmSpec, build_dm
 from .poincare import (Circulation, StabilityClass, StabilityReport,
-                       build_map, classify_stability)
+                       classify_stability)
 
 __all__ = [
     "Verdict",
@@ -54,17 +54,14 @@ class OscillationReport:
     low: float | None              # window extrema when oscillating
     high: float | None
     period_estimate: float | None  # spacing of successive maxima
-    warmup_used: float
-    window: float
 
 
 def _period_from_maxima(times: np.ndarray, values: np.ndarray,
                         low: float, high: float) -> float | None:
-    """Median spacing of maxima runs (plateau-tolerant peak picking)."""
+    """Median spacing of maxima runs (plateau-tolerant peak picking);
+    high is the maximum of values, so at least one value makes a run."""
     level = high - 0.25 * (high - low)
     idx = np.flatnonzero(values >= level)
-    if len(idx) == 0:
-        return None
     runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
     centers = [0.5 * (times[r[0]] + times[r[-1]]) for r in runs]
     if len(centers) < 2:
@@ -96,17 +93,16 @@ def detect_oscillation(times: np.ndarray, values: np.ndarray,
     lo, hi = float(v_w.min()), float(v_w.max())
     if hi - lo < _FLAT_TOL:
         return OscillationReport(Verdict.CONVERGED, float(v_w.mean()),
-                                 None, None, None, warmup, window)
+                                 None, None, None)
     mid = len(v_w) // 2
     a, b = v_w[:mid], v_w[mid:]
     drift = max(abs(float(a.max()) - float(b.max())),
                 abs(float(a.min()) - float(b.min())))
     if drift > _HALF_DRIFT_FRAC * (hi - lo) + _FLAT_TOL:
-        return OscillationReport(Verdict.UNDETERMINED, None, None, None,
-                                 None, warmup, window)
+        return OscillationReport(Verdict.UNDETERMINED, None, None, None, None)
     period = _period_from_maxima(t_w, v_w, lo, hi)
     return OscillationReport(Verdict.PERSISTENT_OSCILLATION, None, lo, hi,
-                             period, warmup, window)
+                             period)
 
 
 @dataclass(frozen=True)
@@ -143,8 +139,7 @@ def validate_spec(spec: DmSpec,
     report = classify_stability(spec)
     record = Simulation(build_dm(spec), config).run()
     times, series = record.series("link1")
-    if (report.regime.supports_map
-            and build_map(spec).branch is Circulation.CLOCKWISE):
+    if report.map is not None and report.map.branch is Circulation.CLOCKWISE:
         series = spec.c3 - record.series("link2")[1]
     osc = detect_oscillation(times, series, _WARMUP_FRAC * config.horizon,
                              _WINDOW_FRAC * config.horizon)

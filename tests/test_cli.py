@@ -3,13 +3,17 @@
 import hashlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dmflow import ConfigurationError, DmSpec, SimConfig, Simulation, cli
+from dmflow import (ConfigurationError, DmSpec, SimConfig, Simulation, cli,
+                    poincare)
 from dmflow.cli import main
 from dmflow.extended import dmn_classify
 from dmflow.network import BeltwaySpec, DmnSpec
@@ -484,6 +488,29 @@ class TestValidateRunsScenario:
         assert validated == [(float(xi), 5.0)
                              for xi in np.arange(0.1, 1.0, 0.1)]
 
+    def test_family_runs_one_grid_pass_per_member(self, tmp_path,
+                                                  monkeypatch):
+        # The prediction and the map it monitors come from one row.
+        rows = []
+        grid = poincare._classify_grid
+
+        def counted(template, xi):
+            rows.append(xi.tolist())
+            return grid(template, xi)
+
+        monkeypatch.setattr(poincare, "_classify_grid", counted)
+        main(["validate", BIFURCATION, "--family", "--xi-step", "0.1",
+              "--horizon", "5", "--out", str(tmp_path)])
+        assert rows == [[float(xi)] for xi in np.arange(0.1, 1.0, 0.1)]
+
+    def test_family_rejects_a_step_too_fine_to_hold(self, tmp_path,
+                                                    capsys):
+        assert main(["validate", BIFURCATION, "--family", "--xi-step",
+                     "1e-300", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: --xi-step 1e-300 needs 1e+300 xi points; "
+            "they do not fit in memory\n")
+
 
 class TestEmittedNumbers:
     def test_csv_numbers_round_trip_exactly(self, tmp_path):
@@ -592,6 +619,7 @@ class TestScenarioOverrides:
         ["simulate", "--horizon", "nan"],
         ["validate", "--horizon", "-5"],
         ["validate", "--family", "--horizon", "inf"],
+        ["validate", "--family", "--xi-step", "1e-300"],
         ["orbit", "--v0", "99"],
         ["orbit", "--v0", "0.5", "--steps", "-1"],
         ["sweep", "--xi-min", "-1"],
@@ -665,3 +693,27 @@ def test_xi_override_preserves_boundary_overrides(tmp_path):
     link0 = [float(l.split(",")[2]) for l in lines
              if l.split(",")[1] == "link0"]
     assert max(link0) <= 1.0 + 1e-12
+
+
+def test_unexpected_exception_exits_3(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("broken on purpose")
+
+    monkeypatch.setattr(cli, "cmd_analyze", broken)
+    assert main(["analyze", CLASSIC]) == 3
+    assert "internal error: broken on purpose" in capsys.readouterr().err
+
+
+def test_runs_as_a_module(tmp_path, capsys):
+    assert main(["analyze", CLASSIC, "--out", str(tmp_path / "main")]) == 0
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "dmflow.cli", "analyze", CLASSIC, "--out",
+         str(tmp_path / "module")],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+        text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == capsys.readouterr().out
+    assert ((tmp_path / "module" / "analysis.json").read_bytes()
+            == (tmp_path / "main" / "analysis.json").read_bytes())

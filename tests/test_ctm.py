@@ -159,15 +159,14 @@ class TestStep:
 
     @pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf])
     def test_link_length_not_positive_and_finite_rejected(self, length):
-        network = Network(links=(Link("a", 1.0, length),),
-                          origins=(Origin("a", 0.5),),
-                          destinations=(Destination("a", 10.0),))
         with pytest.raises(ConfigurationError, match="positive finite"):
-            Simulation(network)
+            Network(links=(Link("a", 1.0, length),),
+                    origins=(Origin("a", 0.5),),
+                    destinations=(Destination("a", 10.0),))
 
     def test_link_capacity_nan_rejected(self):
         with pytest.raises(ConfigurationError, match="positive finite"):
-            Simulation(single_link_network(capacity=math.nan))
+            single_link_network(capacity=math.nan)
 
     @pytest.mark.parametrize("origin, destination, error, match", [
         (Origin("a", -0.5), Destination("a", 10.0), ConfigurationError,
@@ -189,40 +188,32 @@ class TestStep:
              "supply-nan"])
     def test_bad_origin_or_destination_rejected(self, origin, destination,
                                                 error, match):
-        network = Network(links=(Link("a", 1.0),), origins=(origin,),
-                          destinations=(destination,))
         with pytest.raises(error, match=match):
-            network.validate()
-        with pytest.raises(error, match=match):
-            Simulation(network)
+            Network(links=(Link("a", 1.0),), origins=(origin,),
+                    destinations=(destination,))
 
     @pytest.mark.parametrize("value", [-0.5, math.nan])
     def test_bad_approach_demand_or_branch_supply_rejected(self, value):
         net = build_beltway(BeltwaySpec(beta=0.3, xi=0.2, n_pairs=2))
         mg, dv = net.merges[1], net.diverges[0]
-        bad_demand = replace(net, merges=(
-            net.merges[0],
-            replace(mg, approach1=replace(mg.approach1, demand=value))))
-        bad_supply = replace(net, diverges=(
-            replace(dv, branch1=replace(dv.branch1, supply=value)),
-            net.diverges[1]))
-        for network, match in ((bad_demand, "approach demand at link 'a2'"),
-                               (bad_supply, "branch supply at link 'a1'")):
-            with pytest.raises(ConfigurationError, match=match):
-                network.validate()
+        with pytest.raises(ConfigurationError,
+                           match="approach demand at link 'a2'"):
+            replace(net, merges=(
+                net.merges[0],
+                replace(mg, approach1=replace(mg.approach1, demand=value))))
+        with pytest.raises(ConfigurationError,
+                           match="branch supply at link 'a1'"):
+            replace(net, diverges=(
+                replace(dv, branch1=replace(dv.branch1, supply=value)),
+                net.diverges[1]))
 
     @pytest.mark.parametrize("share", [-0.5, 1.5, math.nan])
     def test_share_outside_unit_interval_rejected(self, share):
         net = build_beltway(BeltwaySpec(beta=0.3, xi=0.2, n_pairs=1))
-        bad_split = replace(net, diverges=(replace(net.diverges[0],
-                                                   xi=share),))
-        bad_beta = replace(net, merges=(replace(net.merges[0], beta=share),))
-        for network, match in ((bad_split, "xi must lie in"),
-                               (bad_beta, "beta must lie in")):
-            with pytest.raises(DomainError, match=match):
-                network.validate()
-            with pytest.raises(DomainError, match=match):
-                Simulation(network)
+        with pytest.raises(DomainError, match="xi must lie in"):
+            replace(net, diverges=(replace(net.diverges[0], xi=share),))
+        with pytest.raises(DomainError, match="beta must lie in"):
+            replace(net, merges=(replace(net.merges[0], beta=share),))
 
     @pytest.mark.parametrize("field, value", [
         ("free_flow_speed", math.nan), ("free_flow_speed", 0.0),
@@ -513,17 +504,15 @@ class TestNumpyMinMaxRule:
 class TestCompiledJunctions:
     def test_merge_priority_outside_unit_interval_rejected(self):
         net = build_beltway(BeltwaySpec(beta=0.3, xi=0.2, n_pairs=2))
-        bad = replace(net, merges=(replace(net.merges[0], beta=1.5),)
-                      + net.merges[1:])
         with pytest.raises(DomainError, match="beta"):
-            Simulation(bad)
+            replace(net, merges=(replace(net.merges[0], beta=1.5),)
+                    + net.merges[1:])
 
     def test_fixed_split_outside_unit_interval_rejected(self):
         net = build_beltway(BeltwaySpec(beta=0.3, xi=0.2, n_pairs=2))
-        bad = replace(net, diverges=(replace(net.diverges[0], xi=-0.1),)
-                      + net.diverges[1:])
         with pytest.raises(DomainError, match="xi"):
-            Simulation(bad)
+            replace(net, diverges=(replace(net.diverges[0], xi=-0.1),)
+                    + net.diverges[1:])
 
     def test_commodity_split_outside_unit_interval_rejected(self):
         sim = Simulation(build_dm(CLASSIC))

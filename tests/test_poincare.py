@@ -92,7 +92,14 @@ class TestBuildMap:
                      DmSpec(2, 1, 1, 2, beta=0.5, xi=0.5)):
             with pytest.raises(UnsupportedRegimeError):
                 build_map(spec)
-            assert classify_stability(spec).fixed_point is None
+            report = classify_stability(spec)
+            assert report.fixed_point is None and report.map is None
+
+    def test_report_carries_the_map(self):
+        # WIDE is the bifurcation scenario's network; both ends included.
+        for xi in np.linspace(0.0, 1.0, 101).tolist():
+            spec = WIDE.with_xi(xi)
+            assert classify_stability(spec).map == build_map(spec), xi
 
     def test_degenerate_slope_rejected(self):
         # Overlap regime at xi = beta = 0 (open band dips below zero when
