@@ -359,22 +359,22 @@ class Simulation:
             ends_of.append(len(ends))
             ends.append(None)
 
-        def sender(a) -> tuple[int, int]:
+        def sender(a: str | float) -> tuple[int, int]:
             """Demand and fraction of a merge approach."""
-            if a.link is None:
+            if not isinstance(a, str):
                 boundary(sources)
-                return const(a.demand), zero
-            d, f, face = tail(a.link)
+                return const(a), zero
+            d, f, face = tail(a)
             ends.append(face)
             return d, f
 
-        def receiver(b) -> int:
+        def receiver(b: str | float) -> int:
             """Supply of a diverge branch."""
-            if b.link is None:
+            if not isinstance(b, str):
                 boundary(sinks)
-                return const(b.supply)
-            ends.append(head(b.link))
-            return head(b.link)
+                return const(b)
+            ends.append(head(b))
+            return head(b)
 
         # With the empty second approach, min(d, max(s - 0.0, 0.5*s)) is
         # min(d, s) bit for bit.  Shares of 1/2 also keep an infinite d or

@@ -35,7 +35,9 @@ __all__ = [
 
 
 class FundamentalDiagram:
-    """Base class; concrete shapes implement flow() and the two inverses."""
+    """Base class; concrete shapes implement flow(k) and the two inverses
+    _invert_under_critical(q) and _invert_over_critical(q), the density
+    k <= k_c and the density k >= k_c with Q(k) = q."""
 
     capacity: float
     critical_density: float
@@ -44,17 +46,6 @@ class FundamentalDiagram:
 
     # Largest kinematic wave speed magnitude, used for CFL bounds.
     max_wave_speed: float
-
-    def flow(self, k: float) -> float:
-        raise NotImplementedError
-
-    def _invert_under_critical(self, q: float) -> float:
-        """Density k <= k_c with Q(k) = q."""
-        raise NotImplementedError
-
-    def _invert_over_critical(self, q: float) -> float:
-        """Density k >= k_c with Q(k) = q."""
-        raise NotImplementedError
 
     def _check_density(self, k: float) -> None:
         if not 0.0 <= k <= self.jam_density:

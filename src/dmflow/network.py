@@ -36,6 +36,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from numbers import Real
 
 from .errors import ConfigurationError, DomainError
 
@@ -51,8 +52,6 @@ __all__ = [
     "dmn_start",
     "beltway_start",
     "Link",
-    "Approach",
-    "Branch",
     "Origin",
     "Destination",
     "Diverge",
@@ -108,7 +107,9 @@ class DmSpec:
     origin_demand and destination_supply are the constant boundary data
     that `build_dm` simulates; None means the saturating values C0 and C3,
     which the stationary catalog and the return map assume whatever these
-    fields hold.
+    fields hold.  `validate_spec` predicts from the capacities they let
+    through: C3 lowered to the destination supply, and C0 to the origin
+    demand when that is at most the new C3.
     """
 
     c0: float
@@ -375,32 +376,6 @@ class Link:
 
 
 @dataclass(frozen=True)
-class Approach:
-    """Merge input: either a network link or a constant-demand source."""
-
-    link: str | None = None
-    demand: float | None = None
-
-    def __post_init__(self):
-        if (self.link is None) == (self.demand is None):
-            raise ConfigurationError(
-                "approach needs exactly one of link / demand")
-
-
-@dataclass(frozen=True)
-class Branch:
-    """Diverge output: either a network link or a constant-supply sink."""
-
-    link: str | None = None
-    supply: float | None = None
-
-    def __post_init__(self):
-        if (self.link is None) == (self.supply is None):
-            raise ConfigurationError(
-                "branch needs exactly one of link / supply")
-
-
-@dataclass(frozen=True)
 class Origin:
     """Boundary demand feeding a link; fraction is the commodity-1 share."""
 
@@ -420,6 +395,8 @@ class Destination:
 @dataclass(frozen=True)
 class Diverge:
     """FIFO diverge.  branch1 receives proportion xi, branch2 the rest.
+    Each branch is a link name, or a number: the constant supply of a
+    sink.
 
     With xi=None the split follows the commodity fraction arriving on the
     upstream link (branch1 takes commodity 1); a fixed xi models memoryless
@@ -427,18 +404,19 @@ class Diverge:
     """
 
     upstream: str
-    branch1: Branch
-    branch2: Branch
+    branch1: str | float
+    branch2: str | float
     xi: float | None = None
 
 
 @dataclass(frozen=True)
 class Merge:
     """Priority merge; beta is the downstream-supply share guaranteed to
-    approach1 when both approaches are saturated."""
+    approach1 when both approaches are saturated.  Each approach is a
+    link name, or a number: the constant demand of a source."""
 
-    approach1: Approach
-    approach2: Approach
+    approach1: str | float
+    approach2: str | float
     downstream: str
     beta: float
 
@@ -458,9 +436,10 @@ class Network:
     def __post_init__(self):
         """There is at least one link, no two share a name, and every link
         has a positive finite capacity and length and is fed and drained by
-        exactly one junction.  Boundary demands and supplies are
-        nonnegative (+inf allowed), origin fractions and the junction
-        shares lie in [0, 1]."""
+        exactly one junction.  Boundary demands and supplies, a junction
+        end that is not a link name among them, are nonnegative real
+        numbers (+inf allowed), origin fractions and the junction shares
+        lie in [0, 1]."""
         if not self.links:
             raise ConfigurationError("a network needs at least one link")
         counts = Counter(ln.name for ln in self.links)
@@ -482,7 +461,7 @@ class Network:
             ends[name] += 1
 
         def nonnegative(what: str, link: str, value: float) -> None:
-            if not value >= 0.0:
+            if not (isinstance(value, Real) and value >= 0.0):
                 raise ConfigurationError(f"{what} at link {link!r} must be "
                                          f"nonnegative, got {value}")
 
@@ -498,18 +477,18 @@ class Network:
             if dv.xi is not None:
                 _share("xi", dv.xi)
             for b in (dv.branch1, dv.branch2):
-                if b.link is None:
-                    nonnegative("branch supply", dv.upstream, b.supply)
+                if isinstance(b, str):
+                    count(fed, b)
                 else:
-                    count(fed, b.link)
+                    nonnegative("branch supply", dv.upstream, b)
         for mg in self.merges:
             count(fed, mg.downstream)
             _share("beta", mg.beta)
             for a in (mg.approach1, mg.approach2):
-                if a.link is None:
-                    nonnegative("approach demand", mg.downstream, a.demand)
+                if isinstance(a, str):
+                    count(drained, a)
                 else:
-                    count(drained, a.link)
+                    nonnegative("approach demand", mg.downstream, a)
         bad = [n for n in fed if fed[n] != 1 or drained[n] != 1]
         if bad:
             raise ConfigurationError(
@@ -531,11 +510,8 @@ def _build_stages(spec: DmSpec, stages: list[tuple[str, ...]]) -> Network:
         links += map(Link, names, caps, spec.lengths)
         origins.append(Origin(origin, demand, spec.xi))
         destinations.append(Destination(destination, supply))
-        diverges.append(Diverge(origin, Branch(link=link1),
-                                Branch(link=link2)))
-        merges.append(Merge(Approach(link=link1),
-                            Approach(link=stages[k - 1][2]), destination,
-                            spec.beta))
+        diverges.append(Diverge(origin, link1, link2))
+        merges.append(Merge(link1, stages[k - 1][2], destination, spec.beta))
     return Network(tuple(links), tuple(origins), tuple(destinations),
                    tuple(diverges), tuple(merges))
 
@@ -578,11 +554,9 @@ def build_beltway(spec: BeltwaySpec) -> Network:
     merges: list[Merge] = []
     for k in range(1, n + 1):
         links += [Link(f"a{k}", cap, length), Link(f"b{k}", cap, length)]
-        diverges.append(Diverge(f"a{k}", Branch(supply=s_off),
-                                Branch(link=f"b{k}"), xi=spec.xi))
+        diverges.append(Diverge(f"a{k}", s_off, f"b{k}", xi=spec.xi))
         prev = k - 1 if k > 1 else n
-        merges.append(Merge(Approach(demand=d_on),
-                            Approach(link=f"b{prev}"), f"a{k}", spec.beta))
+        merges.append(Merge(d_on, f"b{prev}", f"a{k}", spec.beta))
     return Network(tuple(links), (), (), tuple(diverges), tuple(merges))
 
 

@@ -315,11 +315,11 @@ def _classify_grid(template: DmSpec, xi: np.ndarray,
             np.where(slope[circ] == 1.0,
                      StabilityClass.NEUTRAL_TWO_CYCLE_CONTINUUM,
                      StabilityClass.UNSTABLE))
+        # v- lies in the map's domain [0, C3] with no check.
+        # Counterclockwise it lies in [beta*C3, C3] by construction.
+        # Clockwise, circulation needs C0 > C3, xi < beta and xi < C1/C3,
+        # so A2p > xi*C3 and v- < xi*C3.
         cycle = circ & (slope >= 1.0)
-        bad = cycle & ~((0.0 <= vm) & (vm <= c3))
-        if bad.any():
-            # The map is defined on [0, C3] only.
-            raise DomainError(f"v={vm[bad][0]} outside [0, {c3}]")
         v_minus[idx[cycle]] = vm[cycle]
         v_plus[idx[cycle]] = vp[cycle]
     return regime, ccw, fields, v_star, stability, v_minus, v_plus

@@ -11,7 +11,7 @@ ratio per ramp pair is fitted from its flux series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -123,24 +123,40 @@ def _rel_err(measured: float, expected: float) -> float:
     return abs(measured - expected) / abs(expected)
 
 
+def _through_capacities(spec: DmSpec) -> DmSpec:
+    """`spec` with the capacities its boundary data let through: C3
+    lowered to the destination supply, and C0 to the origin demand when
+    that demand is at most the new C3.  A larger demand keeps C0, because
+    link 0 then queues and sends at its capacity.  None keeps C0 or C3;
+    a zero that lets no flow through leaves no map to predict from."""
+    demand, supply = spec.origin_demand, spec.destination_supply
+    c3 = spec.c3 if supply is None else min(spec.c3, supply)
+    c0 = spec.c0 if demand is None or demand > c3 else min(spec.c0, demand)
+    if not min(c0, c3) > 0.0:
+        raise DomainError(f"origin_demand {demand} or destination_supply "
+                          f"{supply} lets no flow through to validate")
+    return replace(spec, c0=c0, c3=c3)
+
+
 def validate_spec(spec: DmSpec,
                   config: SimConfig = SimConfig()) -> ValidationResult:
     """Run `build_dm(spec)` from empty and compare against the return map.
 
-    The monitored series is the map's own variable v: link 1's downstream
-    boundary flux, or C3 minus link 2's when the map circulates clockwise
-    (link 2 congested).  A bottleneck regime has no map and monitors
-    link 1.  Expected behaviour: converged near the fixed point for
-    finite-time and asymptotic classes; when unstable, a persistent
-    oscillation with extrema near the two-cycle, or a converged tail near
-    both of its points when the cycle is narrower than the detector's
-    flat tolerance.
+    The prediction is the map of `_through_capacities(spec)`, so it
+    reads the boundary data that the run simulates.  The monitored series
+    is the map's own variable v: link 1's downstream boundary flux, or
+    the map's C3 minus link 2's when the map circulates clockwise (link 2
+    congested).  A bottleneck regime has no map and monitors link 1.
+    Expected behaviour: converged near the fixed point for finite-time
+    and asymptotic classes; when unstable, a persistent oscillation with
+    extrema near the two-cycle, or a converged tail near both of its
+    points when the cycle is narrower than the detector's flat tolerance.
     """
-    report = classify_stability(spec)
+    report = classify_stability(_through_capacities(spec))
     record = Simulation(build_dm(spec), config).run()
     times, series = record.series("link1")
     if report.map is not None and report.map.branch is Circulation.CLOCKWISE:
-        series = spec.c3 - record.series("link2")[1]
+        series = report.map.c3 - record.series("link2")[1]
     osc = detect_oscillation(times, series, _WARMUP_FRAC * config.horizon,
                              _WINDOW_FRAC * config.horizon)
 

@@ -300,6 +300,14 @@ class TestGridClassifier:
         # above draws only in some sessions.
         template = DmSpec(1.0, 0.5, 0.5, 0.5, beta=1e-08, xi=0.5)
         assert_matches_the_map_oracles(template, fixed_grid(template))
+        # The float corner of the clockwise cycle: C0 one ulp above C3,
+        # beta = 1 and xi within 400 ulps of 1, where v- comes within 0.5 %
+        # of C3 at slopes up to 2**53.
+        corner = DmSpec(math.nextafter(1.0, 2.0), 1.0, 0.5, 1.0, beta=1.0,
+                        xi=0.5)
+        near_one = [1.0 - k * 2.0 ** -53 for k in range(1, 401)]
+        assert_matches_the_map_oracles(corner,
+                                       fixed_grid(corner) + near_one)
 
     def test_scalar_calls_do_not_grow_with_the_grid(self):
         # Every Python-level call of the sweep and its CSV cells, and those

@@ -455,6 +455,19 @@ class TestValidateRunsScenario:
         assert code == (0 if payload.pop("pass") else 1)
         assert payload == expected_validation(COARSE_SPEC, COARSE_CONFIG)
 
+    def test_prediction_reads_the_boundary_data(self, tmp_path):
+        # Origin demand 1.0 is at most C3 = 2.5, so it is the capacity
+        # link 0 passes: an upstream bottleneck, not the unstable map of
+        # C0 = 3.  The spec block keeps the capacities of the file.
+        scn = tmp_path / "starved.yaml"
+        scn.write_text(Path(BIFURCATION).read_text().replace(
+            "  xi: 0.4\n", "  xi: 0.4\n  origin_demand: 1.0\n"))
+        assert main(["validate", str(scn), "--xi", "0.4",
+                     "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "validation.json").read_text())
+        assert payload["predicted"]["stability"] == "finite_time"
+        assert payload["spec"]["c0"] == 3.0
+
     def test_family_members_use_the_scenario_and_horizon_override(
             self, tmp_path):
         scn = tmp_path / "coarse.yaml"

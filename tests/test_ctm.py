@@ -192,20 +192,21 @@ class TestStep:
             Network(links=(Link("a", 1.0),), origins=(origin,),
                     destinations=(destination,))
 
-    @pytest.mark.parametrize("value", [-0.5, math.nan])
+    @pytest.mark.parametrize("value", [-0.5, math.nan, None,
+                                       pytest.param([1.0], id="list")])
     def test_bad_approach_demand_or_branch_supply_rejected(self, value):
+        # An end that is neither a link name nor a number gets the same
+        # message.
         net = build_beltway(BeltwaySpec(beta=0.3, xi=0.2, n_pairs=2))
         mg, dv = net.merges[1], net.diverges[0]
         with pytest.raises(ConfigurationError,
                            match="approach demand at link 'a2'"):
-            replace(net, merges=(
-                net.merges[0],
-                replace(mg, approach1=replace(mg.approach1, demand=value))))
+            replace(net, merges=(net.merges[0],
+                                 replace(mg, approach1=value)))
         with pytest.raises(ConfigurationError,
                            match="branch supply at link 'a1'"):
-            replace(net, diverges=(
-                replace(dv, branch1=replace(dv.branch1, supply=value)),
-                net.diverges[1]))
+            replace(net, diverges=(replace(dv, branch1=value),
+                                   net.diverges[1]))
 
     @pytest.mark.parametrize("share", [-0.5, 1.5, math.nan])
     def test_share_outside_unit_interval_rejected(self, share):

@@ -25,11 +25,10 @@ from hypothesis import strategies as st
 from dmflow import DmSpec, DomainError, SimConfig, Simulation, build_dm
 from dmflow import ctm
 from dmflow.ctm import _BLOCK, diverge_flux, merge_flux
-from dmflow.network import (Approach, BeltwaySpec, Branch, Destination,
-                            Diverge, DmnSpec, Link, LinkRegime, Merge,
-                            Network, Origin, beltway_start,
-                            build_beltway, build_dmn, dmn_start,
-                            stationary_start, stationary_states)
+from dmflow.network import (BeltwaySpec, Destination, Diverge, DmnSpec,
+                            Link, LinkRegime, Merge, Network, Origin,
+                            beltway_start, build_beltway, build_dmn,
+                            dmn_start, stationary_start, stationary_states)
 from dmflow.poincare import (Circulation, Regime, build_map,
                              classify_stability)
 from dmflow.scenario import load_scenario
@@ -83,10 +82,8 @@ def sources_and_sinks(draw):
     flow = st.floats(0.0, 3.0)
     return Network(
         (Link("a", draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 2.0))),),
-        diverges=(Diverge("a", Branch(supply=draw(flow)),
-                          Branch(supply=draw(flow)), xi=draw(unit)),),
-        merges=(Merge(Approach(demand=draw(flow)),
-                      Approach(demand=draw(flow)), "a", draw(unit)),))
+        diverges=(Diverge("a", draw(flow), draw(flow), xi=draw(unit)),),
+        merges=(Merge(draw(flow), draw(flow), "a", draw(unit)),))
 
 
 def networks():
@@ -155,25 +152,25 @@ def reference_fluxes(sim):
     for dv in net.diverges:
         f0 = end_fraction(sim.links[dv.upstream])
         xi = dv.xi if dv.xi is not None else f0
-        s1, s2 = (supply[b.link] if b.link is not None else b.supply
+        s1, s2 = (supply[b] if isinstance(b, str) else b
                   for b in (dv.branch1, dv.branch2))
         q0, q1, q2 = diverge_flux(demand[dv.upstream], s1, s2, xi)
         q_out[row[dv.upstream]] = q0
         # A commodity-driven split sends all of commodity 1 to branch 1.
         phi1, phi2 = (q1, 0.0) if dv.xi is None else (f0 * q1, f0 * q2)
         for b, q, phi in ((dv.branch1, q1, phi1), (dv.branch2, q2, phi2)):
-            if b.link is not None:
-                q_in[row[b.link]] = q
+            if isinstance(b, str):
+                q_in[row[b]] = q
             else:
                 snk += q
                 snk1 += phi
     for mg in net.merges:
-        d1, d2 = (demand[a.link] if a.link is not None else a.demand
+        d1, d2 = (demand[a] if isinstance(a, str) else a
                   for a in (mg.approach1, mg.approach2))
         _, q1, q2 = merge_flux(d1, d2, supply[mg.downstream], mg.beta)
         for a, q in ((mg.approach1, q1), (mg.approach2, q2)):
-            if a.link is not None:
-                q_out[row[a.link]] = q
+            if isinstance(a, str):
+                q_out[row[a]] = q
             else:
                 src += q
                 src1 += 0.0 * q
@@ -474,16 +471,13 @@ def edged(network, draw):
     def maybe(x, edge=math.inf):
         return edge if draw(st.booleans()) else x
 
-    def approach(a):
-        return a if a.link is not None else replace(a, demand=maybe(a.demand))
-
-    def branch(b):
-        return b if b.link is not None else replace(b, supply=maybe(b.supply))
+    def end(e):     # a link name, or a constant demand or supply
+        return e if isinstance(e, str) else maybe(e)
 
     def diverge(dv):
         xi = dv.xi if dv.xi is None else maybe(dv.xi, -0.0)
-        return replace(dv, branch1=branch(dv.branch1),
-                       branch2=branch(dv.branch2), xi=xi)
+        return replace(dv, branch1=end(dv.branch1), branch2=end(dv.branch2),
+                       xi=xi)
 
     return replace(
         network,
@@ -492,8 +486,8 @@ def edged(network, draw):
         destinations=tuple(replace(d, supply=maybe(d.supply))
                            for d in network.destinations),
         diverges=tuple(diverge(dv) for dv in network.diverges),
-        merges=tuple(replace(mg, approach1=approach(mg.approach1),
-                             approach2=approach(mg.approach2),
+        merges=tuple(replace(mg, approach1=end(mg.approach1),
+                             approach2=end(mg.approach2),
                              beta=maybe(mg.beta, -0.0))
                      for mg in network.merges))
 
@@ -707,14 +701,12 @@ def acyclic_networks(draw):
             joined, other = component.pop(a), component.pop(b)
             component.update((end, joined) for end, comp in
                              component.items() if comp == other)
-            merges.append(Merge(Approach(link=a), Approach(link=b),
-                                new_link(joined), draw(share)))
+            merges.append(Merge(a, b, new_link(joined), draw(share)))
         else:
             end = draw(st.sampled_from(ends))
             comp = component.pop(end)
             xi = None if draw(st.integers(0, 9)) < 3 else draw(share)
-            diverges.append(Diverge(end, Branch(link=new_link(comp)),
-                                    Branch(link=new_link(comp)), xi))
+            diverges.append(Diverge(end, new_link(comp), new_link(comp), xi))
     destinations = [Destination(end, draw(half)) for end in sorted(component)]
     return Network(tuple(links), tuple(origins), tuple(destinations),
                    tuple(diverges), tuple(merges))

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from dmflow import (ConfigurationError, DmSpec, DomainError, SimConfig,
                     Simulation, build_dm)
-from dmflow.network import (Approach, BeltwaySpec, Branch, Destination,
-                            DmnSpec, Link, LinkRegime, Network, Origin,
-                            StationaryState, build_beltway, build_dmn,
-                            dmn_start, stationary_start, stationary_states)
+from dmflow.network import (BeltwaySpec, Destination, DmnSpec, Link,
+                            LinkRegime, Network, Origin, StationaryState,
+                            build_beltway, build_dmn, dmn_start,
+                            stationary_start, stationary_states)
 
 CLASSIC = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.45)
 # Each boundary-data field with a spec that has it.
@@ -34,8 +34,8 @@ def renamed(net: Network, k: int) -> Network:
     """The four-link network `net` with its links named as ring stage k."""
     names = stage_names(k)
 
-    def end(e):     # an Approach or a Branch
-        return replace(e, link=names[e.link]) if e.link else e
+    def end(e):     # a link name or a constant
+        return names[e] if isinstance(e, str) else e
 
     return Network(
         tuple(replace(ln, name=names[ln.name]) for ln in net.links),
@@ -228,7 +228,7 @@ class TestBuilders:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_ring_merge_takes_the_previous_wide_link(self, n):
         net = build_dmn(DmnSpec(n, xi=0.4))
-        assert [(m.approach1.link, m.approach2.link, m.downstream)
+        assert [(m.approach1, m.approach2, m.downstream)
                 for m in net.merges] == [
             (f"c{k}", f"u{k - 1 if k > 1 else n}", f"e{k}")
             for k in range(1, n + 1)]
@@ -268,15 +268,6 @@ class TestBuilders:
         with pytest.raises(ConfigurationError, match="^unknown link 'b'$"):
             Network(links=(Link("a", 1.0),), origins=(Origin("a", 1.0),),
                     destinations=(Destination("b", 1.0),))
-
-    @pytest.mark.parametrize("endpoint, fields", [
-        (Approach, {}), (Approach, {"link": "a", "demand": 1.0}),
-        (Branch, {}), (Branch, {"link": "a", "supply": 1.0})],
-        ids=["approach-neither", "approach-both", "branch-neither",
-             "branch-both"])
-    def test_endpoint_needs_a_link_or_a_constant(self, endpoint, fields):
-        with pytest.raises(ConfigurationError, match="exactly one of link"):
-            endpoint(**fields)
 
     def test_validate_rejects_duplicate_link_names(self):
         # Two rows of state under one name: the record would report only
@@ -341,7 +332,7 @@ class TestBuilders:
         net = build_beltway(BeltwaySpec(0.3, 0.2, 2, ring_capacity=2.0,
                                         segment_length=0.5))
         assert {(ln.capacity, ln.length) for ln in net.links} == {(2.0, 0.5)}
-        assert net.merges[0].approach1.demand == 0.6 * 2.0
+        assert net.merges[0].approach1 == 0.6 * 2.0
 
     def test_builders_take_the_boundary_data_of_the_spec(self):
         dm = build_dm(replace(CLASSIC, origin_demand=1.0,
@@ -349,8 +340,8 @@ class TestBuilders:
         assert (dm.origins[0].demand, dm.destinations[0].supply) == (1.0, 1.8)
         belt = build_beltway(BeltwaySpec(0.3, 0.2, 2, ramp_demand=0.4,
                                          offramp_supply=3.0))
-        assert {mg.approach1.demand for mg in belt.merges} == {0.4}
-        assert {dv.branch1.supply for dv in belt.diverges} == {3.0}
+        assert {mg.approach1 for mg in belt.merges} == {0.4}
+        assert {dv.branch1 for dv in belt.diverges} == {3.0}
 
     @pytest.mark.parametrize("field", BOUNDARY_SPECS)
     @pytest.mark.parametrize("value", [-1.0, -math.inf, math.nan, "-1"])

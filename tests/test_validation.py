@@ -2,6 +2,7 @@
 simulation-versus-map agreement."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from dmflow.validation import (Verdict, _period_from_maxima,
 from test_poincare import random_marginal_spec
 
 WIDE = DmSpec(3, 1.5, 2, 2.5, beta=0.3, xi=0.4)
+CLASSIC = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.45)
 # scan_period_roots bisects each sign change to this bracket width.
 _REFINE_TOL = 1e-10
 
@@ -252,6 +254,31 @@ class TestValidateSpec:
         assert result.oscillation.verdict is Verdict.CONVERGED
         assert result.agrees
         assert max(result.extrema_rel_errors) < 1e-12
+
+
+    @pytest.mark.parametrize("spec, stability", [
+        (replace(WIDE, xi=0.1, destination_supply=1.25), "asymptotic"),
+        (replace(WIDE, xi=0.4, origin_demand=2.25, destination_supply=1.25),
+         "unstable"),
+        (replace(CLASSIC, xi=0.1, origin_demand=1.0), "finite_time"),
+        (replace(CLASSIC, xi=0.5, origin_demand=1.8, destination_supply=1.0),
+         "neutral_two_cycle_continuum")],
+        ids=["short-supply", "both-unstable", "starved-origin",
+             "both-neutral"])
+    def test_prediction_reads_the_boundary_data(self, spec, stability):
+        # The map of the capacities the boundary data let through: C3 the
+        # destination supply, and C0 the origin demand when that is at
+        # most the new C3.  Within the CLI's default tolerances.
+        result = validate_spec(spec)
+        assert result.report.stability.value == stability
+        assert result.agrees and result.spec == spec
+        assert (result.v_star_rel_error or 0.0) <= 0.01
+        assert max(result.extrema_rel_errors or [0.0]) <= 0.05
+
+    @pytest.mark.parametrize("field", ["origin_demand", "destination_supply"])
+    def test_boundary_data_that_let_no_flow_through_are_rejected(self, field):
+        with pytest.raises(DomainError, match="lets no flow through"):
+            validate_spec(replace(WIDE, **{field: 0.0}))
 
 
 def _agreement_sweep(spec, step, exclusion=0.01):

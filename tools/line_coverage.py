@@ -4,7 +4,8 @@
 
 It runs pytest in this process under `sys.settrace`, with DIR's parent
 first on `sys.path`, and records the lines that run in DIR's modules,
-`src/dmflow` by default.  The statements come from `ast`; docstrings and
+`src/dmflow` by default.  The statements come from `ast`; docstrings,
+found by `docstring_lines` of `code_lines.py` beside this script, and
 the `global` and `nonlocal` declarations, which execute nothing, do not
 count, nor does the body of an `if TYPE_CHECKING:`, which runs only under
 a type checker.  A statement counts as executed when any of its lines,
@@ -22,6 +23,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from code_lines import docstring_lines
 
 _NOT_RUN = (ast.Global, ast.Nonlocal)
 
@@ -31,21 +33,16 @@ def statements(source: str) -> list[tuple[int, int]]:
     decorators included, in source order; docstrings and type-checking
     imports left out."""
     tree = ast.parse(source)
+    docstrings = docstring_lines(source)
     skip = set()
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                             ast.AsyncFunctionDef)) and node.body:
-            first = node.body[0]
-            if (isinstance(first, ast.Expr)
-                    and isinstance(first.value, ast.Constant)
-                    and isinstance(first.value.value, str)):
-                skip.add(first)
         if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(
                 node.test):
             skip.update(n for stmt in node.body for n in ast.walk(stmt))
     spans = []
     for node in ast.walk(tree):
         if (isinstance(node, ast.stmt) and node not in skip
+                and node.lineno not in docstrings
                 and not isinstance(node, _NOT_RUN)):
             first = min([node.lineno] + [d.lineno for d in getattr(
                 node, "decorator_list", [])])
