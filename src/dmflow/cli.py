@@ -2,11 +2,19 @@
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 internal error.  Set DMFLOW_LOG=debug|info|warning for logging.
+
+`main` makes the process freeze its heap at exit instead of collecting
+it: the imported modules' objects, numpy's among them, are left to the
+operating system rather than walked by the final collection.  Outputs are
+closed and logging is flushed as before; `__del__` of objects still in
+reference cycles does not run at exit, which Python never guaranteed.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import logging
 import math
 import os
@@ -22,7 +30,7 @@ from .errors import ConfigurationError, DmflowError
 from .extended import beltway_classify, dmn_classify
 from .poincare import build_map, classify_stability, cobweb
 from .scenario import Scenario, load_scenario
-from .validation import validate_spec
+from .validation import _through_capacities, validate_spec
 
 logger = logging.getLogger(__name__)
 
@@ -240,6 +248,7 @@ def cmd_validate(args) -> int:
                       ("--extrema-tol", args.extrema_tol)):
         if not tol >= 0.0:
             raise ConfigurationError(f"{name} must be nonnegative, got {tol}")
+    _through_capacities(scenario.spec)   # boundary data; xi does not enter
     out = _outdir(args, scenario)
     if args.family:
         results = []
@@ -326,6 +335,11 @@ def _configure_logging() -> None:
 
 
 def main(argv=None) -> int:
+    # One handler per process however often main runs; atexit handlers run
+    # before the interpreter's final collection, which then skips the
+    # frozen objects.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

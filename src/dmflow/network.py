@@ -92,9 +92,10 @@ def _positive(name: str, value: float) -> None:
 
 
 def _share(name: str, value: float, top: str = "]") -> None:
-    """Check value in [0, 1], or in [0, 1) when top is ")"."""
-    if not (0.0 <= value <= 1.0 and (top == "]" or value < 1.0)):
-        raise DomainError(f"{name} must lie in [0, 1{top}, got {value}")
+    """Check value is a number in [0, 1], or in [0, 1) when top is ")"."""
+    if not (isinstance(value, Real) and 0.0 <= value <= 1.0
+            and (top == "]" or value < 1.0)):
+        raise DomainError(f"{name} must lie in [0, 1{top}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -439,7 +440,8 @@ class Network:
         exactly one junction.  Boundary demands and supplies, a junction
         end that is not a link name among them, are nonnegative real
         numbers (+inf allowed), origin fractions and the junction shares
-        lie in [0, 1]."""
+        real numbers in [0, 1].  A value that is not a real number gets
+        the error of the field's range, which names the field."""
         if not self.links:
             raise ConfigurationError("a network needs at least one link")
         counts = Counter(ln.name for ln in self.links)
@@ -447,11 +449,12 @@ class Network:
         if twice:
             raise ConfigurationError(f"duplicate link names: {twice}")
         for ln in self.links:
-            if not (0.0 < ln.capacity < math.inf
-                    and 0.0 < ln.length < math.inf):
-                raise ConfigurationError(
-                    f"link {ln.name!r} needs a positive finite capacity and "
-                    f"length, got {ln.capacity} and {ln.length}")
+            for what in ("capacity", "length"):
+                value = getattr(ln, what)
+                if not (isinstance(value, Real) and 0.0 < value < math.inf):
+                    raise ConfigurationError(
+                        f"link {ln.name!r} needs a positive finite {what}, "
+                        f"got {value!r}")
         fed: dict[str, int] = {ln.name: 0 for ln in self.links}
         drained = dict(fed)
 
@@ -463,7 +466,7 @@ class Network:
         def nonnegative(what: str, link: str, value: float) -> None:
             if not (isinstance(value, Real) and value >= 0.0):
                 raise ConfigurationError(f"{what} at link {link!r} must be "
-                                         f"nonnegative, got {value}")
+                                         f"nonnegative, got {value!r}")
 
         for o in self.origins:
             count(fed, o.link)

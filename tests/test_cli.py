@@ -610,8 +610,10 @@ class TestScenarioOverrides:
         (["orbit", "--v0", "1.1"], (cli, "cobweb")),
         (["sweep"], (cli, "sweep_xi")),
         (["simulate"], (Simulation, "run")),
-        (["validate"], (cli, "validate_spec"))],
-        ids=["analyze", "orbit", "sweep", "simulate", "validate"])
+        (["validate"], (cli, "validate_spec")),
+        (["validate", "--family", "--xi-step", "0.5"],
+         (cli, "validate_spec"))],
+        ids=["analyze", "orbit", "sweep", "simulate", "validate", "family"])
     def test_out_naming_a_file_fails_before_the_work(
             self, command, work, tmp_path, capsys, monkeypatch):
         def not_reached(*args, **kwargs):
@@ -644,6 +646,24 @@ class TestScenarioOverrides:
         out = tmp_path / "out"
         assert main([name, scenario, *options, "--out", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("boundary", ["origin_demand: 0.0",
+                                          "destination_supply: 0.0"])
+    @pytest.mark.parametrize("family", [[], ["--family", "--xi-step", "0.5"]],
+                             ids=["one", "family"])
+    def test_boundary_data_without_flow_leave_no_out_directory(
+            self, boundary, family, tmp_path, capsys, monkeypatch):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("validated boundary data without flow")
+
+        monkeypatch.setattr(cli, "validate_spec", not_reached)
+        scn = tmp_path / "closed.yaml"
+        scn.write_text(Path(BIFURCATION).read_text().replace(
+            "  xi: 0.4\n", f"  xi: 0.4\n  {boundary}\n"))
+        out = tmp_path / "out"
+        assert main(["validate", str(scn), *family, "--out", str(out)]) == 2
+        assert "lets no flow through to validate" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,20 @@ CLASSIC = DmSpec(3, 1, 2, 2, beta=1 / 3, xi=0.45)
 BOUNDARY_SPECS = {"origin_demand": CLASSIC, "destination_supply": CLASSIC,
                   "ramp_demand": BeltwaySpec(0.3, 0.2, 2),
                   "offramp_supply": BeltwaySpec(0.3, 0.2, 2)}
+
+# Each numeric field of a Network's parts: (part, field, error, message).
+NUMERIC_FIELDS = [
+    ("links", "capacity", ConfigurationError,
+     "link 'link0' needs a positive finite capacity"),
+    ("links", "length", ConfigurationError,
+     "link 'link0' needs a positive finite length"),
+    ("origins", "demand", ConfigurationError,
+     "origin demand at link 'link0' must be nonnegative"),
+    ("origins", "fraction", DomainError, "origin fraction must lie in [0, 1]"),
+    ("destinations", "supply", ConfigurationError,
+     "destination supply at link 'link3' must be nonnegative"),
+    ("diverges", "xi", DomainError, "xi must lie in [0, 1]"),
+    ("merges", "beta", DomainError, "beta must lie in [0, 1]")]
 
 
 def stage_names(k: int) -> dict[str, str]:
@@ -348,6 +363,21 @@ class TestBuilders:
     def test_specs_reject_negative_or_nan_boundary_data(self, field, value):
         with pytest.raises(DomainError, match=f"^{field} must be nonneg"):
             replace(BOUNDARY_SPECS[field], **{field: value})
+
+    @pytest.mark.parametrize("group, field, error, message, value", [
+        pytest.param(*row, value, id=f"{row[1]}-{type(value).__name__}")
+        for row in NUMERIC_FIELDS for value in (None, "0.5")
+        # A diverge's xi of None is the commodity-driven split.
+        if (row[1], value) != ("xi", None)])
+    def test_network_rejects_a_non_number_naming_the_field(
+            self, group, field, error, message, value):
+        # Not a raw TypeError from comparing the value with a float.
+        net = build_dm(CLASSIC)
+        first, *rest = getattr(net, group)
+        with pytest.raises(error, match=re.escape(
+                f"{message}, got {value!r}") + "$"):
+            replace(net, **{group: (replace(first, **{field: value}),
+                                    *rest)})
 
     @pytest.mark.parametrize("field", BOUNDARY_SPECS)
     @pytest.mark.parametrize("value, cast", [
