@@ -51,14 +51,16 @@ fraction of every cell, ghosts included, then one list of constants
 (boundary demands, supplies and fractions, fixed splits, merge shares,
 0.0, 0.5 and 1.0).  A link's last cell gives its demand, fraction and
 out-face, its first cell its supply and in-face, one index.  Each junction
-compiles into one row: seven operand indices into that buffer, for a merge
-(d1, d2, s3, f1, f2, beta, 1 - beta) and for a diverge (xi, d0, s1, s2, f0
-and the two multipliers), and the faces of its three ends.  The rows form
-one program, laid out operand by operand.  Each step gathers it with one
-`take` for both evaluators, and every junction end's [q, phi] lands in the
-face vector: on its face, or for a boundary-only end in a slot after the
-faces.  The evaluator is chosen at construction by the number of rows
-(origins, merges, destinations and diverges):
+compiles into one row of operand indices into that buffer, seven for a
+merge (d1, d2, s3, beta, 1 - beta, f1, f2) and eight for a diverge (f0,
+the two multipliers, xi, a slot for 1 - xi, d0, s1, s2), and the faces of
+its three ends.  The rows form one program, laid out operand by operand,
+so that the fractions of the merges' approaches and of the diverges' ends
+lie side by side.  Each step gathers it with one `take` for both
+evaluators, and every junction end's [q, phi] lands in the face vector:
+on its face, or for a boundary-only end in a slot after the faces.  The
+evaluator is chosen at construction by the number of rows (origins,
+merges, destinations and diverges):
 
   * up to `_SCALAR_ROWS` rows, a loop over Python floats over the
     vector's rows (one `tolist` per group), then one fancy assignment of
@@ -185,8 +187,9 @@ class SimConfig:
                 raise ConfigurationError(f"{name} must be positive and "
                                          f"finite, got {getattr(self, name)}")
         _check_horizon(self.horizon)
-        if self.dt is not None and not self.dt > 0:
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
+        if self.dt is not None and not 0.0 < self.dt < math.inf:
+            raise ConfigurationError(
+                f"dt must be positive and finite, got {self.dt}")
         if self.shape not in ("triangular", "greenshields"):
             raise ConfigurationError(
                 f"unknown diagram shape {self.shape!r}")
@@ -313,21 +316,23 @@ class Simulation:
         cell, ghosts included, [s | d | frac], then the constants: boundary
         demands, supplies and fractions, fixed splits, merge shares, 0.0,
         0.5 and 1.0.  A link sends from its last cell and receives into its
-        first.  Each junction is one row of seven operand indices into that
-        buffer: (d1, d2, s3, f1, f2, beta, 1 - beta) per merge and (split,
-        d0, s1, s2, f0, the two multipliers) per diverge.  Origins and
+        first.  Each junction is one row of operand indices into that
+        buffer: (d1, d2, s3, beta, 1 - beta, f1, f2) per merge and (f0, the
+        two multipliers, split, a slot for 1 - split, d0, s1, s2) per
+        diverge; the groups write 1 - split into its slot.  Origins and
         destinations are merges whose second approach is EMPTY, the
         constant 0.0 as demand and fraction, and whose two shares are one
         constant 0.5.  The program lays out the merge rows (origins,
-        merges, destinations), then the diverge rows, operand by operand.
+        merges, destinations), then the diverge rows, operand by operand,
+        so that the merges' fractions run on into the diverges'.
 
         Each row also lists the faces of its three ends (approaches 1 and
         2 and downstream, or upstream and branches 1 and 2), `None` for a
         boundary-only end, which gets one of the slots after the faces.
         The loop writes [q, phi] of every row's ends in row order; the
-        groups' result array holds them end by end: merge approaches 1,
-        approaches 2, downstream ends, then diverge upstream ends, branches
-        1 and branches 2.
+        groups' result array holds them end by end in the order of the
+        fractions: merge approaches 1, approaches 2, diverge upstream
+        ends, branches 1 and branches 2, then merge downstream ends.
         """
         n, cells = self._n, self.config.cells_per_link
         size = n * (cells + 1)
@@ -384,28 +389,29 @@ class Simulation:
         for o in network.origins:
             boundary(sources)
             ends += (None, head(o.link))    # EMPTY, downstream
-            merges.append((const(o.demand), zero, head(o.link),
-                           const(o.fraction), zero, half, half))
+            merges.append((const(o.demand), zero, head(o.link), half, half,
+                           const(o.fraction), zero))
         for mg in network.merges:
             (d1, f1), (d2, f2) = sender(mg.approach1), sender(mg.approach2)
             ends.append(head(mg.downstream))
-            merges.append((d1, d2, head(mg.downstream), f1, f2,
-                           const(mg.beta), const(1.0 - mg.beta)))
+            merges.append((d1, d2, head(mg.downstream), const(mg.beta),
+                           const(1.0 - mg.beta), f1, f2))
         for dst in network.destinations:
             d, f, face = tail(dst.link)
             ends += (face, None)            # approach, EMPTY
             boundary(sinks)
-            merges.append((d, zero, const(dst.supply), f, zero, half, half))
+            merges.append((d, zero, const(dst.supply), half, half, f, zero))
         diverges: list[tuple[int, ...]] = []
         for dv in network.diverges:
             d0, f0, face = tail(dv.upstream)
             ends.append(face)
             s1, s2 = receiver(dv.branch1), receiver(dv.branch2)
+            # The split's second operand is a slot for 1 - xi.
             if dv.xi is None:
                 # Commodity-driven: branch 1 carries all of commodity 1.
-                diverges.append((f0, d0, s1, s2, f0, one, zero))
+                diverges.append((f0, one, zero, f0, zero, d0, s1, s2))
             else:
-                diverges.append((const(dv.xi), d0, s1, s2, f0, f0, f0))
+                diverges.append((f0, f0, f0, const(dv.xi), zero, d0, s1, s2))
         m, nd = len(merges), len(diverges)
         self._room = np.empty((2, 2, m))
 
@@ -418,23 +424,27 @@ class Simulation:
         self._program = np.array([i for group in (merges, diverges)
                                   for column in zip(*group) for i in column],
                                  dtype=np.intp)
-        ops = self._ops = np.empty(7 * (m + nd))
-        mg, dv = ops[:7 * m].reshape(7, m), ops[7 * m:].reshape(7, nd)
+        ops = self._ops = np.empty(7 * m + 8 * nd)
+        mg, dv = ops[:7 * m].reshape(7, m), ops[7 * m:].reshape(8, nd)
         self._mg_rows, self._dv_rows = mg.T, dv.T
         self._d12, self._s3 = mg[:2], mg[2]
-        self._f12, self._b12 = mg[3:5], mg[5:]      # b12: beta, 1 - beta
-        self._xi, self._bound = dv[0], dv[1:4]      # xi; d0, s1, s2
-        self._f0, self._m12 = dv[4], dv[5:]
+        self._b12 = mg[3:5]                         # beta, 1 - beta
+        self._split, self._bound = dv[3:5], dv[5:]  # xi, 1 - xi; d0, s1, s2
+        # The ends with a fraction: merge approaches 1 and 2, then diverge
+        # upstream ends, branches 1 and branches 2, whose fractions
+        # (f1, f2, f0 and the two multipliers) lie side by side.
+        fed = 2 * m + 3 * nd
+        self._fracs = ops[5 * m:5 * m + fed]
         self._scalar = m + nd <= _SCALAR_ROWS
         live = 3 * m + 3 * nd
+        # [q, phi] of those ends, then of the merges' downstream ends.
         res = self._res = np.zeros((2, live))
+        self._q_fed, self._phi_fed = res[:, :fed]
         self._q_app = res[0, :2 * m].reshape(2, m)
-        self._phi_app = res[1, :2 * m].reshape(2, m)
-        self._q_down, self._phi_down = res[:, 2 * m:3 * m]
-        self._q_up, self._phi_up = res[:, 3 * m:3 * m + nd]
-        self._q_br = res[0, 3 * m + nd:].reshape(2, nd)
-        self._phi_br = res[1, 3 * m + nd:].reshape(2, nd)
-        self._split = np.empty((2, nd))         # (xi, 1 - xi)
+        self._app = res[:, :2 * m].reshape(2, 2, m)
+        self._q_up = res[0, 2 * m:2 * m + nd]
+        self._q_br = res[0, 2 * m + nd:fed].reshape(2, nd)
+        self._down = res[:, fed:]
         self._open = np.ones((3, nd), dtype=bool)
 
         # The face vector: q then phi of every cell's upstream face, then a
@@ -452,12 +462,15 @@ class Simulation:
         self._flux = faces[:nf].reshape(2, n, cells + 1)
         self.q = self._flux[0]
         # The loop's [q, phi] of each row's three ends, and the groups'
-        # result columns, end by end within each group.
+        # result columns, end by end: merge approaches, diverge ends, then
+        # merge downstream ends.
         self._targets = slots[:, :live].reshape(2, m + nd, 3).transpose(
             1, 0, 2).ravel()
+        mg_ends = slots[:, :3 * m].reshape(2, m, 3).transpose(0, 2, 1)
+        dv_ends = slots[:, 3 * m:live].reshape(2, nd, 3).transpose(0, 2, 1)
         self._scatter = np.concatenate([
-            slots[:, j:j + 3 * g].reshape(2, g, 3).transpose(0, 2, 1)
-            .reshape(2, 3 * g) for j, g in ((0, m), (3 * m, nd))], 1)
+            mg_ends[:, :2].reshape(2, 2 * m), dv_ends.reshape(2, 3 * nd),
+            mg_ends[:, 2]], 1)
         self._bnd = slots[:, [live, *sources, live, *sinks]]
         self._n_src = 1 + len(sources)
         out = np.arange(cells, size, cells + 1)
@@ -540,7 +553,7 @@ class Simulation:
             # (a, b) is `a if a < b or a != a else b`, np.maximum likewise.
             # Each row's three ends give q then phi, in row order.
             out: list[float] = []
-            for d1, d2, s3, f1, f2, b1, b2 in self._mg_rows.tolist():
+            for d1, d2, s3, b1, b2, f1, f2 in self._mg_rows.tolist():
                 r, t = s3 - d2, b1 * s3
                 r = r if r > t or r != r else t
                 q1 = d1 if d1 < r or d1 != d1 else r
@@ -550,9 +563,9 @@ class Simulation:
                 p1, p2 = f1 * q1, f2 * q2
                 # Both sums start from 0.0, as np.add.reduce does.
                 out += (q1, q2, (0.0 + q1) + q2, p1, p2, (0.0 + p1) + p2)
-            for xi, d0, s1, s2, f0, f1, f2 in self._dv_rows.tolist():
+            for f0, f1, f2, xi, _, d0, s1, s2 in self._dv_rows.tolist():
                 if not 0.0 <= xi <= 1.0:
-                    raise _split_error(self._xi)
+                    raise _split_error(self._split[0])
                 # The minimum folds from inf, and min(inf, d0) is d0.
                 q0, xi2 = d0, 1.0 - xi
                 if xi > 0.0:
@@ -569,7 +582,6 @@ class Simulation:
             # where) by position: on arrays this small, parsing keywords
             # costs about as much as the reduction itself.
             split, bound, open_ = self._split, self._bound, self._open
-            split[0] = self._xi
             np.subtract(1.0, split[0], out=split[1])
             if not np.minimum.reduce(split, None, None, None, False,
                                      1.0) >= 0.0:
@@ -580,9 +592,7 @@ class Simulation:
             np.divide(bound[1:], split, out=bound[1:], where=open_[1:])
             q0 = np.minimum.reduce(bound, 0, None, self._q_up, False, np.inf,
                                    open_)
-            np.multiply(self._f0, q0, out=self._phi_up)
             np.multiply(split, q0, out=self._q_br)
-            np.multiply(self._m12, self._q_br, out=self._phi_br)
 
             d12, s3 = self._d12, self._s3
             # room = max(s3 - (d2, d1), (beta, 1 - beta)*s3)
@@ -590,15 +600,12 @@ class Simulation:
             np.subtract(s3, d12[::-1], out=room)
             np.multiply(self._b12, s3, out=share)
             np.maximum(room, share, out=room)
-            q12 = np.minimum(d12, room, out=self._q_app)
-            np.multiply(self._f12, q12, out=self._phi_app)
+            np.minimum(d12, room, out=self._q_app)
+            np.multiply(self._fracs, self._q_fed, out=self._phi_fed)
             # q1 + q2 equals min(d1+d2, s3); summing keeps the node
-            # exactly conservative in floating point.  Both sums start
-            # from 0.0, the first without `initial`, so -0.0 + -0.0 is
-            # 0.0.
-            np.add.reduce(q12, 0, None, self._q_down)
-            np.add.reduce(self._phi_app, 0, None, self._phi_down, False,
-                          0.0)
+            # exactly conservative in floating point.  Both sums, of q and
+            # of phi, start from 0.0, so -0.0 + -0.0 is 0.0.
+            np.add.reduce(self._app, 1, None, self._down, False, 0.0)
             faces[self._scatter] = self._res
 
         delta = np.subtract(self._faces_up, self._faces_down, out=self._delta)

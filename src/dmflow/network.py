@@ -581,9 +581,11 @@ def dmn_start(spec: DmnSpec) -> dict[str, LinkStart]:
 
 
 def beltway_start(spec: BeltwaySpec, flow: float) -> dict[str, LinkStart]:
-    """Every ring segment uniformly over-critical, carrying `flow`."""
-    if not flow < spec.ring_capacity:
-        raise DomainError("initial ring flow must be below capacity")
+    """Every ring segment uniformly over-critical, carrying `flow`; 0 is
+    a jammed ring."""
+    if not 0.0 <= flow < spec.ring_capacity:
+        raise DomainError(f"ring flow must lie in [0, ring_capacity = "
+                          f"{spec.ring_capacity!r}), got {flow!r}")
     start = LinkStart(flow, 1.0, 0.0)
     return {f"{side}{k}": start
             for k in range(1, spec.n_pairs + 1) for side in "ab"}

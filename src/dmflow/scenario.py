@@ -5,24 +5,31 @@ Sections: `network` (topology kind and its parameters), `diagram`
 `initial` (starting profile) and `output` (directory and format defaults).
 The JSON-Schema (Draft 2020-12) that a document must satisfy is the
 package file scenario.schema.json, read once at import and exported as
-SCENARIO_SCHEMA.  A small interpreter of the keywords it uses checks
-documents with jsonschema's own messages, so loading a scenario does not
-import jsonschema; numbers must also be finite, which JSON-Schema cannot
-express.
+SCENARIO_SCHEMA.  It states the shape only: sections, keys, types, enums,
+list lengths and `dt` (positive or "auto").  A small interpreter of the
+keywords it uses reports every shape error at once, in jsonschema's own
+words, so loading a scenario does not import jsonschema.
+
+Each value then has one owner, the spec, SimConfig or ring start that
+reads it, and `load_scenario` builds them all, so a value error is the
+first one its owner finds, named by file, section and key.  The owners
+refuse NaN and infinite numbers, except +inf as boundary data (origin
+demand, destination supply, ramp demand, off-ramp supply), meaning no
+limit.  A ring flow must lie in [0, ring_capacity); 0 is a jammed ring.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from numbers import Number
 from pathlib import Path
 
 import yaml
 
 from .ctm import SimConfig, Simulation
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DmflowError
 from .network import (BeltwaySpec, DmnSpec, DmSpec, beltway_start,
                       build_beltway, build_dm, build_dmn)
 
@@ -47,6 +54,10 @@ _KEYS = {
     "initial": {"empty": ((), ()), "ring_flow": (("flow",), ())},
 }
 _BUILDERS = {"dm": build_dm, "dmn": build_dmn, "beltway": build_beltway}
+# Per kind, (the spec's name, the file's key) of a field they name
+# otherwise; a DmnSpec's capacities are its stage's, not the file's.
+_RENAMED = {"dm": ("capacity c", "capacities: c"), "dmn": ("", ""),
+            "beltway": ("n_pairs", "pairs")}
 
 
 @dataclass(frozen=True)
@@ -87,8 +98,7 @@ _TYPES = {
 _APPLIES_TO = {
     "required": "object", "properties": "object",
     "additionalProperties": "object", "items": "array",
-    "minItems": "array", "maxItems": "array", "minimum": "number",
-    "maximum": "number", "exclusiveMinimum": "number",
+    "minItems": "array", "maxItems": "array", "exclusiveMinimum": "number",
 }
 
 
@@ -154,14 +164,6 @@ def _schema_errors(instance, schema: dict, path: tuple = ()):
                 yield path, (f"{instance!r} "
                              + ("is expected to be empty" if value == 0
                                 else "is too long"))
-        elif key == "minimum":
-            if instance < value:
-                yield path, (f"{instance!r} is less than the minimum of "
-                             f"{value!r}")
-        elif key == "maximum":
-            if instance > value:
-                yield path, (f"{instance!r} is greater than the maximum of "
-                             f"{value!r}")
         elif key == "exclusiveMinimum":
             if instance <= value:
                 yield path, (f"{instance!r} is less than or equal to the "
@@ -171,23 +173,8 @@ def _schema_errors(instance, schema: dict, path: tuple = ()):
                 f"scenario schema keyword {key!r}: {value!r} is not supported")
 
 
-def _non_finite(node, path: tuple = ()):
-    """Yield (path, message) for each NaN or infinite number in `node`."""
-    if isinstance(node, float) and not math.isfinite(node):
-        yield path, f"{node!r} is not a finite number"
-    elif isinstance(node, dict):
-        for key, value in node.items():
-            yield from _non_finite(value, path + (key,))
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            yield from _non_finite(value, path + (i,))
-
-
 def _validate(doc: dict, source: str) -> None:
-    # NaN passes every JSON-Schema bound, so finiteness is checked once the
-    # schema holds, keeping the schema's own errors exactly jsonschema's.
-    errors = (sorted(_schema_errors(doc, SCENARIO_SCHEMA), key=lambda e: e[0])
-              or list(_non_finite(doc)))
+    errors = sorted(_schema_errors(doc, SCENARIO_SCHEMA), key=lambda e: e[0])
     if errors:
         lines = [f"{source}: invalid scenario"]
         for path, message in errors:
@@ -212,6 +199,18 @@ def _section(cfg: dict, section: str, path: Path) -> dict:
     return {key: value for key, value in cfg.items() if key != "kind"}
 
 
+@contextmanager
+def _owner(path: Path, where: str, renamed: tuple[str, str] = ("", "")):
+    """Re-raise the error of the spec, SimConfig or start that checks a
+    value as a ConfigurationError naming the file and `where` in it, with
+    the spec's name `renamed[0]` of a field replaced by the file's."""
+    try:
+        yield
+    except DmflowError as exc:
+        message = str(exc).replace(*renamed)
+        raise ConfigurationError(f"{path}: {where}: {message}") from exc
+
+
 def load_scenario(path: str | Path, xi: float | None = None) -> Scenario:
     """Parse and validate a scenario file; xi overrides a 'dm' route split."""
     path = Path(path)
@@ -220,6 +219,11 @@ def load_scenario(path: str | Path, xi: float | None = None) -> Scenario:
             doc = yaml.safe_load(fh)
     except FileNotFoundError:
         raise ConfigurationError(f"scenario file not found: {path}")
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text: {exc.reason} "
+                                 f"at byte {exc.start}") from None
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" (line {mark.line + 1}, column {mark.column + 1})" \
@@ -235,30 +239,32 @@ def load_scenario(path: str | Path, xi: float | None = None) -> Scenario:
             raise ConfigurationError("--xi override only applies to 'dm' "
                                      "scenarios")
         doc["network"]["xi"] = xi
-    sim_cfg = {**doc.get("diagram", {}), **doc.get("simulation", {})}
-    if sim_cfg.get("dt") == "auto":
-        del sim_cfg["dt"]
-    sim = SimConfig(**sim_cfg)
+    # SimConfig checks the diagram's values, then the simulation's; dt:
+    # auto is its default.
+    sim = SimConfig()
+    for section in ("diagram", "simulation"):
+        values = doc.get(section, {}).items()
+        with _owner(path, section):
+            sim = replace(sim, **{k: v for k, v in values if v != "auto"})
 
     net_cfg = _section(doc["network"], "network", path)
-    # The schema cannot state every domain a spec checks, such as a
-    # beltway's xi below 1 or a ring's scaled capacities staying finite.
-    try:
+    where = "network" if xi is None else f"network with --xi {xi!r}"
+    with _owner(path, where, _RENAMED[kind]):
         if kind == "dm":
             spec = DmSpec(*net_cfg.pop("capacities"), **net_cfg)
         elif kind == "dmn":
             spec = DmnSpec(**net_cfg)
         else:
             spec = BeltwaySpec(n_pairs=net_cfg.pop("pairs"), **net_cfg)
-    except DomainError as exc:
-        where = "network" if xi is None else f"network with --xi {xi!r}"
-        raise ConfigurationError(f"{path}: {where}: {exc}") from exc
 
     init = doc.get("initial", {"kind": "empty"})
     if init["kind"] == "ring_flow" and kind != "beltway":
         raise ConfigurationError(
             f"{path}: initial kind 'ring_flow' needs a beltway network")
     flow = _section(init, "initial", path).get("flow")
+    if flow is not None:
+        with _owner(path, "initial"):
+            beltway_start(spec, flow)
     out = doc.get("output", {})
     return Scenario(kind, spec, sim, flow,
                     out_dir=out.get("directory", "out"),

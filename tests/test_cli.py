@@ -3,7 +3,9 @@
 import hashlib
 import inspect
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from dmflow import (ConfigurationError, DmSpec, SimConfig, Simulation, cli,
                     poincare)
@@ -273,34 +276,37 @@ class TestScenarioErrors:
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [scn]
 
-    @pytest.mark.parametrize("snippet,where,value", [
+    @pytest.mark.parametrize("snippet,message", [
         ("network:\n  kind: dm\n  capacities: [3.0, 1.0, 2.0, .nan]\n"
-         "  beta: 0.3\n  xi: 0.45\n", "network/capacities/3", "nan"),
+         "  beta: 0.3\n  xi: 0.45\n",
+         "network: capacities: c3 must be positive and finite, got nan"),
         ("network:\n  kind: dm\n  capacities: [3.0, 1.0, 2.0, .inf]\n"
-         "  beta: 0.3\n  xi: 0.45\n", "network/capacities/3", "inf"),
+         "  beta: 0.3\n  xi: 0.45\n",
+         "network: capacities: c3 must be positive and finite, got inf"),
         ("network:\n  kind: dm\n  capacities: [3.0, 1.0, 2.0, 2.0]\n"
          "  beta: 0.3\n  xi: 0.45\n  origin_demand: .nan\n",
-         "network/origin_demand", "nan"),
+         "network: origin_demand must be nonnegative, got nan"),
         ("network:\n  kind: dm\n  capacities: [3.0, 1.0, 2.0, 2.0]\n"
          "  beta: 0.3\n  xi: 0.45\nsimulation:\n  dt: .nan\n",
-         "simulation/dt", "nan"),
+         "simulation: dt must be positive and finite, got nan"),
         ("network:\n  kind: dm\n  capacities: [3.0, 1.0, 2.0, 2.0]\n"
          "  beta: 0.3\n  xi: 0.45\ndiagram:\n  free_flow_speed: .inf\n",
-         "diagram/free_flow_speed", "inf"),
+         "diagram: free_flow_speed must be positive and finite, got inf"),
     ], ids=["capacity-nan", "capacity-inf", "origin-demand-nan", "dt-nan",
             "free-flow-speed-inf"])
     @pytest.mark.parametrize("command", [["analyze"],
                                          ["simulate", "--horizon", "5"]],
                              ids=["analyze", "simulate"])
-    def test_non_finite_number_is_config_error(self, snippet, where, value,
+    def test_non_finite_number_is_config_error(self, snippet, message,
                                                command, tmp_path, capsys):
+        # The spec or SimConfig that reads the value refuses it.
         scn = tmp_path / "nonfinite.yaml"
         scn.write_text(snippet)
         code = main([command[0], str(scn), *command[1:],
                      "--out", str(tmp_path)])
         assert code == 2
-        assert (f"at {where}: {value} is not a finite number"
-                in capsys.readouterr().err)
+        assert capsys.readouterr().err == (
+            f"configuration error: {scn}: {message}\n")
         assert list(tmp_path.iterdir()) == [scn]
 
     @pytest.mark.parametrize("snippet, message", [
@@ -348,7 +354,7 @@ class TestScenarioErrors:
         scn.write_text(BELTWAY_NETWORK + "  ring_capacity: 1.0\n"
                        "initial:\n  kind: ring_flow\n  flow: 1.0\n")
         assert main(["simulate", str(scn), "--out", str(tmp_path)]) == 2
-        assert ("error: initial ring flow must be below capacity"
+        assert (f"{scn}: initial: ring flow must lie in [0, ring_capacity"
                 in capsys.readouterr().err)
         assert not (tmp_path / "run.csv").exists()
 
@@ -358,6 +364,188 @@ class TestScenarioErrors:
             "network:\n  kind: dm\n  capacities: [3.0, 1.0, 2.0, 2.0]\n"
             "  beta: 0.33\n  xi: 0.45\nsimulation:\n  dt: 0.5\n")
         assert main(["simulate", str(scn), "--out", str(tmp_path)]) == 2
+
+
+
+# The networks that the value cases below start from, one per kind.
+NETWORKS = {
+    "dm": {"kind": "dm", "capacities": [3.0, 1.0, 2.0, 2.0], "beta": 0.3,
+           "xi": 0.45},
+    "dmn": {"kind": "dmn", "n": 2, "xi": 0.4},
+    "beltway": {"kind": "beltway", "pairs": 2, "beta": 0.3, "xi": 0.2},
+}
+# Every numeric key of a scenario file, and its non-finite values but
+# +inf as boundary data, which means no limit.
+NUMERIC_KEYS = [
+    ("dm", "network", "capacities"), ("dm", "network", "lengths"),
+    ("dm", "network", "beta"), ("dm", "network", "xi"),
+    ("dm", "network", "origin_demand"),
+    ("dm", "network", "destination_supply"),
+    ("dmn", "network", "n"), ("dmn", "network", "scale"),
+    ("beltway", "network", "pairs"), ("beltway", "network", "ring_capacity"),
+    ("beltway", "network", "segment_length"),
+    ("beltway", "network", "ramp_demand"),
+    ("beltway", "network", "offramp_supply"),
+    ("dm", "diagram", "free_flow_speed"),
+    ("dm", "diagram", "congested_wave_speed"),
+    ("dm", "simulation", "cells_per_link"), ("dm", "simulation", "dt"),
+    ("dm", "simulation", "horizon"), ("beltway", "initial", "flow")]
+BOUNDARY_KEYS = ("origin_demand", "destination_supply", "ramp_demand",
+                 "offramp_supply")
+NON_FINITE = [
+    pytest.param(kind, section, key, value, id=f"{key}-{name}")
+    for kind, section, key in NUMERIC_KEYS
+    for name, value in (("nan", math.nan), ("inf", math.inf),
+                        ("-inf", -math.inf))
+    if not (value == math.inf and key in BOUNDARY_KEYS)]
+# Every command, with the options it needs.
+COMMANDS = [["analyze"], ["orbit", "--v0", "0.5"], ["sweep"], ["simulate"],
+            ["validate"]]
+
+
+def scenario_with(tmp_path, kind: str, section: str, key: str, value):
+    """A scenario file of network `kind` whose `section` sets `key`; an
+    `initial` section is a ring flow."""
+    doc = {"network": dict(NETWORKS[kind]), "initial": {"kind": "empty"}}
+    if section == "initial":
+        doc["initial"]["kind"] = "ring_flow"
+    doc.setdefault(section, {})[key] = value
+    scn = tmp_path / "values.yaml"
+    scn.write_text(yaml.safe_dump(doc))
+    return scn
+
+
+class TestScenarioValues:
+    """Each value of a scenario file is checked once, by the spec,
+    SimConfig or start that reads it; the schema checks only shapes."""
+
+    @pytest.mark.parametrize("kind, section, key, value", [
+        ("dm", "network", "capacities", [3.0, 1.0, 2.0, 0.0]),
+        ("dm", "network", "lengths", [1.0, 0.0, 1.0, 1.0]),
+        ("dm", "network", "beta", -0.1),
+        ("dm", "network", "beta", 1.5),
+        ("dm", "network", "xi", -0.1),
+        ("dm", "network", "xi", 1.5),
+        ("dm", "network", "origin_demand", -1.0),
+        ("dm", "network", "destination_supply", -1.0),
+        ("dmn", "network", "n", 0),
+        ("dmn", "network", "scale", 0.0),
+        ("beltway", "network", "pairs", 0),
+        ("beltway", "network", "ring_capacity", 0.0),
+        ("beltway", "network", "segment_length", -1.0),
+        ("beltway", "network", "ramp_demand", -0.5),
+        ("beltway", "network", "offramp_supply", -0.5),
+        ("dm", "diagram", "free_flow_speed", 0.0),
+        ("dm", "diagram", "congested_wave_speed", -0.5),
+        ("dm", "simulation", "cells_per_link", 0),
+        ("dm", "simulation", "horizon", -1.0),
+    ], ids=["capacities", "lengths", "beta-below", "beta-above", "xi-below",
+            "xi-above", "origin-demand", "destination-supply", "n", "scale",
+            "pairs", "ring-capacity", "segment-length", "ramp-demand",
+            "offramp-supply", "free-flow-speed", "congested-wave-speed",
+            "cells-per-link", "horizon"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_value_outside_its_domain_is_refused_at_load(
+            self, kind, section, key, value, command, tmp_path, capsys):
+        scn = scenario_with(tmp_path, kind, section, key, value)
+        out = tmp_path / "out"
+        name, *options = command
+        assert main([name, str(scn), *options, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(scn) in err
+        assert re.search(rf"\b{section}\b", err)
+        assert re.search(rf"\b{key}\b", err)
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, section, key, value, message", [
+        ("dm", "network", "capacities", [3.0, 1.0, 2.0, 0.0],
+         "network: capacities: c3 must be positive and finite, got 0.0"),
+        ("beltway", "network", "pairs", 0,
+         "network: pairs must be a positive integer, got 0"),
+        ("dm", "diagram", "free_flow_speed", 0.0,
+         "diagram: free_flow_speed must be positive and finite, got 0.0"),
+        ("dm", "simulation", "cells_per_link", 0,
+         "simulation: cells_per_link must be a positive integer, got 0"),
+        ("dm", "simulation", "dt", float("inf"),
+         "simulation: dt must be positive and finite, got inf"),
+    ], ids=["capacities", "pairs", "diagram", "simulation", "dt-inf"])
+    def test_owner_message_names_the_file_and_section(
+            self, kind, section, key, value, message, tmp_path, capsys):
+        scn = scenario_with(tmp_path, kind, section, key, value)
+        out = tmp_path / "out"
+        assert main(["analyze", str(scn), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {scn}: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flow", [1.0, 1.5, -0.5])
+    @pytest.mark.parametrize("command", [["analyze"], ["simulate"]],
+                             ids=lambda c: c[0])
+    def test_ring_flow_outside_the_ring_is_refused_at_load(
+            self, flow, command, tmp_path, capsys):
+        scn = tmp_path / "ring.yaml"
+        scn.write_text(BELTWAY_NETWORK + "  ring_capacity: 1.0\n"
+                       f"initial:\n  kind: ring_flow\n  flow: {flow}\n")
+        out = tmp_path / "out"
+        assert main([*command, str(scn), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {scn}: initial: ring flow must lie in "
+            f"[0, ring_capacity = 1.0), got {flow}\n")
+        assert not out.exists()
+
+    def test_zero_ring_flow_loads_a_jammed_ring(self, tmp_path):
+        scn = tmp_path / "jam.yaml"
+        scn.write_text(BELTWAY_NETWORK + "initial:\n  kind: ring_flow\n"
+                       "  flow: 0\n")
+        scenario = load_scenario(scn)
+        assert scenario.initial_flow == 0.0
+        sim = scenario.simulation()
+        assert all((link.k == link.fd.jam_density).all()
+                   for name, link in sim.links.items() if name[0] in "ab")
+
+    @pytest.mark.parametrize("kind, section, key, value", NON_FINITE)
+    def test_non_finite_value_is_refused_at_load(self, kind, section, key,
+                                                 value, tmp_path):
+        if key in ("capacities", "lengths"):
+            value = [1.0, 1.0, 1.0, value]
+        scn = scenario_with(tmp_path, kind, section, key, value)
+        with pytest.raises(ConfigurationError) as caught:
+            load_scenario(scn)
+        message = str(caught.value)
+        assert message.startswith(f"{scn}: ")
+        assert re.search(rf"\b{section}\b", message)
+        assert re.search(rf"\b{key}\b", message)
+
+    @pytest.mark.parametrize("kind, key", [
+        (kind, key) for kind, section, key in NUMERIC_KEYS
+        if key in BOUNDARY_KEYS])
+    def test_infinite_boundary_data_means_no_limit(self, kind, key,
+                                                   tmp_path):
+        scn = scenario_with(tmp_path, kind, "network", key, float("inf"))
+        assert getattr(load_scenario(scn).spec, key) == float("inf")
+        out = tmp_path / "out"
+        assert main(["simulate", str(scn), "--horizon", "5",
+                     "--out", str(out)]) == 0
+        assert (out / "run.csv").exists()
+
+    def test_directory_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["analyze", str(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {tmp_path}: Is a directory\n"
+        assert not out.exists()
+
+    def test_file_not_in_utf8_is_config_error(self, tmp_path, capsys):
+        scn = tmp_path / "latin1.yaml"
+        scn.write_bytes("network:\n  kind: dm  # Stra\xdfe\n".encode(
+            "latin-1"))
+        out = tmp_path / "out"
+        assert main(["analyze", str(scn), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {scn}: not UTF-8")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSimulateValidate:

@@ -75,3 +75,17 @@ def test_functions_count_decorators_and_nested_functions_in_their_own(
     assert count(sample, "--functions") == [
         "     5  nested.py:outer", "     2  nested.py:Box.Lid.open",
         "    10  nested.py", "    10  total", ""]
+
+
+def test_closed_pipe_stops_quietly():
+    # The reader closes its end before the counts are written, as `| head`
+    # does after its first lines.
+    proc = subprocess.Popen(
+        [sys.executable, str(ROOT / "tools" / "code_lines.py"),
+         "--functions", str(ROOT / "src" / "dmflow")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

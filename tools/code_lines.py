@@ -10,12 +10,14 @@ With no path it counts `src/dmflow`.  It prints one count per module and
 the total.  With `--functions` each module's count follows one count per
 function and method, `module.py:Class.method`, in source order; a nested
 function counts in the function around it and gets no row of its own.
+When its reader closes the pipe, as `| head` does, it stops quietly.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -89,4 +91,10 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        sys.exit(main(sys.argv[1:]))
+    except BrokenPipeError:
+        # The reader stopped reading, as `| head` does: stop quietly, and
+        # point stdout at devnull so that the flush at exit cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
